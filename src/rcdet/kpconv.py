@@ -38,6 +38,7 @@ POINT_FEATURE_DIM = 5  # (x, y, v_x, v_y, 1.0)
 DEFAULT_BASE_CELL = 0.1
 DEFAULT_NEIGHBOR_CAP = 26
 RADIUS_PER_CELL = 2.5
+_QUERY_BLOCK = 256  # queries per distance table in radius_neighbors
 
 _CHECKPOINT_MAGIC = b"RCKP"
 _CHECKPOINT_VERSION = 1
@@ -209,30 +210,19 @@ def grid_subsample(points: PointFeatures, cell: float) -> PointFeatures:
 
     Cells are keyed by floor division of the coordinates; outputs are ordered
     by cell index lexicographically. Per-cell accumulation runs left-to-right
-    over input order so results are reproducible bit-for-bit.
+    over input order (unbuffered ``np.add.at``) so results are reproducible
+    bit-for-bit.
     """
     if cell <= 0:
         raise ValueError(f"cell size must be positive, got {cell}")
-    if points.count == 0:
-        return PointFeatures(
-            positions=np.zeros((0, 3)), features=np.zeros((0, points.features.shape[1]))
-        )
     keys = np.floor(points.positions / cell).astype(np.int64)
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    out_positions = []
-    out_features = []
-    for key in sorted(cells):
-        members = cells[key]
-        pos_acc = np.zeros(3)
-        feat_acc = np.zeros(points.features.shape[1])
-        for i in members:
-            pos_acc = pos_acc + points.positions[i]
-            feat_acc = feat_acc + points.features[i]
-        out_positions.append(pos_acc / len(members))
-        out_features.append(feat_acc / len(members))
-    return PointFeatures(positions=np.array(out_positions), features=np.array(out_features))
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)  # its shape varies across numpy 2.0.x
+    positions = np.zeros((counts.size, 3))
+    features = np.zeros((counts.size, points.features.shape[1]))
+    np.add.at(positions, inverse, points.positions)
+    np.add.at(features, inverse, points.features)
+    return PointFeatures(positions=positions / counts[:, None], features=features / counts[:, None])
 
 
 def radius_neighbors(
@@ -245,26 +235,60 @@ def radius_neighbors(
 
     Results are sorted by (squared distance, index) and truncated to ``cap``
     entries when given. Distances are compared squared, so the decision is
-    exactly reproducible by a scalar oracle.
+    exactly reproducible by a scalar oracle. Queries are processed in blocks
+    of ``_QUERY_BLOCK`` so the distance table stays block x N_s.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
     support = np.asarray(support, dtype=np.float64).reshape(-1, 3)
     r2 = radius * radius
-    out = []
-    for q in queries:
-        dx = support[:, 0] - q[0]
-        dy = support[:, 1] - q[1]
-        dz = support[:, 2] - q[2]
+    out: list[np.ndarray] = []
+    for start in range(0, queries.shape[0], _QUERY_BLOCK):
+        rel = support[None, :, :] - queries[start : start + _QUERY_BLOCK, None, :]
+        dx, dy, dz = rel[..., 0], rel[..., 1], rel[..., 2]
         d2 = dx * dx + dy * dy + dz * dz
-        within = np.flatnonzero(d2 <= r2)
-        order = np.lexsort((within, d2[within]))
-        idx = within[order]
-        if cap is not None:
-            idx = idx[:cap]
-        out.append(idx)
+        within = d2 <= r2
+        # NaN sorts last, so a stable sort puts the in-radius indices first,
+        # ordered by (squared distance, index).
+        order = np.argsort(np.where(within, d2, np.nan), axis=1, kind="stable")
+        count = within.sum(axis=1) if cap is None else np.minimum(within.sum(axis=1), cap)
+        out += np.split(order[np.arange(order.shape[1]) < count[:, None]], np.cumsum(count)[:-1])
     return out
+
+
+def _neighborhood(
+    layer: KPConvLayerConfig,
+    query_positions: np.ndarray,
+    support: PointFeatures,
+    neighbors: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Influence-weighted neighbor features per query and kernel point, (N_q, K, in).
+
+    Neighbor lists are padded to a common length with the index of one extra
+    support row of zero features, so a padded slot adds an exact zero and
+    never reads a real point.
+    """
+    query_positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
+    if support.features.shape[1] != layer.in_channels:
+        raise DimensionMismatch(
+            f"support features have {support.features.shape[1]} channels, "
+            f"layer expects {layer.in_channels}"
+        )
+    n_q = query_positions.shape[0]
+    if len(neighbors) != n_q:
+        raise DimensionMismatch("one neighbor list per query is required")
+    lengths = np.fromiter(map(len, neighbors), dtype=np.intp, count=n_q)
+    padded = np.full((n_q, lengths.max(initial=0)), support.count, dtype=np.intp)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.concatenate(
+        [np.zeros(0, dtype=np.intp), *neighbors]
+    )
+    positions = np.vstack([support.positions, np.zeros((1, 3))])
+    features = np.vstack([support.features, np.zeros((1, layer.in_channels))])
+    rel = positions[padded] - query_positions[:, None, :]  # (N_q, M, 3)
+    dist = np.linalg.norm(rel[:, :, None, :] - layer.kernel_points, axis=3)  # (N_q, M, K)
+    influence = np.maximum(0.0, 1.0 - dist / layer.influence_sigma)
+    return influence.transpose(0, 2, 1) @ features[padded]
 
 
 def kpconv_forward(
@@ -277,26 +301,10 @@ def kpconv_forward(
 
     out(q) = sum over neighbors i and kernel points k of
     max(0, 1 - |p_i - q - y_k| / sigma) * (f_i @ W_k); empty neighborhoods
-    produce zero rows.
+    produce zero rows. One GEMM (N_q, K*in) @ (K*in, out) over all queries.
     """
-    query_positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
-    if support.features.shape[1] != layer.in_channels:
-        raise DimensionMismatch(
-            f"support features have {support.features.shape[1]} channels, "
-            f"layer expects {layer.in_channels}"
-        )
-    if len(neighbors) != query_positions.shape[0]:
-        raise DimensionMismatch("one neighbor list per query is required")
-    out = np.zeros((query_positions.shape[0], layer.out_channels))
-    for qi, idx in enumerate(neighbors):
-        if len(idx) == 0:
-            continue
-        rel = support.positions[idx] - query_positions[qi]  # (n, 3)
-        dist = np.linalg.norm(rel[:, None, :] - layer.kernel_points[None, :, :], axis=2)
-        influence = np.maximum(0.0, 1.0 - dist / layer.influence_sigma)  # (n, K)
-        weighted = influence.T @ support.features[idx]  # (K, in)
-        out[qi] = np.einsum("kc,kco->o", weighted, layer.weights)
-    return out
+    weighted = _neighborhood(layer, query_positions, support, neighbors)
+    return weighted.reshape(weighted.shape[0], -1) @ layer.weights.reshape(-1, layer.out_channels)
 
 
 def kpconv_weight_grad(
@@ -307,22 +315,14 @@ def kpconv_weight_grad(
     upstream: np.ndarray,
 ) -> np.ndarray:
     """Analytic gradient of sum(upstream * forward) wrt the layer weights."""
-    query_positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
+    weighted = _neighborhood(layer, query_positions, support, neighbors)
+    weighted = weighted.reshape(weighted.shape[0], -1)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (query_positions.shape[0], layer.out_channels):
+    if upstream.shape != (weighted.shape[0], layer.out_channels):
         raise DimensionMismatch(
             f"upstream must be (N_q, {layer.out_channels}), got {upstream.shape}"
         )
-    grad = np.zeros_like(layer.weights)
-    for qi, idx in enumerate(neighbors):
-        if len(idx) == 0:
-            continue
-        rel = support.positions[idx] - query_positions[qi]
-        dist = np.linalg.norm(rel[:, None, :] - layer.kernel_points[None, :, :], axis=2)
-        influence = np.maximum(0.0, 1.0 - dist / layer.influence_sigma)
-        weighted = influence.T @ support.features[idx]  # (K, in)
-        grad += weighted[:, :, None] * upstream[qi][None, None, :]
-    return grad
+    return (weighted.T @ upstream).reshape(layer.weights.shape)
 
 
 def cluster_to_point_features(

@@ -230,7 +230,7 @@ def evaluate(
     sorted_dets = [sorted(dets, key=lambda d: -d.score) for dets in dets_per_frame]
 
     ap: dict[tuple[int, float], float] = {}
-    per_class_errors: list[TPErrors] = []
+    per_class_errors: list[tuple[TPErrors, bool]] = []
     for class_id in class_ids:
         frame_dets = [
             [d for d in dets if d.class_id == class_id] for dets in sorted_dets

@@ -274,16 +274,19 @@ def _frame_from_json(record: dict, line: int) -> SceneFrame:
 def _read_lines(path: str, schema: str) -> list[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected a schema header")
     records = []
     for number, text in enumerate(lines, start=1):
         if not text.strip():
             continue
         try:
-            records.append((number, json.loads(text)))
+            record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {number}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ParseError(f"line {number}: expected a JSON object")
+        records.append((number, record))
+    if not records:
+        raise ParseError(f"{path}: empty file, expected a schema header")
     header_line, header = records[0]
     if header.get("schema") != schema:
         raise ParseError(

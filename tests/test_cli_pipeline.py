@@ -45,10 +45,27 @@ def test_process_frame_learned_requires_net(tmp_path):
         process_frame(frames[0], PipelineConfig(feature_strategy="learned"))
 
 
-def test_run_scenes_worker_pool_matches_serial():
-    frames = synth_scene(SynthConfig(seed=8, n_frames=6, objects_max=3))
-    net = build_network("lite", seed=0)
-    cfg = PipelineConfig(feature_strategy="learned")
+@pytest.mark.parametrize(
+    "strategy,variant,synth",
+    [
+        ("learned", "lite", SynthConfig(seed=8, n_frames=6, objects_max=3)),
+        # A small camera keeps the 1037-channel heatmaps small, and 30-40
+        # point clusters make the KPConv GEMMs big enough for BLAS threads.
+        (
+            "hybrid",
+            "large",
+            SynthConfig(
+                seed=8, n_frames=3, objects_max=3, points_per_object_min=30,
+                points_per_object_max=40, image_size=(200, 112), focal=125.0,
+            ),
+        ),
+    ],
+    ids=["learned-lite", "hybrid-large"],
+)
+def test_run_scenes_worker_pool_matches_serial(strategy, variant, synth):
+    frames = synth_scene(synth)
+    net = build_network(variant, seed=0)
+    cfg = PipelineConfig(feature_strategy=strategy)
     serial = run_scenes(frames, cfg, net, workers=1)
     pooled = run_scenes(list(reversed(frames)), cfg, net, workers=4)
     assert [r.frame_id for r in pooled] == [r.frame_id for r in serial]

@@ -4,9 +4,15 @@ forward-operator identities, gradient checks, and the extractor contracts."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import rcdet
 
 from rcdet.errors import DimensionMismatch, ParseError, SchemaVersionMismatch
 from rcdet.features import HandcraftedConfig, extract_handcrafted
@@ -166,6 +172,16 @@ def test_radius_neighbors_matches_bruteforce_oracle(rng):
             assert out[qi].tolist() == expected
 
 
+def test_radius_neighbors_blocks_match_single_queries(rng):
+    """Batches spanning several query blocks give the per-query answers."""
+    queries = rng.uniform(-3, 3, size=(600, 3))
+    support = rng.uniform(-3, 3, size=(50, 3))
+    out = radius_neighbors(queries, support, 1.5, cap=7)
+    assert len(out) == 600
+    for q, idx in zip(queries, out):
+        assert idx.tolist() == radius_neighbors(q[None], support, 1.5, cap=7)[0].tolist()
+
+
 # -- forward operator ---------------------------------------------------------------
 
 
@@ -285,6 +301,27 @@ def test_forward_influence_support(rng):
     assert np.array_equal(out_near, out_both)
 
 
+def test_forward_padding_isolates_each_query(rng):
+    """Mixed-length and empty neighbor lists: a non-finite support row reaches
+    only the query that lists it, and every other row matches the oracle.
+    Points and queries lie within sigma of each other, so every (query, point)
+    pair has nonzero influence at the central kernel point."""
+    layer = _random_layer(rng, 4, 3, 5)
+    support = PointFeatures(
+        positions=rng.uniform(-0.2, 0.2, (6, 3)), features=rng.uniform(-2, 2, (6, 3))
+    )
+    support.features[2, 1] = np.inf
+    queries = rng.uniform(-0.2, 0.2, (5, 3))
+    empty = np.array([], dtype=np.intp)
+    neighbors = [np.array([0, 1, 3, 4, 5]), empty, np.array([2, 0]), np.array([5]), empty]
+    with np.errstate(invalid="ignore"):
+        out = kpconv_forward(layer, queries, support, neighbors)
+    finite = [0, 1, 3, 4]
+    assert np.all(np.isfinite(out[finite]))
+    expected = _forward_oracle(layer, queries[finite], support, [neighbors[i] for i in finite])
+    assert np.abs(out[finite] - expected).max() < 1e-10
+
+
 def test_forward_dimension_mismatch(rng):
     layer = _random_layer(rng, 3, 4, 2)
     support = PointFeatures(positions=np.zeros((2, 3)), features=np.zeros((2, 3)))
@@ -401,6 +438,46 @@ def test_hybrid_concatenation_contract(rng):
     assert len(hybrid) == 1037
     assert np.array_equal(hybrid.values[:13], extract_handcrafted(cluster, cfg).values)
     assert np.array_equal(hybrid.values[13:], extract_learned(cluster, net).values)
+
+
+_ONE_BLAS_THREAD_SCRIPT = """
+import sys
+import numpy as np
+from rcdet.kpconv import build_network, extract_learned
+from test_kpconv import _cluster
+values = extract_learned(_cluster(np.random.default_rng(31), 300), build_network("large", seed=0))
+sys.stdout.buffer.write(values.values.tobytes())
+"""
+
+
+def test_extract_learned_bits_independent_of_blas_threads():
+    src_dir = os.path.dirname(os.path.dirname(rcdet.__file__))
+    tests_dir = os.path.dirname(__file__)
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join([src_dir, tests_dir]),
+    )
+    single = subprocess.run(
+        [sys.executable, "-c", _ONE_BLAS_THREAD_SCRIPT], env=env, capture_output=True, check=True
+    ).stdout
+    cluster = _cluster(np.random.default_rng(31), 300)
+    assert single == extract_learned(cluster, build_network("large", seed=0)).values.tobytes()
+
+
+def test_extract_learned_memory_bounded(rng):
+    """Neighbor search works in query blocks, so a large cluster stays small."""
+    net = build_network("large", seed=0)
+    cluster = _cluster(rng, 2000)
+    tracemalloc.start()
+    try:
+        extract_learned(cluster, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * 2**20
 
 
 # -- checkpoint IO -----------------------------------------------------------------

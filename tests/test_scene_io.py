@@ -163,12 +163,23 @@ def test_parse_error_names_missing_field(tmp_path):
         load_scenes(path)
 
 
-def test_parse_error_on_invalid_json(tmp_path):
+_HEADER = json.dumps({"schema": "rcdet.scene", "version": SCHEMA_VERSION})
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_HEADER + "\n{not json\n", "line 2: invalid JSON"),
+        ("[1, 2]\n", "line 1: expected a JSON object"),
+        (_HEADER + "\n\n[1, 2]\n", "line 3: expected a JSON object"),
+    ],
+    ids=["not-json", "header-array", "frame-array"],
+)
+def test_parse_error_on_invalid_json(tmp_path, text, message):
     path = str(tmp_path / "scenes.jsonl")
     with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": "rcdet.scene", "version": SCHEMA_VERSION}) + "\n")
-        fh.write("{not json\n")
-    with pytest.raises(ParseError, match="line 2"):
+        fh.write(text)
+    with pytest.raises(ParseError, match=message):
         load_scenes(path)
 
 
