@@ -157,6 +157,7 @@ def build_maps_from_detections(
     Each detection writes its score at its projected center's feature cell
     (collisions keep the max score) and fills that cell's regression slots;
     when two detections share a cell the later one wins the regression slot.
+    A center outside [0, W] x [0, H], NaN included, raises ValueError.
     This is the bridge from the detections file format to the decoder.
     """
     width, height = image_size
@@ -182,12 +183,14 @@ def build_maps_from_detections(
     for det in dets:
         if not 0 <= det.class_id < num_classes:
             raise ValueError(f"class_id {det.class_id} outside [0, {num_classes})")
-        gu = det.projected_center[0] / downsample
-        gv = det.projected_center[1] / downsample
+        u, v = det.projected_center
+        if not (0 <= u <= width and 0 <= v <= height):
+            raise ValueError(f"projected center ({u}, {v}) outside the {width}x{height} image")
+        gu = u / downsample
+        gv = v / downsample
+        # The right and bottom image edges belong to the last cell.
         col = min(int(math.floor(gu)), grid_w - 1)
         row = min(int(math.floor(gv)), grid_h - 1)
-        if col < 0 or row < 0:
-            raise ValueError(f"projected center {det.projected_center} outside the image")
         heatmap[det.class_id, row, col] = max(heatmap[det.class_id, row, col], det.score)
         maps.offset[:, row, col] = (gu - col, gv - row)
         maps.depth_sig[row, col] = encode_depth(det.depth)

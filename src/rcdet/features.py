@@ -71,22 +71,29 @@ class FeatureVector:
 
 @dataclass(eq=False)
 class FeatureHeatmap:
-    """C x H_f x W_f grid of cluster features on the image feature plane."""
+    """Cluster features painted onto the image feature plane.
 
-    values: np.ndarray
+    ``owner`` (H_f x W_f, int32) holds the index of the cluster whose
+    features paint each feature pixel, -1 where none does; ``rows``
+    (n_clusters x C) holds each cluster's features once.
+    """
+
+    owner: np.ndarray
+    rows: np.ndarray
     downsample: int
 
     @property
     def channels(self) -> int:
-        return self.values.shape[0]
+        return self.rows.shape[1]
 
     @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
+    def values(self) -> np.ndarray:
+        """The dense C x H_f x W_f grid, built anew on every access: each
+        owned pixel carries its owner's row, every other pixel is zero."""
+        dense = np.zeros((self.channels, *self.owner.shape))
+        for idx, row in enumerate(self.rows):
+            dense[:, self.owner == idx] = row[:, None]
+        return dense
 
 
 def _canonical_rows(cluster: Cluster) -> np.ndarray:
@@ -187,8 +194,9 @@ def rasterize_heatmap(
     cluster's values when the pixel's image-space footprint center lies
     inside the detection's box (bounds inclusive). Where boxes overlap, the
     cluster whose detection has the smaller estimated depth wins; equal
-    depths resolve in favor of the later cluster in the input list. Untouched
-    pixels stay zero.
+    depths resolve in favor of the later cluster in the input list. The
+    result records each pixel's winning cluster index (-1 where no box
+    covers it) and each cluster's features once.
     """
     width, height = image_size
     if width % downsample or height % downsample:
@@ -199,10 +207,11 @@ def rasterize_heatmap(
     if len(lengths) > 1:
         raise MixedChannelCounts(f"feature lengths differ: {sorted(lengths)}")
     channels = lengths.pop() if lengths else 0
+    rows = np.array([fv.values for _, fv in clusters_with_features]).reshape(
+        len(clusters_with_features), channels
+    )
     grid_w, grid_h = width // downsample, height // downsample
-    heatmap = np.zeros((channels, grid_h, grid_w))
-    if not clusters_with_features:
-        return FeatureHeatmap(values=heatmap, downsample=downsample)
+    owner = np.full((grid_h, grid_w), -1, dtype=np.int32)
 
     centers_u = (np.arange(grid_w) + 0.5) * downsample
     centers_v = (np.arange(grid_h) + 0.5) * downsample
@@ -214,12 +223,10 @@ def rasterize_heatmap(
         key=lambda i: -clusters_with_features[i][0].detection.depth,
     )
     for idx in order:
-        cluster, fv = clusters_with_features[idx]
-        box = cluster.detection.bbox2d
+        box = clusters_with_features[idx][0].detection.bbox2d
         if not (0 <= box.x_min and box.x_max <= width and 0 <= box.y_min and box.y_max <= height):
             raise ValueError(f"detection bbox {box} exceeds image bounds {image_size}")
         cols = np.flatnonzero((centers_u >= box.x_min) & (centers_u <= box.x_max))
         rowsel = np.flatnonzero((centers_v >= box.y_min) & (centers_v <= box.y_max))
-        if cols.size and rowsel.size:
-            heatmap[:, rowsel[:, None], cols[None, :]] = fv.values[:, None, None]
-    return FeatureHeatmap(values=heatmap, downsample=downsample)
+        owner[np.ix_(rowsel, cols)] = idx
+    return FeatureHeatmap(owner=owner, rows=rows, downsample=downsample)

@@ -142,10 +142,6 @@ class Box2D:
         hh = 0.5 * (self.y_max - self.y_min) * factor
         return Box2D(cx - hw, cy - hh, cx + hw, cy + hh)
 
-    def contains(self, u: float, v: float) -> bool:
-        """Inclusive point-in-box test."""
-        return self.x_min <= u <= self.x_max and self.y_min <= v <= self.y_max
-
 
 def transform_to_camera(camera: CameraModel, point: np.ndarray) -> np.ndarray:
     """Apply the camera-from-ego transform to a single ego-frame point.

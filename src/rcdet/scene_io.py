@@ -306,8 +306,18 @@ def save_scenes(path: str, frames: Sequence[SceneFrame]) -> None:
             fh.write(json.dumps(_frame_to_json(frame)) + "\n")
 
 
+def _claim_frame_id(seen: set[int], frame_id: int, line: int) -> None:
+    if frame_id in seen:
+        raise ParseError(f"line {line}: duplicate frame_id {frame_id}")
+    seen.add(frame_id)
+
+
 def load_scenes(path: str) -> list[SceneFrame]:
-    return [_frame_from_json(record, line) for line, record in _read_lines(path, SCENE_SCHEMA)]
+    frames, seen = [], set()
+    for line, record in _read_lines(path, SCENE_SCHEMA):
+        frames.append(_frame_from_json(record, line))
+        _claim_frame_id(seen, frames[-1].frame_id, line)
+    return frames
 
 
 def save_detections(path: str, results: Sequence[tuple[int, list[DetectionBox3D]]]) -> None:
@@ -330,8 +340,10 @@ def save_detections(path: str, results: Sequence[tuple[int, list[DetectionBox3D]
 
 
 def load_detections(path: str) -> list[tuple[int, list[DetectionBox3D]]]:
-    results = []
+    results, seen = [], set()
     for line, record in _read_lines(path, DETECTIONS_SCHEMA):
+        frame_id = int(_require_field(record, "frame_id", line))
+        _claim_frame_id(seen, frame_id, line)
         boxes = []
         for rec in _require_field(record, "boxes", line):
             boxes.append(
@@ -342,7 +354,7 @@ def load_detections(path: str) -> list[tuple[int, list[DetectionBox3D]]]:
                     attribute=int(rec.get("attribute", 0)),
                 )
             )
-        results.append((int(_require_field(record, "frame_id", line)), boxes))
+        results.append((frame_id, boxes))
     return results
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,7 +546,7 @@ def test_acceptance_8_end_to_end(tmp_path, capsys):
         capsys.readouterr()
 
         values = dict(
-            line.split("=", 1) for line in open(report).read().splitlines() if "=" in line
+            line.split("=", 1) for line in Path(report).read_text().splitlines() if "=" in line
         )
         assert float(values["mAP"]) == 1.0
         for key in ("mATE", "mASE", "mAOE", "mAVE", "mAAE"):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,22 @@ def test_process_frame_feature_strategies(tmp_path):
     assert learned.radar_heatmap.channels == 64
     assert hybrid.radar_heatmap.channels == 77
     assert len(handcrafted.detections) == 2
+
+
+def test_process_frame_hybrid_memory_independent_of_feature_width():
+    # A dense 1037-channel heatmap of the default 800 x 448 camera alone
+    # would take 177 MiB; the owner grid plus one row per cluster is small.
+    frame = synth_scene(SynthConfig(seed=5, n_frames=1, objects_min=3, objects_max=3))[0]
+    net = build_network("large", seed=0)
+    tracemalloc.start()
+    try:
+        result = process_frame(frame, PipelineConfig(feature_strategy="hybrid"), net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.radar_heatmap.channels == 1037
+    assert len(result.clusters) == 3
+    assert peak <= 32 * 2**20
 
 
 def test_process_frame_learned_requires_net(tmp_path):
@@ -94,7 +112,7 @@ def test_cli_synth_run_eval_noiseless(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "NDS" in output
     values = dict(
-        line.split("=", 1) for line in open(report).read().splitlines() if "=" in line
+        line.split("=", 1) for line in Path(report).read_text().splitlines() if "=" in line
     )
     assert float(values["NDS"]) > 1.0 - 1e-9
     assert float(values["mAP"]) == 1.0
@@ -117,7 +135,7 @@ def test_cli_run_learned_with_checkpoint(tmp_path):
         ["run", "--scenes", scenes, "--features", "learned", "--net-weights", weights, "--out", rerun]
     ) == 0
     assert load_detections(dets) is not None
-    assert open(dets).read() == open(rerun).read()
+    assert Path(dets).read_text() == Path(rerun).read_text()
 
 
 def test_cli_dump_bev(tmp_path):
@@ -125,7 +143,7 @@ def test_cli_dump_bev(tmp_path):
     dets = str(tmp_path / "dets.jsonl")
     bev = str(tmp_path / "bev.jsonl")
     assert main(["run", "--scenes", scenes, "--out", dets, "--dump-bev", bev]) == 0
-    lines = [json.loads(line) for line in open(bev).read().splitlines()]
+    lines = [json.loads(line) for line in Path(bev).read_text().splitlines()]
     assert len(lines) == 2
     for record in lines:
         assert {"frame_id", "boxes", "clusters"} <= set(record)
@@ -162,12 +180,42 @@ def test_cli_eval_rejects_unknown_frames(tmp_path):
     dets = str(tmp_path / "dets.jsonl")
     assert main(["run", "--scenes", scenes, "--out", dets]) == 0
     other = _write_scene(tmp_path, seed=2, n_frames=1, objects_max=2)
-    records = open(dets).read().splitlines()
+    records = Path(dets).read_text().splitlines()
     payload = json.loads(records[1])
     payload["frame_id"] = 42
     with open(dets, "w") as fh:
         fh.write(records[0] + "\n" + json.dumps(payload) + "\n")
     assert main(["eval", "--dets", dets, "--gt", scenes, "--report", str(tmp_path / "r")]) == 1
+
+
+def _rewrite_first_frame(path: str, edit) -> None:
+    header, record, *rest = Path(path).read_text().splitlines()
+    payload = json.loads(record)
+    edit(payload)
+    Path(path).write_text("\n".join([header, json.dumps(payload), *rest]) + "\n")
+
+
+@pytest.mark.parametrize("center", [[5000.0, 100.0], [-3.0, 100.0], [float("nan"), 100.0]])
+def test_cli_run_rejects_center_outside_image(tmp_path, capsys, center):
+    scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_min=1, objects_max=2)
+    _rewrite_first_frame(scenes, lambda rec: rec["detections"][0].update(center2d=center))
+    assert main(["run", "--scenes", scenes, "--out", str(tmp_path / "dets.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: projected center") and "800x448 image" in err
+
+
+def test_cli_rejects_duplicate_frame_ids(tmp_path, capsys):
+    scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_max=2)
+    dets = str(tmp_path / "dets.jsonl")
+    assert main(["run", "--scenes", scenes, "--out", dets]) == 0
+    header, first, _ = Path(dets).read_text().splitlines()
+    Path(dets).write_text("\n".join([header, first, first]) + "\n")
+    report = str(tmp_path / "r")
+    assert main(["eval", "--dets", dets, "--gt", scenes, "--report", report]) == 1
+    assert "line 3: duplicate frame_id 0" in capsys.readouterr().err
+    _rewrite_first_frame(scenes, lambda rec: rec.update(frame_id=1))
+    assert main(["run", "--scenes", scenes, "--out", dets]) == 1
+    assert "line 3: duplicate frame_id 1" in capsys.readouterr().err
 
 
 def test_cli_bench_smoke(capsys):

@@ -261,3 +261,32 @@ def test_build_maps_rejects_bad_class(rng):
     dets[0].class_id = 7
     with pytest.raises(ValueError):
         build_maps_from_detections(dets, camera.image_size, num_classes=3)
+
+
+@pytest.mark.parametrize(
+    "center",
+    [
+        (5000.0, 100.0), (100.0, 5000.0), (-0.5, 100.0), (100.0, -1e-9),
+        (math.nan, 100.0), (100.0, math.nan),
+    ],
+    ids=["far-u", "far-v", "negative-u", "negative-v", "nan-u", "nan-v"],
+)
+def test_build_maps_rejects_center_outside_image(rng, center):
+    camera, dets = _planted_scene(rng, n_boxes=1)
+    dets[0].projected_center = np.array(center)
+    with pytest.raises(ValueError, match=r"projected center .* outside the 800x448 image"):
+        build_maps_from_detections(dets, camera.image_size, num_classes=3)
+
+
+@pytest.mark.parametrize(
+    "center,cell",
+    [((800.0, 448.0), (111, 199)), ((0.0, 0.0), (0, 0)), ((800.0, 0.0), (0, 199))],
+    ids=["bottom-right", "top-left", "top-right"],
+)
+def test_build_maps_image_edges_map_to_edge_cells(rng, center, cell):
+    camera, dets = _planted_scene(rng, n_boxes=1)
+    dets[0].projected_center = np.array(center)
+    heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
+    assert np.argwhere(heatmap[dets[0].class_id] > 0).tolist() == [list(cell)]
+    row, col = cell
+    assert np.array_equal(maps.offset[:, row, col], (center[0] / 4 - col, center[1] / 4 - row))

@@ -323,3 +323,36 @@ def test_rasterize_disjoint_matches_single(rng):
     alone_a = rasterize_heatmap([(a, fa)], (40, 24), 4)
     alone_b = rasterize_heatmap([(b, fb)], (40, 24), 4)
     assert np.array_equal(joint.values, alone_a.values + alone_b.values)
+
+
+def test_rasterize_owner_matches_painter_oracle_winner(rng):
+    # Coding each entry's features as its index + 1 makes the painter oracle
+    # return the winning index + 1 per pixel, and 0 where no box covers it.
+    for _ in range(25):
+        entries = []
+        for _ in range(int(rng.integers(1, 6))):
+            x = np.sort(rng.uniform(0, 40, 2))
+            y = np.sort(rng.uniform(0, 24, 2))
+            depth = float(rng.choice([5.0, 10.0, 10.0, 20.0]))
+            cluster = _cluster_with_bbox(Box2D(x[0], y[0], x[1], y[1]), depth)
+            values = rng.uniform(-1, 1, 4) if rng.uniform() < 0.5 else np.zeros(4)
+            entries.append((cluster, FeatureVector(values=values)))
+        coded = [(c, FeatureVector(values=[i + 1.0])) for i, (c, _) in enumerate(entries)]
+        heatmap = rasterize_heatmap(entries, image_size=(40, 24), downsample=4)
+        assert heatmap.owner.dtype == np.int32
+        assert np.array_equal(heatmap.owner, _painter_oracle(coded, (40, 24), 4)[0] - 1)
+        assert np.array_equal(heatmap.rows, np.array([fv.values for _, fv in entries]))
+
+
+def test_rasterize_zero_feature_winner_owns_its_pixels():
+    near = _cluster_with_bbox(Box2D(0.0, 0.0, 24.0, 16.0), depth=10.0)
+    far = _cluster_with_bbox(Box2D(12.0, 8.0, 40.0, 24.0), depth=20.0)
+    entries = [(far, FeatureVector(values=np.array([2.0]))), (near, zero_features(1))]
+    heatmap = rasterize_heatmap(entries, image_size=(40, 24), downsample=4)
+    # Pixel (2, 4) lies in both boxes and belongs to the near, all-zero
+    # cluster; pixel (5, 0) lies in neither. Only the owner grid tells them apart.
+    assert heatmap.owner[2, 4] == 1 and heatmap.values[0, 2, 4] == 0.0
+    assert heatmap.owner[5, 0] == -1 and heatmap.values[0, 5, 0] == 0.0
+    # Every access builds a fresh grid.
+    heatmap.values[0, 2, 4] = 7.0
+    assert heatmap.values[0, 2, 4] == 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ def test_parse_error_on_invalid_json(tmp_path, text, message):
         load_scenes(path)
 
 
+@pytest.mark.parametrize("kind", ["scenes", "detections"])
+def test_duplicate_frame_id_rejected(tmp_path, kind):
+    path = str(tmp_path / f"{kind}.jsonl")
+    if kind == "scenes":
+        frames = synth_scene(SynthConfig(seed=1, n_frames=3))
+        frames[2].frame_id = 0
+        save_scenes(path, frames)
+        load = load_scenes
+    else:
+        save_detections(path, [(0, []), (1, []), (0, [])])
+        load = load_detections
+    with pytest.raises(ParseError, match="line 4: duplicate frame_id 0"):
+        load(path)
+
+
 def test_schema_version_mismatch(tmp_path):
     path = str(tmp_path / "scenes.jsonl")
     with open(path, "w") as fh:
@@ -217,7 +233,7 @@ def test_synth_deterministic_bytes(tmp_path):
     path_b = str(tmp_path / "b.jsonl")
     save_scenes(path_a, synth_scene(cfg))
     save_scenes(path_b, synth_scene(cfg))
-    assert open(path_a, "rb").read() == open(path_b, "rb").read()
+    assert Path(path_a).read_bytes() == Path(path_b).read_bytes()
 
 
 def test_synth_detections_are_consistent_with_boxes():
