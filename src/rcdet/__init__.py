@@ -73,6 +73,7 @@ from .kpconv import (
     kernel_point_layout,
     kpconv_forward,
     kpconv_weight_grad,
+    learned_rows,
     load_network,
     radius_neighbors,
     save_network,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bench import bench_association, format_bench
@@ -36,6 +37,23 @@ from .scene_io import (
     save_scenes,
     synth_scene,
 )
+
+
+def _bounded(convert, low: float, high: float = math.inf):
+    """An argparse type: ``convert(text)``, finite and within [low, high]."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and low <= value <= high):
+            kind = "an integer" if convert is int else "a finite number"
+            bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {kind} {bounds}, got {text}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,10 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--save-net-weights", help="write the network checkpoint used for this run"
     )
-    run_p.add_argument("--expansion", type=float, default=1.0, help="frustum expansion")
-    run_p.add_argument("--threshold", type=float, default=0.0, help="confidence cutoff")
-    run_p.add_argument("--top-k", type=int, default=100)
-    run_p.add_argument("--workers", type=int, default=None)
+    run_p.add_argument(
+        "--expansion", type=_bounded(float, 1), default=1.0, help="frustum expansion, >= 1"
+    )
+    run_p.add_argument(
+        "--threshold", type=_bounded(float, 0, 1), default=0.0,
+        help="confidence cutoff in [0, 1]",
+    )
+    run_p.add_argument("--top-k", type=_bounded(int, 1), default=100)
+    run_p.add_argument("--workers", type=_bounded(int, 1), default=None)
     run_p.add_argument(
         "--dump-bev", help="also write clusters and box footprints as BEV coordinates"
     )

@@ -6,7 +6,8 @@ and a constant 1.0 channel) and pushed through a stack of kernel-point
 convolution layers. Layers after the first are strided: query locations come
 from grid subsampling with a cell size that doubles per layer, so the point
 count shrinks while the channel count grows. Global average pooling over the
-surviving points yields one feature row per cluster.
+surviving points yields one feature row per cluster. All clusters of a frame
+go through the stack in one pass (``learned_rows``).
 
 Kernel weights are drawn once from a seeded generator and frozen; the module
 provides forward evaluation and the analytic weight gradient (for
@@ -205,6 +206,30 @@ def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:
     return KPNetworkConfig(layers=layers, variant=variant)
 
 
+def _grid_cells(
+    positions: np.ndarray, segments: np.ndarray, cell: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupied grid cells of segmented points: each cell's segment id, each
+    point's cell index and each cell's point count.
+
+    Cells are keyed by (segment id, floor division of the coordinates) and
+    ordered by that key lexicographically, so a segment's cells are
+    contiguous and ordered as if the segment were subsampled alone.
+    """
+    if cell <= 0:
+        raise ValueError(f"cell size must be positive, got {cell}")
+    keys = np.column_stack([segments, np.floor(positions / cell).astype(np.int64)])
+    cells, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    return cells[:, 0], inverse.reshape(-1), counts  # inverse's shape varies across numpy 2.0.x
+
+
+def _cell_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # Unbuffered np.add.at accumulates left-to-right over input order.
+    sums = np.zeros((counts.size, values.shape[1]))
+    np.add.at(sums, inverse, values)
+    return sums / counts[:, None]
+
+
 def grid_subsample(points: PointFeatures, cell: float) -> PointFeatures:
     """One output point per occupied grid cell: position barycenter, feature mean.
 
@@ -213,16 +238,55 @@ def grid_subsample(points: PointFeatures, cell: float) -> PointFeatures:
     over input order (unbuffered ``np.add.at``) so results are reproducible
     bit-for-bit.
     """
-    if cell <= 0:
-        raise ValueError(f"cell size must be positive, got {cell}")
-    keys = np.floor(points.positions / cell).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)  # its shape varies across numpy 2.0.x
-    positions = np.zeros((counts.size, 3))
-    features = np.zeros((counts.size, points.features.shape[1]))
-    np.add.at(positions, inverse, points.positions)
-    np.add.at(features, inverse, points.features)
-    return PointFeatures(positions=positions / counts[:, None], features=features / counts[:, None])
+    _, inverse, counts = _grid_cells(points.positions, np.zeros(points.count, np.int64), cell)
+    return PointFeatures(
+        positions=_cell_means(points.positions, inverse, counts),
+        features=_cell_means(points.features, inverse, counts),
+    )
+
+
+def _segment_neighbors(
+    queries: np.ndarray,
+    query_segments: np.ndarray,
+    support: np.ndarray,
+    support_bounds: np.ndarray,
+    radius: float,
+    cap: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbors of each query among the support points of its own segment.
+
+    Segment s owns support rows ``support_bounds[s]:support_bounds[s + 1]``.
+    Returns a table (N_q, M) of support indices, each row sorted by (squared
+    distance, index), truncated to ``cap`` and padded with N_s up to the
+    longest row M, plus each row's length. Queries are processed in blocks of
+    ``_QUERY_BLOCK``; a block's distance table spans the largest support
+    segment among its queries.
+    """
+    n_s = support.shape[0]
+    sizes = np.diff(support_bounds)
+    r2 = radius * radius
+    width = sizes.max(initial=0) if cap is None else min(cap, sizes.max(initial=0))
+    table = np.full((queries.shape[0], width), n_s, dtype=np.intp)
+    lengths = np.zeros(queries.shape[0], dtype=np.intp)
+    for start in range(0, queries.shape[0], _QUERY_BLOCK):
+        block = slice(start, start + _QUERY_BLOCK)
+        first = support_bounds[query_segments[block]]
+        size = sizes[query_segments[block]]
+        local = np.arange(size.max(initial=0))
+        index = np.minimum(first[:, None] + local, n_s - 1)
+        d2 = sum((support[index, k] - queries[block, k, None]) ** 2 for k in range(3))
+        within = (local < size[:, None]) & (d2 <= r2)
+        # NaN sorts last, so a stable sort puts the in-radius entries first,
+        # ordered by (squared distance, index within the segment).
+        order = np.argsort(np.where(within, d2, np.nan), axis=1, kind="stable")[:, :width]
+        count = within.sum(axis=1)
+        lengths[block] = count if cap is None else np.minimum(count, cap)
+        np.copyto(
+            table[block, : order.shape[1]],
+            order + first[:, None],
+            where=local[: order.shape[1]] < lengths[block, None],
+        )
+    return table[:, : lengths.max(initial=0)], lengths
 
 
 def radius_neighbors(
@@ -242,53 +306,68 @@ def radius_neighbors(
         raise ValueError(f"radius must be positive, got {radius}")
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
     support = np.asarray(support, dtype=np.float64).reshape(-1, 3)
-    r2 = radius * radius
-    out: list[np.ndarray] = []
-    for start in range(0, queries.shape[0], _QUERY_BLOCK):
-        rel = support[None, :, :] - queries[start : start + _QUERY_BLOCK, None, :]
-        dx, dy, dz = rel[..., 0], rel[..., 1], rel[..., 2]
-        d2 = dx * dx + dy * dy + dz * dz
-        within = d2 <= r2
-        # NaN sorts last, so a stable sort puts the in-radius indices first,
-        # ordered by (squared distance, index).
-        order = np.argsort(np.where(within, d2, np.nan), axis=1, kind="stable")
-        count = within.sum(axis=1) if cap is None else np.minimum(within.sum(axis=1), cap)
-        out += np.split(order[np.arange(order.shape[1]) < count[:, None]], np.cumsum(count)[:-1])
-    return out
+    table, lengths = _segment_neighbors(
+        queries,
+        np.zeros(queries.shape[0], dtype=np.intp),
+        support,
+        np.array([0, support.shape[0]]),
+        radius,
+        cap,
+    )
+    return [row[:n] for row, n in zip(table, lengths)]
 
 
 def _neighborhood(
     layer: KPConvLayerConfig,
     query_positions: np.ndarray,
     support: PointFeatures,
-    neighbors: Sequence[np.ndarray],
+    table: np.ndarray,
 ) -> np.ndarray:
-    """Influence-weighted neighbor features per query and kernel point, (N_q, K, in).
+    """Influence-weighted neighbor features per query and kernel point,
+    flattened to (N_q, K * in).
 
-    Neighbor lists are padded to a common length with the index of one extra
-    support row of zero features, so a padded slot adds an exact zero and
-    never reads a real point.
+    ``table`` (N_q, M) lists each query's support indices, padded with
+    ``support.count``: the index of one extra support row of zero features,
+    so a padded slot adds an exact zero and never reads a real point.
     """
-    query_positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
     if support.features.shape[1] != layer.in_channels:
         raise DimensionMismatch(
             f"support features have {support.features.shape[1]} channels, "
             f"layer expects {layer.in_channels}"
         )
+    positions = np.vstack([support.positions, np.zeros((1, 3))])
+    features = np.vstack([support.features, np.zeros((1, layer.in_channels))])
+    influence = _influence(layer, positions[table] - query_positions[:, None, :])
+    weighted = influence.transpose(0, 2, 1) @ features[table]  # (N_q, K, in)
+    return weighted.reshape(table.shape[0], -1)
+
+
+def _influence(layer: KPConvLayerConfig, rel: np.ndarray) -> np.ndarray:
+    """Each kernel point's linear influence on neighbors at relative
+    positions ``rel`` (N_q, M, 3), shape (N_q, M, K)."""
+    squares = rel[:, :, None, :] - layer.kernel_points  # (N_q, M, K, 3)
+    squares *= squares
+    dist = np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])
+    return np.maximum(0.0, 1.0 - dist / layer.influence_sigma)
+
+
+def _listed_neighborhood(
+    layer: KPConvLayerConfig,
+    query_positions: np.ndarray,
+    support: PointFeatures,
+    neighbors: Sequence[np.ndarray],
+) -> np.ndarray:
+    """:func:`_neighborhood` of per-query neighbor lists."""
+    query_positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
     n_q = query_positions.shape[0]
     if len(neighbors) != n_q:
         raise DimensionMismatch("one neighbor list per query is required")
     lengths = np.fromiter(map(len, neighbors), dtype=np.intp, count=n_q)
-    padded = np.full((n_q, lengths.max(initial=0)), support.count, dtype=np.intp)
-    padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.concatenate(
+    table = np.full((n_q, lengths.max(initial=0)), support.count, dtype=np.intp)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.concatenate(
         [np.zeros(0, dtype=np.intp), *neighbors]
     )
-    positions = np.vstack([support.positions, np.zeros((1, 3))])
-    features = np.vstack([support.features, np.zeros((1, layer.in_channels))])
-    rel = positions[padded] - query_positions[:, None, :]  # (N_q, M, 3)
-    dist = np.linalg.norm(rel[:, :, None, :] - layer.kernel_points, axis=3)  # (N_q, M, K)
-    influence = np.maximum(0.0, 1.0 - dist / layer.influence_sigma)
-    return influence.transpose(0, 2, 1) @ features[padded]
+    return _neighborhood(layer, query_positions, support, table)
 
 
 def kpconv_forward(
@@ -303,8 +382,8 @@ def kpconv_forward(
     max(0, 1 - |p_i - q - y_k| / sigma) * (f_i @ W_k); empty neighborhoods
     produce zero rows. One GEMM (N_q, K*in) @ (K*in, out) over all queries.
     """
-    weighted = _neighborhood(layer, query_positions, support, neighbors)
-    return weighted.reshape(weighted.shape[0], -1) @ layer.weights.reshape(-1, layer.out_channels)
+    weighted = _listed_neighborhood(layer, query_positions, support, neighbors)
+    return weighted @ layer.weights.reshape(-1, layer.out_channels)
 
 
 def kpconv_weight_grad(
@@ -315,8 +394,7 @@ def kpconv_weight_grad(
     upstream: np.ndarray,
 ) -> np.ndarray:
     """Analytic gradient of sum(upstream * forward) wrt the layer weights."""
-    weighted = _neighborhood(layer, query_positions, support, neighbors)
-    weighted = weighted.reshape(weighted.shape[0], -1)
+    weighted = _listed_neighborhood(layer, query_positions, support, neighbors)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (weighted.shape[0], layer.out_channels):
         raise DimensionMismatch(
@@ -357,41 +435,72 @@ def cluster_to_point_features(
     return PointFeatures(positions=positions - centroid, features=features)
 
 
-def extract_learned(cluster: Cluster, net: KPNetworkConfig) -> FeatureVector:
-    """Run the convolution stack over a cluster and average-pool to one row.
+def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarray:
+    """Run the convolution stack over all clusters of a frame at once and
+    average-pool each cluster to one row, shape (n_clusters, output_dim).
 
-    Empty clusters yield a zero vector of the network's output width.
+    The non-empty clusters' point sets are stacked, each tagged with a
+    segment id; subsampling and neighbor search never cross segments, and
+    the influence gather runs over the whole frame. The weight GEMM runs
+    once per cluster on its own rows: BLAS picks its kernel by row count, so
+    one product over the frame would make a cluster's bits depend on the
+    other clusters in its frame. Empty clusters yield zero rows.
     """
-    if cluster.member_count == 0:
-        return FeatureVector(values=np.zeros(net.output_dim), kind="learned")
-    points = cluster_to_point_features(cluster)
-    positions = points.positions
-    features = points.features
+    rows = np.zeros((len(clusters), net.output_dim))
+    filled = [i for i, cluster in enumerate(clusters) if cluster.member_count]
+    if not filled:
+        return rows
+    point_sets = [cluster_to_point_features(clusters[i]) for i in filled]
+    positions = np.concatenate([p.positions for p in point_sets])
+    features = np.concatenate([p.features for p in point_sets])
+    segments = np.repeat(np.arange(len(filled)), [p.count for p in point_sets])
+    bounds = np.searchsorted(segments, np.arange(len(filled) + 1))
     for i, layer in enumerate(net.layers):
         if layer.strided:
             cell = net.base_cell_size * 2.0**i
-            queries = grid_subsample(
-                PointFeatures(positions=positions, features=features), cell
-            ).positions
+            query_segments, inverse, counts = _grid_cells(positions, segments, cell)
+            queries = _cell_means(positions, inverse, counts)
         else:
-            queries = positions
-        neighbors = radius_neighbors(queries, positions, layer.radius, net.neighbor_cap)
-        features = kpconv_forward(
-            layer, queries, PointFeatures(positions=positions, features=features), neighbors
+            queries, query_segments = positions, segments
+        table, _ = _segment_neighbors(
+            queries, query_segments, positions, bounds, layer.radius, net.neighbor_cap
         )
-        positions = queries
-    return FeatureVector(values=features.mean(axis=0), kind="learned")
+        weighted = _neighborhood(
+            layer, queries, PointFeatures(positions=positions, features=features), table
+        )
+        query_bounds = np.searchsorted(query_segments, np.arange(len(filled) + 1))
+        kernel = layer.weights.reshape(-1, layer.out_channels)
+        features = np.concatenate(
+            [weighted[a:b] @ kernel for a, b in zip(query_bounds[:-1], query_bounds[1:])]
+        )
+        positions, segments, bounds = queries, query_segments, query_bounds
+    rows[filled] = [features[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
+    return rows
+
+
+def extract_learned(cluster: Cluster, net: KPNetworkConfig) -> FeatureVector:
+    """One cluster's row of :func:`learned_rows`.
+
+    Empty clusters yield a zero vector of the network's output width.
+    """
+    return FeatureVector(values=learned_rows([cluster], net)[0], kind="learned")
 
 
 def extract_hybrid(
-    cluster: Cluster, cfg: HandcraftedConfig, net: KPNetworkConfig
+    cluster: Cluster,
+    cfg: HandcraftedConfig,
+    net: KPNetworkConfig,
+    learned: np.ndarray | None = None,
 ) -> FeatureVector:
-    """Handcrafted values followed by learned values, concatenated."""
+    """Handcrafted values followed by learned values, concatenated.
+
+    ``learned`` is the cluster's row of :func:`learned_rows` when the caller
+    ran the frame pass; without it the cluster runs through the stack alone.
+    """
     handcrafted = extract_handcrafted(cluster, cfg)
-    learned = extract_learned(cluster, net)
-    return FeatureVector(
-        values=np.concatenate([handcrafted.values, learned.values]), kind="hybrid"
-    )
+    if learned is None:
+        learned = extract_learned(cluster, net).values
+    return FeatureVector(values=np.concatenate([handcrafted.values, learned]), kind="hybrid")
 
 
 def save_network(net: KPNetworkConfig, path: str) -> None:

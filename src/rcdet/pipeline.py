@@ -15,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .decoder import (
     DetectionBox3D,
     build_maps_from_detections,
@@ -30,7 +32,7 @@ from .features import (
     rasterize_heatmap,
     zero_features,
 )
-from .kpconv import KPNetworkConfig, extract_hybrid, extract_learned
+from .kpconv import KPNetworkConfig, extract_hybrid, extract_learned, learned_rows
 from .radar import (
     DEFAULT_MAX_RANGE,
     DEFAULT_MAX_SWEEPS,
@@ -89,15 +91,23 @@ def feature_length(cfg: PipelineConfig, net: KPNetworkConfig | None) -> int:
 
 
 def extract_cluster_features(
-    cluster: Cluster, cfg: PipelineConfig, net: KPNetworkConfig | None
+    cluster: Cluster,
+    cfg: PipelineConfig,
+    net: KPNetworkConfig | None,
+    learned: np.ndarray | None = None,
 ) -> FeatureVector:
-    """Extract features per the configured strategy; empty clusters give zeros."""
+    """Extract features per the configured strategy; empty clusters give zeros.
+
+    ``learned`` is the cluster's row of ``learned_rows`` when the caller ran
+    the KPConv frame pass."""
     try:
         if cfg.feature_strategy == "handcrafted":
             return extract_handcrafted(cluster, cfg.handcrafted)
         if cfg.feature_strategy == "learned":
-            return extract_learned(cluster, net)
-        return extract_hybrid(cluster, cfg.handcrafted, net)
+            if learned is None:
+                return extract_learned(cluster, net)
+            return FeatureVector(values=learned, kind="learned")
+        return extract_hybrid(cluster, cfg.handcrafted, net, learned)
     except EmptyCluster:
         return zero_features(feature_length(cfg, net), kind=cfg.feature_strategy)
 
@@ -114,7 +124,10 @@ def process_frame(
     clusters = associate(
         points, frame.detections, frame.camera, cfg.pillar_dims, cfg.expansion
     )
-    features = [extract_cluster_features(c, cfg, net) for c in clusters]
+    learned = [None] * len(clusters)
+    if cfg.feature_strategy != "handcrafted":
+        learned = learned_rows(clusters, net)
+    features = [extract_cluster_features(c, cfg, net, row) for c, row in zip(clusters, learned)]
     radar_heatmap = rasterize_heatmap(
         list(zip(clusters, features)), frame.camera.image_size, cfg.downsample
     )

@@ -128,6 +128,21 @@ def _require_field(record: dict, name: str, line: int) -> Any:
     return record[name]
 
 
+def _finite(record: dict, name: str, line: int, what: str, default: Any = None) -> Any:
+    """``record[name]``, a number or a list of numbers, all finite. A missing
+    field takes ``default``, or is an error when there is none."""
+    value = _require_field(record, name, line) if default is None else record.get(name, default)
+    try:
+        finite = all(map(math.isfinite, value if isinstance(value, list) else (value,)))
+    except TypeError:
+        raise ParseError(
+            f"line {line}: {what} {name} must be a number or a list of numbers"
+        ) from None
+    if not finite:
+        raise ParseError(f"line {line}: {what} {name} must be finite")
+    return value
+
+
 def _camera_to_json(camera: CameraModel) -> dict:
     return {
         "intrinsic": camera.intrinsic.tolist(),
@@ -138,13 +153,17 @@ def _camera_to_json(camera: CameraModel) -> dict:
 
 def _camera_from_json(obj: dict, line: int) -> CameraModel:
     try:
-        return CameraModel(
+        camera = CameraModel(
             intrinsic=np.array(_require_field(obj, "intrinsic", line)),
             extrinsic=np.array(_require_field(obj, "extrinsic", line)),
             image_size=tuple(_require_field(obj, "image_size", line)),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"line {line}: bad camera record: {exc}") from exc
+    for name in ("intrinsic", "extrinsic"):
+        if not np.all(np.isfinite(getattr(camera, name))):
+            raise ParseError(f"line {line}: camera {name} must be finite")
+    return camera
 
 
 def _box3d_to_json(box: Box3D) -> dict:
@@ -159,10 +178,10 @@ def _box3d_to_json(box: Box3D) -> dict:
 def _box3d_from_json(obj: dict, line: int) -> Box3D:
     try:
         return Box3D(
-            center=_require_field(obj, "center", line),
-            dims=_require_field(obj, "dims", line),
-            yaw=float(_require_field(obj, "yaw", line)),
-            velocity=_require_field(obj, "velocity", line),
+            center=_finite(obj, "center", line, "box"),
+            dims=_finite(obj, "dims", line, "box"),
+            yaw=float(_finite(obj, "yaw", line, "box")),
+            velocity=_finite(obj, "velocity", line, "box"),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"line {line}: bad box record: {exc}") from exc
@@ -182,17 +201,17 @@ def _detection_to_json(det: PreliminaryDetection) -> dict:
 
 
 def _detection_from_json(obj: dict, line: int) -> PreliminaryDetection:
-    bbox = _require_field(obj, "bbox", line)
+    bbox = _finite(obj, "bbox", line, "detection")
     try:
         return PreliminaryDetection(
-            class_id=int(_require_field(obj, "class_id", line)),
-            score=float(_require_field(obj, "score", line)),
+            class_id=int(_finite(obj, "class_id", line, "detection")),
+            score=float(_finite(obj, "score", line, "detection")),
             bbox2d=Box2D(*(float(v) for v in bbox)),
-            projected_center=_require_field(obj, "center2d", line),
-            depth=float(_require_field(obj, "depth", line)),
-            log_sigma=float(_require_field(obj, "log_sigma", line)),
+            projected_center=_finite(obj, "center2d", line, "detection"),
+            depth=float(_finite(obj, "depth", line, "detection")),
+            log_sigma=float(_finite(obj, "log_sigma", line, "detection")),
             box3d=_box3d_from_json(_require_field(obj, "box", line), line),
-            attribute=int(obj.get("attribute", 0)),
+            attribute=int(_finite(obj, "attribute", line, "detection", default=0)),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"line {line}: bad detection record: {exc}") from exc
@@ -227,7 +246,7 @@ def _sweep_from_json(obj: dict, line: int) -> RadarSweep:
             )
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {line}: bad radar point: {exc}") from exc
-    return RadarSweep(timestamp=float(_require_field(obj, "timestamp", line)), points=points)
+    return RadarSweep(timestamp=float(_finite(obj, "timestamp", line, "sweep")), points=points)
 
 
 def _frame_to_json(frame: SceneFrame) -> dict:
@@ -253,13 +272,13 @@ def _frame_from_json(record: dict, line: int) -> SceneFrame:
         ground_truth = [
             GroundTruth(
                 box=_box3d_from_json(_require_field(g, "box", line), line),
-                class_id=int(_require_field(g, "class_id", line)),
-                attribute=int(g.get("attribute", 0)),
+                class_id=int(_finite(g, "class_id", line, "ground truth")),
+                attribute=int(_finite(g, "attribute", line, "ground truth", default=0)),
             )
             for g in gt
         ]
     return SceneFrame(
-        frame_id=int(_require_field(record, "frame_id", line)),
+        frame_id=int(_finite(record, "frame_id", line, "frame")),
         camera=_camera_from_json(_require_field(record, "camera", line), line),
         radar_sweeps=[
             _sweep_from_json(s, line) for s in _require_field(record, "radar_sweeps", line)
@@ -342,16 +361,16 @@ def save_detections(path: str, results: Sequence[tuple[int, list[DetectionBox3D]
 def load_detections(path: str) -> list[tuple[int, list[DetectionBox3D]]]:
     results, seen = [], set()
     for line, record in _read_lines(path, DETECTIONS_SCHEMA):
-        frame_id = int(_require_field(record, "frame_id", line))
+        frame_id = int(_finite(record, "frame_id", line, "frame"))
         _claim_frame_id(seen, frame_id, line)
         boxes = []
         for rec in _require_field(record, "boxes", line):
             boxes.append(
                 DetectionBox3D(
                     box=_box3d_from_json(_require_field(rec, "box", line), line),
-                    class_id=int(_require_field(rec, "class_id", line)),
-                    score=float(_require_field(rec, "score", line)),
-                    attribute=int(rec.get("attribute", 0)),
+                    class_id=int(_finite(rec, "class_id", line, "box")),
+                    score=float(_finite(rec, "score", line, "box")),
+                    attribute=int(_finite(rec, "attribute", line, "box", default=0)),
                 )
             )
         results.append((frame_id, boxes))

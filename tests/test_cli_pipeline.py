@@ -15,7 +15,7 @@ from rcdet.cli import main
 from rcdet.errors import ResultMismatch
 from rcdet.kpconv import build_network
 from rcdet.metrics import evaluate
-from rcdet.pipeline import PipelineConfig, process_frame, run_scenes
+from rcdet.pipeline import PipelineConfig, extract_cluster_features, process_frame, run_scenes
 from rcdet.scene_io import SynthConfig, load_detections, save_scenes, synth_scene
 
 
@@ -55,6 +55,23 @@ def test_process_frame_hybrid_memory_independent_of_feature_width():
     assert result.radar_heatmap.channels == 1037
     assert len(result.clusters) == 3
     assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("strategy,variant", [("learned", "lite"), ("hybrid", "large")])
+def test_process_frame_rows_match_single_cluster_extraction(strategy, variant):
+    """The KPConv frame pass gives each cluster the row it gets alone."""
+    frame = synth_scene(
+        SynthConfig(
+            seed=3, n_frames=1, objects_min=4, objects_max=6, points_per_object_min=1,
+            points_per_object_max=40, clutter_density=0.05, image_size=(200, 112), focal=125.0,
+        )
+    )[0]
+    net = build_network(variant, seed=0)
+    cfg = PipelineConfig(feature_strategy=strategy)
+    result = process_frame(frame, cfg, net)
+    assert len(result.clusters) >= 4
+    alone = [extract_cluster_features(c, cfg, net).values for c in result.clusters]
+    assert result.radar_heatmap.rows.tobytes() == np.array(alone).tobytes()
 
 
 def test_process_frame_learned_requires_net(tmp_path):
@@ -195,13 +212,122 @@ def _rewrite_first_frame(path: str, edit) -> None:
     Path(path).write_text("\n".join([header, json.dumps(payload), *rest]) + "\n")
 
 
-@pytest.mark.parametrize("center", [[5000.0, 100.0], [-3.0, 100.0], [float("nan"), 100.0]])
+@pytest.mark.parametrize("center", [[5000.0, 100.0], [-3.0, 100.0]])
 def test_cli_run_rejects_center_outside_image(tmp_path, capsys, center):
     scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_min=1, objects_max=2)
     _rewrite_first_frame(scenes, lambda rec: rec["detections"][0].update(center2d=center))
     assert main(["run", "--scenes", scenes, "--out", str(tmp_path / "dets.jsonl")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: projected center") and "800x448 image" in err
+
+
+_NAN = float("nan")
+
+
+def _set_point(field, value):
+    return lambda rec: rec["radar_sweeps"][0]["points"][0].update({field: value})
+
+
+def _set_detection(field, value):
+    return lambda rec: rec["detections"][0].update({field: value})
+
+
+def _set_box(field, value):
+    return lambda rec: rec["detections"][0]["box"].update({field: value})
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set_point("position", [1.0, _NAN, 0.0]), "radar point position must be finite"),
+        (_set_point("velocity", [_NAN, 0.0]), "radar point velocity must be finite"),
+        (_set_point("velocity", [0.0, float("inf")]), "radar point velocity must be finite"),
+        (_set_point("rcs", _NAN), "radar point rcs must be finite"),
+        (_set_point("sweep_age", _NAN), "radar point sweep_age must be finite"),
+        (lambda rec: rec["radar_sweeps"][1].update(timestamp=_NAN), "sweep timestamp must be finite"),
+        (_set_detection("class_id", _NAN), "detection class_id must be finite"),
+        (_set_detection("score", _NAN), "detection score must be finite"),
+        (_set_detection("bbox", [0.0, 0.0, _NAN, 10.0]), "detection bbox must be finite"),
+        (_set_detection("center2d", [_NAN, 100.0]), "detection center2d must be finite"),
+        (_set_detection("depth", _NAN), "detection depth must be finite"),
+        (_set_detection("log_sigma", _NAN), "detection log_sigma must be finite"),
+        (_set_detection("attribute", _NAN), "detection attribute must be finite"),
+        (_set_detection("depth", "far"), "detection depth must be a number"),
+        (_set_box("center", [0.0, _NAN, 1.0]), "box center must be finite"),
+        (_set_box("dims", [_NAN, 4.0, 1.5]), "box dims must be finite"),
+        (_set_box("yaw", float("-inf")), "box yaw must be finite"),
+        (_set_box("velocity", [_NAN, 0.0]), "box velocity must be finite"),
+        (
+            lambda rec: rec["ground_truth"][0]["box"].update(center=[_NAN, 20.0, 1.0]),
+            "box center must be finite",
+        ),
+        (lambda rec: rec["ground_truth"][0].update(class_id=_NAN), "ground truth class_id must be finite"),
+        (lambda rec: rec["camera"]["intrinsic"][0].__setitem__(2, _NAN), "camera intrinsic must be finite"),
+        (lambda rec: rec["camera"]["extrinsic"][1].__setitem__(3, _NAN), "camera extrinsic must be finite"),
+        (lambda rec: rec.update(frame_id=_NAN), "frame frame_id must be finite"),
+    ],
+    ids=[
+        "point-position", "point-velocity", "point-velocity-inf", "point-rcs",
+        "point-sweep_age", "sweep-timestamp", "detection-class_id", "detection-score",
+        "detection-bbox", "detection-center2d", "detection-depth", "detection-log_sigma",
+        "detection-attribute", "detection-depth-string", "box-center", "box-dims",
+        "box-yaw", "box-velocity", "ground_truth-box-center", "ground_truth-class_id",
+        "camera-intrinsic", "camera-extrinsic", "frame_id",
+    ],
+)
+def test_cli_run_rejects_non_finite_field(tmp_path, capsys, edit, message):
+    """A non-finite number anywhere in a frame is a parse error naming the
+    line and the field: exit 1, one error line, no traceback."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_min=1, objects_max=2)
+    _rewrite_first_frame(scenes, edit)
+    assert main(["run", "--scenes", scenes, "--out", str(tmp_path / "dets.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["score", "class_id"])
+def test_cli_eval_rejects_non_finite_detection_box(tmp_path, capsys, field):
+    scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_min=1, objects_max=2)
+    dets = str(tmp_path / "dets.jsonl")
+    assert main(["run", "--scenes", scenes, "--out", dets]) == 0
+    capsys.readouterr()
+    _rewrite_first_frame(dets, lambda rec: rec["boxes"][0].update({field: _NAN}))
+    assert main(["eval", "--dets", dets, "--gt", scenes, "--report", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: line 2: box {field} must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--workers", "0"),
+        ("--workers", "-2"),
+        ("--top-k", "0"),
+        ("--top-k", "-5"),
+        ("--threshold", "nan"),
+        ("--threshold", "2"),
+        ("--threshold", "-0.1"),
+        ("--expansion", "nan"),
+        ("--expansion", "inf"),
+        ("--expansion", "0.5"),
+    ],
+)
+def test_cli_run_rejects_meaningless_option(tmp_path, capsys, option, value):
+    scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_max=2)
+    out = tmp_path / "dets.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenes", scenes, "--out", str(out), option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_accepts_option_bounds(tmp_path):
+    scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_max=2)
+    args = ["run", "--scenes", scenes, "--out", str(tmp_path / "dets.jsonl")]
+    args += ["--workers", "1", "--top-k", "1", "--threshold", "1", "--expansion", "1"]
+    assert main(args) == 0
+    assert main(args[:5] + ["--threshold", "0"]) == 0
 
 
 def test_cli_rejects_duplicate_frame_ids(tmp_path, capsys):

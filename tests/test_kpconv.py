@@ -11,8 +11,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcdet
+from rcdet import kpconv
 
 from rcdet.errors import DimensionMismatch, ParseError, SchemaVersionMismatch
 from rcdet.features import HandcraftedConfig, extract_handcrafted
@@ -29,6 +32,7 @@ from rcdet.kpconv import (
     kernel_point_layout,
     kpconv_forward,
     kpconv_weight_grad,
+    learned_rows,
     load_network,
     radius_neighbors,
     save_network,
@@ -36,7 +40,7 @@ from rcdet.kpconv import (
 from rcdet.radar import Cluster, PreliminaryDetection, RadarPoint
 
 
-def _cluster(rng, size: int) -> Cluster:
+def _cluster(rng, size: int, spread: float = 3.0) -> Cluster:
     det = PreliminaryDetection(
         class_id=0,
         score=0.7,
@@ -48,7 +52,7 @@ def _cluster(rng, size: int) -> Cluster:
     )
     points = [
         RadarPoint(
-            position=np.array([rng.uniform(-3, 3), 20 + rng.uniform(-3, 3), rng.uniform(-0.2, 0.2)]),
+            position=np.array([rng.uniform(-spread, spread), 20 + rng.uniform(-spread, spread), rng.uniform(-0.2, 0.2)]),
             velocity=rng.uniform(-5, 5, size=2),
         )
         for _ in range(size)
@@ -412,6 +416,105 @@ def test_zero_features_through_stack_give_zero(rng):
     assert np.array_equal(features.mean(axis=0), np.zeros(net.output_dim))
 
 
+def _per_cluster_oracle(cluster: Cluster, net: KPNetworkConfig) -> np.ndarray:
+    """The convolution stack over one cluster alone, layer by layer through
+    the public functions, with no segment ids."""
+    if cluster.member_count == 0:
+        return np.zeros(net.output_dim)
+    points = cluster_to_point_features(cluster)
+    positions = points.positions
+    features = points.features
+    for i, layer in enumerate(net.layers):
+        if layer.strided:
+            cell = net.base_cell_size * 2.0**i
+            queries = grid_subsample(PointFeatures(positions=positions, features=features), cell).positions
+        else:
+            queries = positions
+        neighbors = radius_neighbors(queries, positions, layer.radius, net.neighbor_cap)
+        features = kpconv_forward(layer, queries, PointFeatures(positions=positions, features=features), neighbors)
+        positions = queries
+    return features.mean(axis=0)
+
+
+@pytest.fixture(scope="module")
+def networks() -> dict[str, KPNetworkConfig]:
+    return {variant: build_network(variant, seed=0) for variant in ("lite", "large")}
+
+
+# Cluster kinds of a mixed frame: empty; one point; one point repeated, so
+# that every layer down to the deepest has one query; a group 0.1 m across;
+# a 6 m group with three points duplicated; 300 points.
+_KINDS = ("empty", "single", "repeated", "tight", "spread", "large")
+
+
+def _mixed_cluster(rng, kind: str) -> Cluster:
+    if kind == "empty":
+        return Cluster(_cluster(rng, 1).detection, [])
+    if kind == "single":
+        return _cluster(rng, 1)
+    if kind == "repeated":
+        cluster = _cluster(rng, 1)
+        return Cluster(cluster.detection, cluster.members * int(rng.integers(2, 6)))
+    if kind == "tight":
+        return _cluster(rng, int(rng.integers(2, 12)), spread=0.05)
+    if kind == "spread":
+        cluster = _cluster(rng, int(rng.integers(2, 40)))
+        return Cluster(cluster.detection, cluster.members + cluster.members[:3])
+    return _cluster(rng, 300)
+
+
+def _mixed_frame(seed: int, kinds) -> list[Cluster]:
+    rng = np.random.default_rng(seed)
+    return [_mixed_cluster(rng, kind) for kind in kinds]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    variant=st.sampled_from(["lite", "large"]),
+    kinds=st.lists(st.sampled_from(_KINDS[:-1]), min_size=1, max_size=8),
+    with_large=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_pass_rows_match_per_cluster_oracle(networks, variant, kinds, with_large, seed):
+    """Each row of the frame pass equals its cluster run alone, bit for bit."""
+    net = networks[variant]
+    clusters = _mixed_frame(seed, kinds + ["large"] * with_large)
+    rows = learned_rows(clusters, net)
+    assert rows.shape == (len(clusters), net.output_dim)
+    for cluster, row in zip(clusters, rows):
+        assert row.tobytes() == _per_cluster_oracle(cluster, net).tobytes()
+
+
+def test_repeated_point_reaches_deepest_layer_as_one_query(rng):
+    """The "repeated" kind of the mixed frames does what it is there for."""
+    net = build_network("lite", seed=0)
+    points = cluster_to_point_features(_mixed_cluster(rng, "repeated"))
+    cell = net.base_cell_size * 2.0 ** (len(net.layers) - 1)
+    assert grid_subsample(points, cell).count == 1
+
+
+def test_frame_pass_searches_neighbors_once_per_layer(monkeypatch, rng):
+    """A frame of n clusters makes one neighbor-search pass per layer, not n."""
+    calls = []
+    search = kpconv._segment_neighbors
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(kpconv, "_segment_neighbors", counted)
+    net = build_network("lite", seed=0)
+    learned_rows([_cluster(rng, n) for n in (1, 5, 12, 30, 7)], net)
+    assert len(calls) == len(net.layers)
+
+
+def test_learned_rows_empty_frame_and_empty_clusters(rng):
+    net = build_network("lite", seed=0)
+    assert learned_rows([], net).shape == (0, 64)
+    empty = Cluster(_cluster(rng, 1).detection, [])
+    assert np.array_equal(learned_rows([empty, empty], net), np.zeros((2, 64)))
+
+
 def test_extract_learned_deterministic_across_runs(rng):
     cluster = _cluster(rng, 20)
     first = extract_learned(cluster, build_network("lite", seed=7)).values
@@ -443,10 +546,12 @@ def test_hybrid_concatenation_contract(rng):
 _ONE_BLAS_THREAD_SCRIPT = """
 import sys
 import numpy as np
-from rcdet.kpconv import build_network, extract_learned
-from test_kpconv import _cluster
-values = extract_learned(_cluster(np.random.default_rng(31), 300), build_network("large", seed=0))
+from rcdet.kpconv import build_network, extract_learned, learned_rows
+from test_kpconv import _KINDS, _cluster, _mixed_frame
+net = build_network("large", seed=0)
+values = extract_learned(_cluster(np.random.default_rng(31), 300), net)
 sys.stdout.buffer.write(values.values.tobytes())
+sys.stdout.buffer.write(learned_rows(_mixed_frame(32, _KINDS), net).tobytes())
 """
 
 
@@ -463,8 +568,10 @@ def test_extract_learned_bits_independent_of_blas_threads():
     single = subprocess.run(
         [sys.executable, "-c", _ONE_BLAS_THREAD_SCRIPT], env=env, capture_output=True, check=True
     ).stdout
+    net = build_network("large", seed=0)
     cluster = _cluster(np.random.default_rng(31), 300)
-    assert single == extract_learned(cluster, build_network("large", seed=0)).values.tobytes()
+    frame = learned_rows(_mixed_frame(32, _KINDS), net)
+    assert single == extract_learned(cluster, net).values.tobytes() + frame.tobytes()
 
 
 def test_extract_learned_memory_bounded(rng):
