@@ -6,8 +6,7 @@ Subcommands:
   synth   generate a synthetic scene file from a JSON config
   bench   time the vectorized association against the naive double loop
 
-Exit codes: 0 success, 1 data error, 2 usage error. The worker count for
-``run`` defaults to the RCDET_WORKERS environment variable.
+Exit codes: 0 success, 1 data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,13 +21,7 @@ from .errors import RcdetError
 from .geometry import box3d_corners
 from .kpconv import build_network, load_network, save_network
 from .metrics import evaluate, format_report, report_key_values
-from .pipeline import (
-    FEATURE_STRATEGIES,
-    FrameResult,
-    PipelineConfig,
-    default_workers,
-    run_scenes,
-)
+from .pipeline import FEATURE_STRATEGIES, FrameResult, PipelineConfig, run_scenes
 from .scene_io import (
     SynthConfig,
     load_detections,
@@ -88,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="confidence cutoff in [0, 1]",
     )
     run_p.add_argument("--top-k", type=_bounded(int, 1), default=100)
-    run_p.add_argument("--workers", type=_bounded(int, 1), default=None)
+    run_p.add_argument("--workers", type=_bounded(int, 1), default=1)
     run_p.add_argument(
         "--dump-bev", help="also write clusters and box footprints as BEV coordinates"
     )
@@ -157,8 +150,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         score_threshold=args.threshold,
     )
-    workers = args.workers if args.workers is not None else default_workers()
-    results = run_scenes(frames, cfg, net, workers)
+    results = run_scenes(frames, cfg, net, args.workers)
     save_detections(args.out, [(r.frame_id, r.detections) for r in results])
     if args.dump_bev:
         _dump_bev(args.dump_bev, results)

@@ -87,7 +87,10 @@ def confidence(p_k: float, log_sigma: float) -> tuple[float, float]:
 
     p_dep = exp(-sigma^2) with sigma = exp(log_sigma); p_3d = p_dep * p_k.
     """
-    sigma = math.exp(float(log_sigma))
+    try:
+        sigma = math.exp(float(log_sigma))
+    except OverflowError:
+        sigma = math.inf  # exp(-sigma^2) is already 0.0 from log_sigma ~ 3.3 on
     p_dep = math.exp(-sigma * sigma)
     return p_dep, p_dep * p_k
 

@@ -59,7 +59,12 @@ class CameraModel:
         if self.intrinsic[2, 0] != 0 or self.intrinsic[2, 1] != 0:
             raise ValueError("intrinsic bottom-left 2x1 block must be zero")
         rot = self.extrinsic[:3, :3]
-        if np.abs(rot.T @ rot - np.eye(3)).max() >= _ORTHONORMAL_TOL:
+        # Entries of an orthonormal block lie in [-1, 1]; testing that first
+        # keeps the product below from overflowing (and a NaN from passing).
+        if not (
+            np.abs(rot).max() <= 1.0 + _ORTHONORMAL_TOL
+            and np.abs(rot.T @ rot - np.eye(3)).max() < _ORTHONORMAL_TOL
+        ):
             raise ValueError("extrinsic rotation block is not orthonormal")
         width, height = self.image_size
         if width <= 0 or height <= 0:

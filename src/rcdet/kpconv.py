@@ -487,19 +487,11 @@ def extract_learned(cluster: Cluster, net: KPNetworkConfig) -> FeatureVector:
 
 
 def extract_hybrid(
-    cluster: Cluster,
-    cfg: HandcraftedConfig,
-    net: KPNetworkConfig,
-    learned: np.ndarray | None = None,
+    cluster: Cluster, cfg: HandcraftedConfig, net: KPNetworkConfig
 ) -> FeatureVector:
-    """Handcrafted values followed by learned values, concatenated.
-
-    ``learned`` is the cluster's row of :func:`learned_rows` when the caller
-    ran the frame pass; without it the cluster runs through the stack alone.
-    """
+    """Handcrafted values followed by learned values, concatenated."""
     handcrafted = extract_handcrafted(cluster, cfg)
-    if learned is None:
-        learned = extract_learned(cluster, net).values
+    learned = extract_learned(cluster, net).values
     return FeatureVector(values=np.concatenate([handcrafted.values, learned]), kind="hybrid")
 
 

@@ -10,7 +10,6 @@ always ordered by frame id regardless of completion order.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,16 +22,14 @@ from .decoder import (
     decode_detections,
     topk_peaks,
 )
-from .errors import EmptyCluster
 from .features import (
     FeatureHeatmap,
     FeatureVector,
     HandcraftedConfig,
     extract_handcrafted,
     rasterize_heatmap,
-    zero_features,
 )
-from .kpconv import KPNetworkConfig, extract_hybrid, extract_learned, learned_rows
+from .kpconv import KPNetworkConfig, learned_rows
 from .radar import (
     DEFAULT_MAX_RANGE,
     DEFAULT_MAX_SWEEPS,
@@ -46,8 +43,6 @@ from .radar import (
 from .scene_io import SceneFrame
 
 FEATURE_STRATEGIES = ("handcrafted", "learned", "hybrid")
-
-WORKERS_ENV_VAR = "RCDET_WORKERS"
 
 
 @dataclass
@@ -90,26 +85,23 @@ def feature_length(cfg: PipelineConfig, net: KPNetworkConfig | None) -> int:
     return cfg.handcrafted.length + net.output_dim
 
 
-def extract_cluster_features(
-    cluster: Cluster,
-    cfg: PipelineConfig,
-    net: KPNetworkConfig | None,
-    learned: np.ndarray | None = None,
-) -> FeatureVector:
-    """Extract features per the configured strategy; empty clusters give zeros.
+def feature_rows(
+    clusters: Sequence[Cluster], cfg: PipelineConfig, net: KPNetworkConfig | None
+) -> np.ndarray:
+    """The frame's cluster features, shape (n_clusters, ``feature_length``).
 
-    ``learned`` is the cluster's row of ``learned_rows`` when the caller ran
-    the KPConv frame pass."""
-    try:
-        if cfg.feature_strategy == "handcrafted":
-            return extract_handcrafted(cluster, cfg.handcrafted)
-        if cfg.feature_strategy == "learned":
-            if learned is None:
-                return extract_learned(cluster, net)
-            return FeatureVector(values=learned, kind="learned")
-        return extract_hybrid(cluster, cfg.handcrafted, net, learned)
-    except EmptyCluster:
-        return zero_features(feature_length(cfg, net), kind=cfg.feature_strategy)
+    The strategy picks the columns: handcrafted first, then learned (one
+    ``learned_rows`` pass over the frame). Empty clusters are zero rows.
+    """
+    rows = np.zeros((len(clusters), feature_length(cfg, net)))
+    if cfg.feature_strategy != "learned":
+        for row, cluster in zip(rows, clusters):
+            if cluster.member_count:
+                handcrafted = extract_handcrafted(cluster, cfg.handcrafted).values
+                row[: len(handcrafted)] = handcrafted
+    if cfg.feature_strategy != "handcrafted":
+        rows[:, -net.output_dim :] = learned_rows(clusters, net)
+    return rows
 
 
 def process_frame(
@@ -117,17 +109,12 @@ def process_frame(
 ) -> FrameResult:
     """Run one frame through the full chain: accumulate, filter, associate,
     extract, rasterize, decode."""
-    if cfg.feature_strategy != "handcrafted" and net is None:
-        raise ValueError(f"{cfg.feature_strategy} extraction needs a network config")
     points = accumulate_sweeps(frame.radar_sweeps, cfg.max_sweeps)
     points = range_filter(points, cfg.min_range, cfg.max_range)
     clusters = associate(
         points, frame.detections, frame.camera, cfg.pillar_dims, cfg.expansion
     )
-    learned = [None] * len(clusters)
-    if cfg.feature_strategy != "handcrafted":
-        learned = learned_rows(clusters, net)
-    features = [extract_cluster_features(c, cfg, net, row) for c, row in zip(clusters, learned)]
+    features = [FeatureVector(row) for row in feature_rows(clusters, cfg, net)]
     radar_heatmap = rasterize_heatmap(
         list(zip(clusters, features)), frame.camera.image_size, cfg.downsample
     )
@@ -147,22 +134,13 @@ def process_frame(
     )
 
 
-def default_workers() -> int:
-    """Worker count from the environment override, defaulting to 1."""
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
-
-
 def run_scenes(
     frames: Sequence[SceneFrame],
     cfg: PipelineConfig,
     net: KPNetworkConfig | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[FrameResult]:
     """Process frames (optionally with a thread pool) and order results by frame id."""
-    workers = workers if workers is not None else default_workers()
     if workers > 1 and len(frames) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda f: process_frame(f, cfg, net), frames))

@@ -54,6 +54,13 @@ SCHEMA_VERSION = 1
 DEFAULT_IMAGE_SIZE = (800, 448)
 DEFAULT_FOCAL = 500.0
 
+# Bounds on the input integers that size a frame's dense grids. `rcdet run`
+# plants one class channel per class id up to the frame's largest, each of
+# image_size / 4 cells, so an unbounded id or size allocates without limit.
+# Attribute ids share the class bound. 4096 px covers 4K UHD (3840 x 2160).
+MAX_LABEL = 255
+MAX_IMAGE_SIDE = 4096
+
 # Base (width, length, height) per synthetic class, jittered per object.
 _CLASS_DIMS = np.array([[1.9, 4.6, 1.7], [0.7, 0.8, 1.8], [2.6, 7.5, 3.0]])
 
@@ -128,18 +135,57 @@ def _require_field(record: dict, name: str, line: int) -> Any:
     return record[name]
 
 
-def _finite(record: dict, name: str, line: int, what: str, default: Any = None) -> Any:
-    """``record[name]``, a number or a list of numbers, all finite. A missing
-    field takes ``default``, or is an error when there is none."""
+def _object(record: dict, name: str, line: int, what: str) -> dict:
+    value = _require_field(record, name, line)
+    if not isinstance(value, dict):
+        raise ParseError(f"line {line}: {what} {name} must be an object")
+    return value
+
+
+def _objects(record: dict, name: str, line: int, what: str) -> list[dict]:
+    value = _require_field(record, name, line)
+    if not (isinstance(value, list) and all(isinstance(item, dict) for item in value)):
+        raise ParseError(f"line {line}: {what} {name} must be an array of objects")
+    return value
+
+
+def _finite(
+    record: dict, name: str, line: int, what: str, default: Any = None, array: bool = False
+) -> Any:
+    """``record[name]``: a finite number, or with ``array`` a list of finite
+    numbers. A missing field takes ``default``, or is an error when there is
+    none."""
     value = _require_field(record, name, line) if default is None else record.get(name, default)
     try:
-        finite = all(map(math.isfinite, value if isinstance(value, list) else (value,)))
-    except TypeError:
-        raise ParseError(
-            f"line {line}: {what} {name} must be a number or a list of numbers"
-        ) from None
+        if isinstance(value, list) != array:
+            raise TypeError
+        finite = all(map(math.isfinite, value if array else (value,)))
+    except (TypeError, OverflowError):
+        kind = "a list of numbers" if array else "a number"
+        raise ParseError(f"line {line}: {what} {name} must be {kind}") from None
     if not finite:
         raise ParseError(f"line {line}: {what} {name} must be finite")
+    return value
+
+
+def _integer(
+    record: dict, name: str, line: int, what: str, default: Any = None, array: bool = False
+) -> Any:
+    """:func:`_finite` with every number integral, converted to int. A
+    fraction or a boolean (which Python reads as a number) is an error."""
+    value = _finite(record, name, line, what, default, array)
+    numbers = value if array else (value,)
+    if any(isinstance(x, bool) or x != int(x) for x in numbers):
+        kind = "a list of integers" if array else "an integer"
+        raise ParseError(f"line {line}: {what} {name} must be {kind}")
+    return [int(x) for x in numbers] if array else int(value)
+
+
+def _label(record: dict, name: str, line: int, what: str, default: Any = None) -> int:
+    """A class or attribute id: an integer in [0, MAX_LABEL]."""
+    value = _integer(record, name, line, what, default)
+    if not 0 <= value <= MAX_LABEL:
+        raise ParseError(f"line {line}: {what} {name} must be in [0, {MAX_LABEL}]")
     return value
 
 
@@ -152,18 +198,20 @@ def _camera_to_json(camera: CameraModel) -> dict:
 
 
 def _camera_from_json(obj: dict, line: int) -> CameraModel:
+    image_size = _integer(obj, "image_size", line, "camera", array=True)
+    if not all(1 <= side <= MAX_IMAGE_SIDE for side in image_size):
+        raise ParseError(f"line {line}: camera image_size must be in [1, {MAX_IMAGE_SIDE}]")
     try:
-        camera = CameraModel(
-            intrinsic=np.array(_require_field(obj, "intrinsic", line)),
-            extrinsic=np.array(_require_field(obj, "extrinsic", line)),
-            image_size=tuple(_require_field(obj, "image_size", line)),
-        )
-    except (TypeError, ValueError) as exc:
+        matrices = {
+            name: np.array(_require_field(obj, name, line), dtype=np.float64)
+            for name in ("intrinsic", "extrinsic")
+        }
+        for name, matrix in matrices.items():
+            if not np.all(np.isfinite(matrix)):
+                raise ParseError(f"line {line}: camera {name} must be finite")
+        return CameraModel(image_size=tuple(image_size), **matrices)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"line {line}: bad camera record: {exc}") from exc
-    for name in ("intrinsic", "extrinsic"):
-        if not np.all(np.isfinite(getattr(camera, name))):
-            raise ParseError(f"line {line}: camera {name} must be finite")
-    return camera
 
 
 def _box3d_to_json(box: Box3D) -> dict:
@@ -178,10 +226,10 @@ def _box3d_to_json(box: Box3D) -> dict:
 def _box3d_from_json(obj: dict, line: int) -> Box3D:
     try:
         return Box3D(
-            center=_finite(obj, "center", line, "box"),
-            dims=_finite(obj, "dims", line, "box"),
+            center=_finite(obj, "center", line, "box", array=True),
+            dims=_finite(obj, "dims", line, "box", array=True),
             yaw=float(_finite(obj, "yaw", line, "box")),
-            velocity=_finite(obj, "velocity", line, "box"),
+            velocity=_finite(obj, "velocity", line, "box", array=True),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"line {line}: bad box record: {exc}") from exc
@@ -201,17 +249,17 @@ def _detection_to_json(det: PreliminaryDetection) -> dict:
 
 
 def _detection_from_json(obj: dict, line: int) -> PreliminaryDetection:
-    bbox = _finite(obj, "bbox", line, "detection")
+    bbox = _finite(obj, "bbox", line, "detection", array=True)
     try:
         return PreliminaryDetection(
-            class_id=int(_finite(obj, "class_id", line, "detection")),
+            class_id=_label(obj, "class_id", line, "detection"),
             score=float(_finite(obj, "score", line, "detection")),
             bbox2d=Box2D(*(float(v) for v in bbox)),
-            projected_center=_finite(obj, "center2d", line, "detection"),
+            projected_center=_finite(obj, "center2d", line, "detection", array=True),
             depth=float(_finite(obj, "depth", line, "detection")),
             log_sigma=float(_finite(obj, "log_sigma", line, "detection")),
-            box3d=_box3d_from_json(_require_field(obj, "box", line), line),
-            attribute=int(_finite(obj, "attribute", line, "detection", default=0)),
+            box3d=_box3d_from_json(_object(obj, "box", line, "detection"), line),
+            attribute=_label(obj, "attribute", line, "detection", default=0),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"line {line}: bad detection record: {exc}") from exc
@@ -234,17 +282,19 @@ def _sweep_to_json(sweep: RadarSweep) -> dict:
 
 def _sweep_from_json(obj: dict, line: int) -> RadarSweep:
     points = []
-    for rec in _require_field(obj, "points", line):
+    for rec in _objects(obj, "points", line, "sweep"):
         try:
             points.append(
                 RadarPoint(
-                    position=_require_field(rec, "position", line),
-                    velocity=_require_field(rec, "velocity", line),
+                    position=rec["position"],
+                    velocity=rec["velocity"],
                     rcs=float(rec.get("rcs", 0.0)),
                     sweep_age=float(rec.get("sweep_age", 0.0)),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except KeyError as exc:  # indexing, not _require_field: this runs per point
+            raise ParseError(f"line {line}: missing field {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"line {line}: bad radar point: {exc}") from exc
     return RadarSweep(timestamp=float(_finite(obj, "timestamp", line, "sweep")), points=points)
 
@@ -266,25 +316,24 @@ def _frame_to_json(frame: SceneFrame) -> dict:
 
 
 def _frame_from_json(record: dict, line: int) -> SceneFrame:
-    gt = record.get("ground_truth")
     ground_truth = None
-    if gt is not None:
+    if record.get("ground_truth") is not None:
         ground_truth = [
             GroundTruth(
-                box=_box3d_from_json(_require_field(g, "box", line), line),
-                class_id=int(_finite(g, "class_id", line, "ground truth")),
-                attribute=int(_finite(g, "attribute", line, "ground truth", default=0)),
+                box=_box3d_from_json(_object(g, "box", line, "ground truth"), line),
+                class_id=_label(g, "class_id", line, "ground truth"),
+                attribute=_label(g, "attribute", line, "ground truth", default=0),
             )
-            for g in gt
+            for g in _objects(record, "ground_truth", line, "frame")
         ]
     return SceneFrame(
-        frame_id=int(_finite(record, "frame_id", line, "frame")),
-        camera=_camera_from_json(_require_field(record, "camera", line), line),
+        frame_id=_integer(record, "frame_id", line, "frame"),
+        camera=_camera_from_json(_object(record, "camera", line, "frame"), line),
         radar_sweeps=[
-            _sweep_from_json(s, line) for s in _require_field(record, "radar_sweeps", line)
+            _sweep_from_json(s, line) for s in _objects(record, "radar_sweeps", line, "frame")
         ],
         detections=[
-            _detection_from_json(d, line) for d in _require_field(record, "detections", line)
+            _detection_from_json(d, line) for d in _objects(record, "detections", line, "frame")
         ],
         ground_truth=ground_truth,
     )
@@ -299,7 +348,7 @@ def _read_lines(path: str, schema: str) -> list[tuple[int, dict]]:
             continue
         try:
             record = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise ParseError(f"line {number}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise ParseError(f"line {number}: expected a JSON object")
@@ -361,16 +410,16 @@ def save_detections(path: str, results: Sequence[tuple[int, list[DetectionBox3D]
 def load_detections(path: str) -> list[tuple[int, list[DetectionBox3D]]]:
     results, seen = [], set()
     for line, record in _read_lines(path, DETECTIONS_SCHEMA):
-        frame_id = int(_finite(record, "frame_id", line, "frame"))
+        frame_id = _integer(record, "frame_id", line, "frame")
         _claim_frame_id(seen, frame_id, line)
         boxes = []
-        for rec in _require_field(record, "boxes", line):
+        for rec in _objects(record, "boxes", line, "frame"):
             boxes.append(
                 DetectionBox3D(
-                    box=_box3d_from_json(_require_field(rec, "box", line), line),
-                    class_id=int(_finite(rec, "class_id", line, "box")),
+                    box=_box3d_from_json(_object(rec, "box", line, "box"), line),
+                    class_id=_label(rec, "class_id", line, "box"),
                     score=float(_finite(rec, "score", line, "box")),
-                    attribute=int(_finite(rec, "attribute", line, "box", default=0)),
+                    attribute=_label(rec, "attribute", line, "box", default=0),
                 )
             )
         results.append((frame_id, boxes))

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcdet.bench import bench_association, format_bench, random_association_inputs
 from rcdet.cli import main
 from rcdet.errors import ResultMismatch
-from rcdet.kpconv import build_network
+from rcdet.features import extract_handcrafted
+from rcdet.kpconv import build_network, extract_hybrid, extract_learned
 from rcdet.metrics import evaluate
-from rcdet.pipeline import PipelineConfig, extract_cluster_features, process_frame, run_scenes
+from rcdet.pipeline import PipelineConfig, feature_length, process_frame, run_scenes
 from rcdet.scene_io import SynthConfig, load_detections, save_scenes, synth_scene
 
 
@@ -57,20 +64,35 @@ def test_process_frame_hybrid_memory_independent_of_feature_width():
     assert peak <= 32 * 2**20
 
 
-@pytest.mark.parametrize("strategy,variant", [("learned", "lite"), ("hybrid", "large")])
+@pytest.mark.parametrize(
+    "strategy,variant",
+    [("handcrafted", None), ("learned", "lite"), ("hybrid", "large")],
+    ids=["handcrafted", "learned-lite", "hybrid-large"],
+)
 def test_process_frame_rows_match_single_cluster_extraction(strategy, variant):
-    """The KPConv frame pass gives each cluster the row it gets alone."""
+    """The frame's feature matrix gives each cluster the row it gets alone,
+    and a cluster without radar points a zero row."""
     frame = synth_scene(
         SynthConfig(
             seed=3, n_frames=1, objects_min=4, objects_max=6, points_per_object_min=1,
             points_per_object_max=40, clutter_density=0.05, image_size=(200, 112), focal=125.0,
         )
     )[0]
-    net = build_network(variant, seed=0)
+    # Beyond the 60 m range gate, this detection's frustum holds no point.
+    frame.detections.append(dataclasses.replace(frame.detections[0], depth=80.0))
+    net = build_network(variant, seed=0) if variant else None
     cfg = PipelineConfig(feature_strategy=strategy)
     result = process_frame(frame, cfg, net)
-    assert len(result.clusters) >= 4
-    alone = [extract_cluster_features(c, cfg, net).values for c in result.clusters]
+    assert len(result.clusters) >= 5 and result.clusters[-1].member_count == 0
+    extract = {
+        "handcrafted": lambda c: extract_handcrafted(c, cfg.handcrafted),
+        "learned": lambda c: extract_learned(c, net),
+        "hybrid": lambda c: extract_hybrid(c, cfg.handcrafted, net),
+    }[strategy]
+    alone = [
+        extract(c).values if c.member_count else np.zeros(feature_length(cfg, net))
+        for c in result.clusters
+    ]
     assert result.radar_heatmap.rows.tobytes() == np.array(alone).tobytes()
 
 
@@ -286,6 +308,155 @@ def test_cli_run_rejects_non_finite_field(tmp_path, capsys, edit, message):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _set_at(path, value):
+    """An edit of a parsed record that sets the field at ``path`` (keys and
+    list indices) to ``value``."""
+
+    def edit(rec):
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+
+    return edit
+
+
+def _run_or_eval_edited(tmp_path, kind, edit) -> int:
+    """Edit the first frame of a fresh scene file (then ``rcdet run`` it) or
+    of its detections file (then ``rcdet eval`` it); the exit code."""
+    scenes = _write_scene(
+        tmp_path, seed=2, n_frames=2, objects_min=1, objects_max=2, image_size=(200, 112),
+        focal=125.0,
+    )
+    dets, out = str(tmp_path / "dets.jsonl"), str(tmp_path / "out.jsonl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--scenes", scenes, "--out", dets]) == 0
+    if kind == "scenes":
+        _rewrite_first_frame(scenes, edit)
+        return main(["run", "--scenes", scenes, "--out", out])
+    _rewrite_first_frame(dets, edit)
+    return main(["eval", "--dets", dets, "--gt", scenes, "--report", str(tmp_path / "r")])
+
+
+_WRONG_TYPES = [
+    ("scenes", ("frame_id",), [1], "frame frame_id must be a number"),
+    ("scenes", ("frame_id",), 1.5, "frame frame_id must be an integer"),
+    ("scenes", ("frame_id",), True, "frame frame_id must be an integer"),
+    ("scenes", ("camera",), 5, "frame camera must be an object"),
+    ("scenes", ("camera", "image_size"), 200, "camera image_size must be a list of numbers"),
+    ("scenes", ("camera", "image_size"), [200.7, 112], "camera image_size must be a list of integers"),
+    ("scenes", ("camera", "image_size"), [8192, 112], "camera image_size must be in [1, 4096]"),
+    ("scenes", ("radar_sweeps",), 5, "frame radar_sweeps must be an array of objects"),
+    ("scenes", ("radar_sweeps",), [5], "frame radar_sweeps must be an array of objects"),
+    ("scenes", ("radar_sweeps", 0, "points"), {}, "sweep points must be an array of objects"),
+    ("scenes", ("radar_sweeps", 0, "points"), ["x"], "sweep points must be an array of objects"),
+    ("scenes", ("radar_sweeps", 1, "timestamp"), [0.0], "sweep timestamp must be a number"),
+    ("scenes", ("detections",), "abc", "frame detections must be an array of objects"),
+    ("scenes", ("detections",), [[]], "frame detections must be an array of objects"),
+    ("scenes", ("detections", 0, "class_id"), [0], "detection class_id must be a number"),
+    ("scenes", ("detections", 0, "class_id"), 0.9, "detection class_id must be an integer"),
+    ("scenes", ("detections", 0, "class_id"), True, "detection class_id must be an integer"),
+    ("scenes", ("detections", 0, "class_id"), -1, "detection class_id must be in [0, 255]"),
+    ("scenes", ("detections", 0, "class_id"), 256, "detection class_id must be in [0, 255]"),
+    ("scenes", ("detections", 0, "attribute"), 2.7, "detection attribute must be an integer"),
+    ("scenes", ("detections", 0, "score"), [0.5], "detection score must be a number"),
+    ("scenes", ("detections", 0, "bbox"), 5, "detection bbox must be a list of numbers"),
+    ("scenes", ("detections", 0, "box"), 5, "detection box must be an object"),
+    ("scenes", ("ground_truth",), 5, "frame ground_truth must be an array of objects"),
+    ("scenes", ("ground_truth",), [None], "frame ground_truth must be an array of objects"),
+    ("scenes", ("ground_truth", 0, "class_id"), [1], "ground truth class_id must be a number"),
+    ("scenes", ("ground_truth", 0, "class_id"), 1.5, "ground truth class_id must be an integer"),
+    ("scenes", ("ground_truth", 0, "attribute"), [1], "ground truth attribute must be a number"),
+    ("scenes", ("ground_truth", 0, "box"), [], "ground truth box must be an object"),
+    ("dets", ("boxes",), 5, "frame boxes must be an array of objects"),
+    ("dets", ("boxes",), [5], "frame boxes must be an array of objects"),
+    ("dets", ("frame_id",), [0], "frame frame_id must be a number"),
+    ("dets", ("frame_id",), 0.5, "frame frame_id must be an integer"),
+    ("dets", ("boxes", 0, "class_id"), [0], "box class_id must be a number"),
+    ("dets", ("boxes", 0, "class_id"), 0.5, "box class_id must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,path,value,message",
+    _WRONG_TYPES,
+    ids=[f"{k}-{'.'.join(map(str, p))}-{json.dumps(v)}" for k, p, v, _ in _WRONG_TYPES],
+)
+def test_cli_rejects_wrong_json_type(tmp_path, capsys, kind, path, value, message):
+    """A field of the wrong JSON type, a fraction or boolean where an integer
+    belongs, or an id or image size out of range: exit 1, one error line
+    naming the line and the field, no traceback."""
+    assert _run_or_eval_edited(tmp_path, kind, _set_at(path, value)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _field_paths(node, prefix=()):
+    """Every key and list-index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """One small frame's scene and detections files, and each file's header,
+    frame record and field paths."""
+    root = tmp_path_factory.mktemp("mutation")
+    scenes, dets = str(root / "scenes.jsonl"), str(root / "dets.jsonl")
+    synth = SynthConfig(
+        seed=2, n_frames=1, objects_min=2, objects_max=2, points_per_object_max=4,
+        clutter_density=0.0, n_sweeps=2, image_size=(200, 112), focal=125.0,
+    )
+    save_scenes(scenes, synth_scene(synth))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--scenes", scenes, "--out", dets]) == 0
+    files = {}
+    for path in (scenes, dets):
+        header, record = Path(path).read_text().splitlines()
+        files[path] = (header, json.loads(record), list(_field_paths(json.loads(record))))
+    return root, scenes, dets, files
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=8), st.none(), st.booleans()
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=4),
+    st.dictionaries(st.text(max_size=8), _JSON_SCALARS, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_survives_any_one_field_mutation(mutation_inputs, data):
+    """Any one field of a valid scene or detections record replaced by any
+    JSON value: `run` and `eval` exit 0 with nothing on stderr, or 1 with
+    one error line, and raise nothing (warnings included)."""
+    root, scenes, dets, files = mutation_inputs
+    target = data.draw(st.sampled_from([scenes, dets]))
+    header, record, paths = files[target]
+    path = data.draw(st.sampled_from(paths))
+    payload = json.loads(json.dumps(record))
+    _set_at(path, data.draw(_JSON_VALUES))(payload)
+    for name, (head, original, _) in files.items():
+        body = payload if name == target else original
+        Path(name).write_text(head + "\n" + json.dumps(body) + "\n")
+    for args in (
+        ["run", "--scenes", scenes, "--out", str(root / "out.jsonl")],
+        ["eval", "--dets", dets, "--gt", scenes, "--report", str(root / "report.txt")],
+    ):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(args)
+        assert (code, err.getvalue().count("\n")) in ((0, 0), (1, 1)), err.getvalue()
+
+
 @pytest.mark.parametrize("field", ["score", "class_id"])
 def test_cli_eval_rejects_non_finite_detection_box(tmp_path, capsys, field):
     scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_min=1, objects_max=2)
@@ -354,17 +525,6 @@ def test_cli_synth_rejects_unknown_config_key(tmp_path, capsys):
     config_path = tmp_path / "synth.json"
     config_path.write_text(json.dumps({"bogus_knob": 3}))
     assert main(["synth", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 1
-
-
-def test_workers_env_override(monkeypatch):
-    from rcdet.pipeline import default_workers
-
-    monkeypatch.setenv("RCDET_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("RCDET_WORKERS", "not-a-number")
-    assert default_workers() == 1
-    monkeypatch.delenv("RCDET_WORKERS")
-    assert default_workers() == 1
 
 
 # -- benchmark -----------------------------------------------------------------

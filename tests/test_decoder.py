@@ -89,6 +89,12 @@ def test_confidence_unit_sigma():
     assert abs(p_3d - math.exp(-1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("log_sigma", [4.0, 709.0, 710.0, 1e300])
+def test_confidence_vanishes_for_huge_sigma(log_sigma):
+    # exp(log_sigma) overflows from 710 on; the confidence is 0 well before.
+    assert confidence(0.8, log_sigma) == (0.0, 0.0)
+
+
 def test_confidence_monotone_in_log_sigma():
     values = [confidence(0.9, s)[1] for s in np.linspace(-3, 2, 100)]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -8,6 +8,7 @@ corner oracle, and an axis-factorized voxel count for the aligned 3D IoU).
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ def test_camera_validation():
     bad_k[2, 0] = 0.1
     with pytest.raises(ValueError):
         CameraModel(intrinsic=bad_k, extrinsic=np.eye(4), image_size=(4, 4))
+
+
+@pytest.mark.parametrize("entry", [1e300, -1e300, math.nan])
+def test_camera_rejects_huge_or_nan_rotation_silently(entry):
+    # rot.T @ rot would overflow (or let a NaN through the tolerance test).
+    extrinsic = np.eye(4)
+    extrinsic[0, 1] = extrinsic[1, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not orthonormal"):
+            CameraModel(intrinsic=np.eye(3), extrinsic=extrinsic, image_size=(4, 4))
 
 
 # -- box corners -----------------------------------------------------------

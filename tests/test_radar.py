@@ -10,6 +10,7 @@ every (point, detection) pair exactly.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,16 @@ def test_associate_single_point_in_frustum():
     assert len(clusters) == 1
     assert clusters[0].members == [point]
     assert clusters[0].member_count == 1
+
+
+def test_associate_point_on_camera_plane_is_silent():
+    # A pillar sample a subnormal distance in front of the camera overflows
+    # the projection; it lies behind the depth floor, so no warning is due.
+    det, camera = _detection_at(depth=20.0, yaw=math.pi / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clusters = associate([_point_at(1.0, 5e-324)], [det], camera)
+    assert clusters[0].member_count == 0
 
 
 def test_associate_equals_naive_and_oracle(rng):

@@ -173,8 +173,9 @@ _HEADER = json.dumps({"schema": "rcdet.scene", "version": SCHEMA_VERSION})
         (_HEADER + "\n{not json\n", "line 2: invalid JSON"),
         ("[1, 2]\n", "line 1: expected a JSON object"),
         (_HEADER + "\n\n[1, 2]\n", "line 3: expected a JSON object"),
+        (_HEADER + '\n{"frame_id": 1' + "0" * 5000 + "}\n", "line 2: invalid JSON"),
     ],
-    ids=["not-json", "header-array", "frame-array"],
+    ids=["not-json", "header-array", "frame-array", "integer-over-4300-digits"],
 )
 def test_parse_error_on_invalid_json(tmp_path, text, message):
     path = str(tmp_path / "scenes.jsonl")
