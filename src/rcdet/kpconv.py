@@ -7,7 +7,10 @@ convolution layers. Layers after the first are strided: query locations come
 from grid subsampling with a cell size that doubles per layer, so the point
 count shrinks while the channel count grows. Global average pooling over the
 surviving points yields one feature row per cluster. All clusters of a frame
-go through the stack in one pass (``learned_rows``).
+go through the stack in one pass (``learned_rows``). Each layer's weight
+product runs over the whole frame in blocks of exactly ``_ROW_BLOCK`` rows
+(``_contract``), so a row's bits depend only on that row: a cluster gets the
+same row in any frame as alone.
 
 Kernel weights are drawn once from a seeded generator and frozen; the module
 provides forward evaluation and the analytic weight gradient (for
@@ -19,6 +22,7 @@ zero at ``influence_sigma`` (radius / 2 by default).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,6 +44,11 @@ DEFAULT_BASE_CELL = 0.1
 DEFAULT_NEIGHBOR_CAP = 26
 RADIUS_PER_CELL = 2.5
 _QUERY_BLOCK = 256  # queries per distance table in radius_neighbors
+# Rows per weight product in _contract. BLAS picks its kernel by the row
+# count, so one fixed count keeps a row's bits independent of the others;
+# 8 falls onto a slow small-matrix path, 64 re-reads less but computes more
+# padding on the few-query deep layers.
+_ROW_BLOCK = 32
 
 _CHECKPOINT_MAGIC = b"RCKP"
 _CHECKPOINT_VERSION = 1
@@ -66,6 +75,10 @@ class PointFeatures:
         return self.positions.shape[0]
 
 
+def _finite_positive(value: float) -> bool:
+    return value > 0 and math.isfinite(value)
+
+
 @dataclass(eq=False)
 class KPConvLayerConfig:
     """One kernel-point convolution layer: geometry, weights, stride flag."""
@@ -90,8 +103,10 @@ class KPConvLayerConfig:
             raise ValueError("out_channels must be positive")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        if self.radius <= 0 or self.influence_sigma <= 0:
-            raise ValueError("radius and influence_sigma must be positive")
+        if not np.all(np.isfinite(self.kernel_points)):
+            raise ValueError("kernel points must be finite")
+        if not (_finite_positive(self.radius) and _finite_positive(self.influence_sigma)):
+            raise ValueError("radius and influence_sigma must be finite and positive")
         norms = np.linalg.norm(self.kernel_points, axis=1)
         if norms.max() > self.radius * (1.0 + 1e-9):
             raise ValueError("kernel points must lie within the layer radius")
@@ -121,8 +136,13 @@ class KPNetworkConfig:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        if self.base_cell_size <= 0:
-            raise ValueError("base_cell_size must be positive")
+        if not _finite_positive(self.base_cell_size):
+            raise ValueError("base_cell_size must be finite and positive")
+        if self.layers[0].in_channels != POINT_FEATURE_DIM:
+            raise ValueError(
+                f"first layer takes {self.layers[0].in_channels} input channels, "
+                f"points have {POINT_FEATURE_DIM}"
+            )
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_channels != nxt.in_channels:
                 raise ValueError(
@@ -153,23 +173,35 @@ def kernel_point_layout(count: int, radius: float, seed: int) -> np.ndarray:
     unit ball and repel each other for a fixed number of steps, staying
     inside the ball, before scaling to ``radius``.
     """
+    return _kernel_point_layouts(count, [radius], [seed])[0]
+
+
+def _kernel_point_layouts(
+    count: int, radii: Sequence[float], seeds: Sequence[int]
+) -> np.ndarray:
+    """:func:`kernel_point_layout` for each (radius, seed) pair, shape
+    (len(seeds), count, 3). Each layout starts from its own generator and
+    all of them repel in one loop; no layout sees another's points."""
     if count < 1:
         raise ValueError("need at least one kernel point")
-    rng = np.random.default_rng(seed)
-    directions = rng.normal(size=(count, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    points = directions * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
-    points[0] = 0.0
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        directions = rng.normal(size=(count, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        starts.append(directions * rng.uniform(size=(count, 1)) ** (1.0 / 3.0))
+    points = np.stack(starts)
+    points[:, 0] = 0.0
     for _ in range(150):
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.linalg.norm(diff, axis=2) + np.eye(count)
-        force = (diff / dist[:, :, None] ** 3).sum(axis=1)
+        diff = points[:, :, None, :] - points[:, None, :, :]
+        dist = np.linalg.norm(diff, axis=3) + np.eye(count)
+        force = (diff / dist[..., None] ** 3).sum(axis=2)
         step = np.clip(0.01 * force, -0.05, 0.05)
-        step[0] = 0.0
+        step[:, 0] = 0.0
         points = points + step
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
+        norms = np.linalg.norm(points, axis=2, keepdims=True)
         points = points / np.maximum(norms, 1.0)
-    return points * radius
+    return points * np.asarray(radii, dtype=np.float64)[:, None, None]
 
 
 def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:
@@ -182,13 +214,14 @@ def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:
         raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(VARIANT_SPECS)}")
     kernel_size, n_layers, first_dim, output_dim = VARIANT_SPECS[variant]
     rng = np.random.default_rng(seed)
+    radii = [RADIUS_PER_CELL * (DEFAULT_BASE_CELL * 2.0**i) for i in range(n_layers)]
+    layouts = _kernel_point_layouts(
+        kernel_size, radii, [seed * 1000 + i for i in range(n_layers)]
+    )
     layers = []
     in_channels = POINT_FEATURE_DIM
     out_channels = first_dim
-    for i in range(n_layers):
-        cell = DEFAULT_BASE_CELL * 2.0**i
-        radius = RADIUS_PER_CELL * cell
-        kernel_points = kernel_point_layout(kernel_size, radius, seed=seed * 1000 + i)
+    for i, (radius, kernel_points) in enumerate(zip(radii, layouts)):
         std = np.sqrt(2.0 / (kernel_size * in_channels))
         weights = rng.normal(0.0, std, size=(kernel_size, in_channels, out_channels))
         layers.append(
@@ -370,6 +403,25 @@ def _listed_neighborhood(
     return _neighborhood(layer, query_positions, support, table)
 
 
+def _contract(weighted: np.ndarray, layer: KPConvLayerConfig) -> np.ndarray:
+    """The weight product (N_q, K*in) @ (K*in, out) of a layer, shape (N_q, out).
+
+    The rows are zero-padded to a multiple of ``_ROW_BLOCK`` and each block
+    of exactly ``_ROW_BLOCK`` rows is one BLAS call. Every call of a layer
+    thus has the same shape and the same kernel, so a row's bits do not
+    depend on how many rows share the product or where the row sits in it.
+    """
+    kernel = layer.weights.reshape(-1, layer.out_channels)
+    n = weighted.shape[0]
+    padded = np.zeros((-(-n // _ROW_BLOCK) * _ROW_BLOCK, kernel.shape[0]))
+    padded[:n] = weighted
+    out = np.empty((padded.shape[0], kernel.shape[1]))
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        np.matmul(padded[block], kernel, out=out[block])
+    return out[:n]
+
+
 def kpconv_forward(
     layer: KPConvLayerConfig,
     query_positions: np.ndarray,
@@ -380,10 +432,12 @@ def kpconv_forward(
 
     out(q) = sum over neighbors i and kernel points k of
     max(0, 1 - |p_i - q - y_k| / sigma) * (f_i @ W_k); empty neighborhoods
-    produce zero rows. One GEMM (N_q, K*in) @ (K*in, out) over all queries.
+    produce zero rows. The weight product runs in fixed-shape row blocks
+    (``_contract``), so each query's row is bit-identical to the same
+    query's row in any other product, such as a frame pass.
     """
     weighted = _listed_neighborhood(layer, query_positions, support, neighbors)
-    return weighted @ layer.weights.reshape(-1, layer.out_channels)
+    return _contract(weighted, layer)
 
 
 def kpconv_weight_grad(
@@ -440,11 +494,11 @@ def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarra
     average-pool each cluster to one row, shape (n_clusters, output_dim).
 
     The non-empty clusters' point sets are stacked, each tagged with a
-    segment id; subsampling and neighbor search never cross segments, and
-    the influence gather runs over the whole frame. The weight GEMM runs
-    once per cluster on its own rows: BLAS picks its kernel by row count, so
-    one product over the frame would make a cluster's bits depend on the
-    other clusters in its frame. Empty clusters yield zero rows.
+    segment id; subsampling and neighbor search never cross segments. The
+    influence gather and the weight product each run once per layer over
+    the whole frame; the product's fixed-shape row blocks (``_contract``)
+    give every row the bits it has when its cluster runs alone. Empty
+    clusters yield zero rows.
     """
     rows = np.zeros((len(clusters), net.output_dim))
     filled = [i for i, cluster in enumerate(clusters) if cluster.member_count]
@@ -468,12 +522,9 @@ def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarra
         weighted = _neighborhood(
             layer, queries, PointFeatures(positions=positions, features=features), table
         )
-        query_bounds = np.searchsorted(query_segments, np.arange(len(filled) + 1))
-        kernel = layer.weights.reshape(-1, layer.out_channels)
-        features = np.concatenate(
-            [weighted[a:b] @ kernel for a, b in zip(query_bounds[:-1], query_bounds[1:])]
-        )
-        positions, segments, bounds = queries, query_segments, query_bounds
+        features = _contract(weighted, layer)
+        positions, segments = queries, query_segments
+        bounds = np.searchsorted(segments, np.arange(len(filled) + 1))
     rows[filled] = [features[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
     return rows
 
@@ -530,21 +581,33 @@ def save_network(net: KPNetworkConfig, path: str) -> None:
 
 
 def load_network(path: str) -> KPNetworkConfig:
-    """Read a checkpoint written by :func:`save_network`."""
+    """Read a checkpoint written by :func:`save_network`.
+
+    A malformed checkpoint raises ``ParseError`` naming ``path``: a bad
+    magic, a truncated field or array, bytes after the last layer, a variant
+    name that is not UTF-8, or a layer or network that fails validation.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: not a network checkpoint (bad magic)")
     offset = 4
 
-    def unpack(fmt: str):
+    def take(size: int) -> int:
+        """Claim the next ``size`` bytes; their start offset."""
         nonlocal offset
-        size = struct.calcsize(fmt)
         if offset + size > len(data):
             raise ParseError(f"{path}: truncated checkpoint")
-        values = struct.unpack_from(fmt, data, offset)
         offset += size
-        return values
+        return offset - size
+
+    def unpack(fmt: str):
+        return struct.unpack_from(fmt, data, take(struct.calcsize(fmt)))
+
+    def floats(*shape: int) -> np.ndarray:
+        count = math.prod(shape)
+        start = take(count * 8)
+        return np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape).copy()
 
     (version,) = unpack("<I")
     if version != _CHECKPOINT_VERSION:
@@ -552,33 +615,40 @@ def load_network(path: str) -> KPNetworkConfig:
             f"{path}: checkpoint version {version}, expected {_CHECKPOINT_VERSION}"
         )
     (variant_len,) = unpack("<I")
-    variant = data[offset : offset + variant_len].decode("utf-8")
-    offset += variant_len
+    start = take(variant_len)
+    try:
+        variant = data[start:offset].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: variant name is not UTF-8: {exc}") from exc
     (base_cell,) = unpack("<d")
     (cap,) = unpack("<I")
     (n_layers,) = unpack("<I")
     layers = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         k, in_ch, out_ch, strided = unpack("<IIIB")
         radius, sigma = unpack("<dd")
-        n_kp = k * 3
-        kernel_points = np.frombuffer(data, dtype="<f8", count=n_kp, offset=offset)
-        offset += n_kp * 8
-        n_w = k * in_ch * out_ch
-        weights = np.frombuffer(data, dtype="<f8", count=n_w, offset=offset)
-        offset += n_w * 8
-        layers.append(
-            KPConvLayerConfig(
-                kernel_points=kernel_points.reshape(k, 3).copy(),
-                weights=weights.reshape(k, in_ch, out_ch).copy(),
-                radius=radius,
-                influence_sigma=sigma,
-                strided=bool(strided),
+        kernel_points = floats(k, 3)
+        weights = floats(k, in_ch, out_ch)
+        try:
+            layers.append(
+                KPConvLayerConfig(
+                    kernel_points=kernel_points,
+                    weights=weights,
+                    radius=radius,
+                    influence_sigma=sigma,
+                    strided=bool(strided),
+                )
             )
+        except ValueError as exc:
+            raise ParseError(f"{path}: layer {i}: {exc}") from exc
+    if offset != len(data):
+        raise ParseError(f"{path}: {len(data) - offset} byte(s) after the last layer")
+    try:
+        return KPNetworkConfig(
+            layers=layers,
+            base_cell_size=base_cell,
+            neighbor_cap=cap or None,
+            variant=variant,
         )
-    return KPNetworkConfig(
-        layers=layers,
-        base_cell_size=base_cell,
-        neighbor_cap=cap or None,
-        variant=variant,
-    )
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

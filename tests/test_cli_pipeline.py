@@ -6,7 +6,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
+import struct
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,7 +22,7 @@ from rcdet.bench import bench_association, format_bench, random_association_inpu
 from rcdet.cli import main
 from rcdet.errors import ResultMismatch
 from rcdet.features import extract_handcrafted
-from rcdet.kpconv import build_network, extract_hybrid, extract_learned
+from rcdet.kpconv import build_network, extract_hybrid, extract_learned, save_network
 from rcdet.metrics import evaluate
 from rcdet.pipeline import PipelineConfig, feature_length, process_frame, run_scenes
 from rcdet.scene_io import SynthConfig, load_detections, save_scenes, synth_scene
@@ -175,6 +177,63 @@ def test_cli_run_learned_with_checkpoint(tmp_path):
     ) == 0
     assert load_detections(dets) is not None
     assert Path(dets).read_text() == Path(rerun).read_text()
+
+
+# Byte offsets in a "lite" checkpoint: the header is magic, version, variant
+# length, "lite", base cell (f64), cap and layer count; layer 0 then starts
+# with K, in, out (uint32) and strided (uint8), followed by radius and sigma
+# (f64), 8 kernel points and the weights.
+_BASE_CELL = 16
+_RADIUS = 32 + 13
+_KERNEL_POINTS = _RADIUS + 16
+
+
+def _put(offset: int, value: float):
+    return lambda data: data[:offset] + struct.pack("<d", value) + data[offset + 8 :]
+
+
+def _first_layer_takes_four_channels(data: bytes) -> bytes:
+    """Layer 0 of a "lite" checkpoint (8 kernel points, 5 -> 8 channels)
+    with its last input channel cut out of the header and the weights."""
+    start = _KERNEL_POINTS + 8 * 24
+    weights = np.frombuffer(data, dtype="<f8", count=8 * 5 * 8, offset=start).reshape(8, 5, 8)
+    header = data[:32] + struct.pack("<III", 8, 4, 8) + data[44:start]
+    return header + weights[:, :4].tobytes() + data[start + weights.nbytes :]
+
+
+_BAD_CHECKPOINTS = [
+    ("trailing-bytes", lambda data: data + b"\0", "1 byte(s) after the last layer"),
+    ("truncated-in-weights", lambda data: data[:-100], "truncated checkpoint"),
+    ("variant-not-utf8", lambda data: data[:12] + b"\xff\xfe" + data[14:], "variant name is not UTF-8"),
+    ("nan-base-cell", _put(_BASE_CELL, math.nan), "base_cell_size must be finite and positive"),
+    ("nan-radius", _put(_RADIUS, math.nan), "layer 0: radius and influence_sigma must be finite"),
+    ("inf-radius", _put(_RADIUS, math.inf), "layer 0: radius and influence_sigma must be finite"),
+    ("nan-sigma", _put(_RADIUS + 8, math.nan), "layer 0: radius and influence_sigma must be finite"),
+    ("nan-kernel-point", _put(_KERNEL_POINTS + 24, math.nan), "layer 0: kernel points must be finite"),
+    ("inf-weight", _put(_KERNEL_POINTS + 8 * 24, math.inf), "layer 0: weights must be finite"),
+    ("first-layer-not-5-channels", _first_layer_takes_four_channels, "first layer takes 4 input channels"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message", [row[1:] for row in _BAD_CHECKPOINTS], ids=[row[0] for row in _BAD_CHECKPOINTS]
+)
+def test_cli_run_rejects_malformed_checkpoint(tmp_path, capsys, corrupt, message):
+    """A malformed or non-finite network checkpoint: exit 1, one error line
+    naming the checkpoint, no traceback and no warning."""
+    scenes = _write_scene(tmp_path, seed=3, n_frames=1, objects_max=2)
+    weights = tmp_path / "net.rckp"
+    save_network(build_network("lite", seed=0), str(weights))
+    weights.write_bytes(corrupt(weights.read_bytes()))
+    out = tmp_path / "dets.jsonl"
+    args = ["run", "--scenes", scenes, "--features", "learned", "--net-weights", str(weights)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {weights}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_dump_bev(tmp_path):

@@ -3,6 +3,7 @@ forward-operator identities, gradient checks, and the extractor contracts."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -376,6 +377,33 @@ def test_kernel_points_stay_inside_radius():
         assert np.array_equal(points[0], np.zeros(3))
 
 
+def test_batched_kernel_layouts_match_one_seed_layouts():
+    """Repelling several layouts in one loop gives each the bits it has alone."""
+    radii, seeds = [0.5, 1.0, 2.0], [3, 0, 7]
+    for count in (1, 8, 15):
+        layouts = kpconv._kernel_point_layouts(count, radii, seeds)
+        for layout, radius, seed in zip(layouts, radii, seeds):
+            assert layout.tobytes() == kernel_point_layout(count, radius, seed).tobytes()
+
+
+# sha256 over each layer's kernel-point bytes then weight bytes, in layer order.
+_NETWORK_DIGESTS = {
+    "lite": "f8097d5885da6114a862485be9e64154a584571dd8e268197092291e6734fd1b",
+    "large": "f47906c42bad3b6d1c5fab59fe510fda6a359687eb2aeb1bfb4c471ee9bc396b",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_NETWORK_DIGESTS))
+def test_build_network_bits_pinned(variant):
+    """The seeded kernel layouts and weights keep their bits; the benchmark
+    digests see only detections, which never read features."""
+    digest = hashlib.sha256()
+    for layer in build_network(variant, seed=0).layers:
+        digest.update(layer.kernel_points.tobytes())
+        digest.update(layer.weights.tobytes())
+    assert digest.hexdigest() == _NETWORK_DIGESTS[variant]
+
+
 @pytest.mark.parametrize("variant,first,out,layers", [("lite", 8, 64, 4), ("medium", 32, 512, 5), ("large", 64, 1024, 5)])
 def test_network_variant_shapes(variant, first, out, layers):
     net = build_network(variant, seed=0)
@@ -493,19 +521,56 @@ def test_repeated_point_reaches_deepest_layer_as_one_query(rng):
     assert grid_subsample(points, cell).count == 1
 
 
-def test_frame_pass_searches_neighbors_once_per_layer(monkeypatch, rng):
-    """A frame of n clusters makes one neighbor-search pass per layer, not n."""
+def _counting(monkeypatch, name: str) -> list:
+    """Replace ``kpconv.<name>`` by a wrapper that records each call's arguments."""
     calls = []
-    search = kpconv._segment_neighbors
+    function = getattr(kpconv, name)
 
     def counted(*args):
         calls.append(args)
-        return search(*args)
+        return function(*args)
 
-    monkeypatch.setattr(kpconv, "_segment_neighbors", counted)
+    monkeypatch.setattr(kpconv, name, counted)
+    return calls
+
+
+def test_frame_pass_searches_neighbors_once_per_layer(monkeypatch, rng):
+    """A frame of n clusters makes one neighbor-search pass and one weight
+    product per layer, not n."""
+    searches = _counting(monkeypatch, "_segment_neighbors")
+    products = _counting(monkeypatch, "_contract")
     net = build_network("lite", seed=0)
     learned_rows([_cluster(rng, n) for n in (1, 5, 12, 30, 7)], net)
-    assert len(calls) == len(net.layers)
+    assert len(searches) == len(net.layers)
+    assert len(products) == len(net.layers)
+
+
+_BLOCK = kpconv._ROW_BLOCK
+_LAYERS = [(variant, i) for variant, n in (("lite", 4), ("large", 5)) for i in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant_layer=st.sampled_from(_LAYERS),
+    n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    before=st.integers(0, 2 * _BLOCK),
+    after=st.integers(0, _BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contract_row_bits_independent_of_other_rows(networks, variant_layer, n, before, after, seed):
+    """A row of the weight product has the same bytes alone, among its own
+    rows, and at any offset inside a larger frame."""
+    variant, i = variant_layer
+    layer = networks[variant].layers[i]
+    rng = np.random.default_rng(seed)
+    frame = rng.normal(size=(before + n + after, layer.kernel_point_count * layer.in_channels))
+    frame[rng.random(frame.shape) < 0.5] = 0.0  # influence is often exactly zero
+    rows = frame[before : before + n]
+    out = kpconv._contract(rows, layer)
+    np.testing.assert_allclose(out, rows @ layer.weights.reshape(-1, layer.out_channels), rtol=1e-12, atol=1e-12)
+    assert out.tobytes() == kpconv._contract(frame, layer)[before : before + n].tobytes()
+    j = int(rng.integers(n))
+    assert out[j].tobytes() == kpconv._contract(rows[j : j + 1], layer)[0].tobytes()
 
 
 def test_learned_rows_empty_frame_and_empty_clusters(rng):
@@ -551,11 +616,11 @@ from test_kpconv import _KINDS, _cluster, _mixed_frame
 net = build_network("large", seed=0)
 values = extract_learned(_cluster(np.random.default_rng(31), 300), net)
 sys.stdout.buffer.write(values.values.tobytes())
-sys.stdout.buffer.write(learned_rows(_mixed_frame(32, _KINDS), net).tobytes())
+sys.stdout.buffer.write(learned_rows(_mixed_frame(32, _KINDS * 2), net).tobytes())
 """
 
 
-def test_extract_learned_bits_independent_of_blas_threads():
+def test_extract_learned_bits_independent_of_blas_threads(monkeypatch):
     src_dir = os.path.dirname(os.path.dirname(rcdet.__file__))
     tests_dir = os.path.dirname(__file__)
     env = dict(
@@ -570,8 +635,12 @@ def test_extract_learned_bits_independent_of_blas_threads():
     ).stdout
     net = build_network("large", seed=0)
     cluster = _cluster(np.random.default_rng(31), 300)
-    frame = learned_rows(_mixed_frame(32, _KINDS), net)
-    assert single == extract_learned(cluster, net).values.tobytes() + frame.tobytes()
+    expected = extract_learned(cluster, net).values.tobytes()
+    products = _counting(monkeypatch, "_contract")
+    frame = learned_rows(_mixed_frame(32, _KINDS * 2), net)
+    # Every layer's product, the deepest included, spans more than two blocks.
+    assert min(len(weighted) for weighted, _ in products) > 2 * kpconv._ROW_BLOCK
+    assert single == expected + frame.tobytes()
 
 
 def test_extract_learned_memory_bounded(rng):
