@@ -180,11 +180,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             settings = json.load(fh)
-    if "image_size" in settings:
-        settings["image_size"] = tuple(settings["image_size"])
     try:
         cfg = SynthConfig(**settings)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise RcdetError(f"bad synth config: {exc}") from exc
     frames = synth_scene(cfg)
     save_scenes(args.out, frames)

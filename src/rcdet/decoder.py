@@ -1,17 +1,19 @@
-"""Decode heatmap peaks and regression grids into final 3D detections.
+"""Decode heatmap peaks and planted detection records into final 3D detections.
 
 The class heatmap lives on the image feature grid (image resolution divided
 by ``downsample``). Peak picking takes the K highest values across all class
-channels after 3x3 local-maximum suppression. Each candidate is assembled
-from the regression grids at its cell: subpixel center offset, inverse-
-sigmoid-transformed depth, multi-bin orientation, dimensions, velocity, and
+channels after 3x3 local-maximum suppression, comparing each positive pixel
+with its in-bounds neighbours only. Each candidate is assembled from the
+record planted at its cell: subpixel center offset, inverse-sigmoid-
+transformed depth, multi-bin orientation, dimensions, velocity, and
 attribute. The final confidence attenuates the class score by the predicted
 depth uncertainty: p_3d = exp(-sigma^2) * p_k.
 
-In this package the regression grids are not produced by a network; they are
-planted from preliminary-detection records (the file interface standing in
-for the regression heads), which makes decoding exactly invertible and
-testable.
+In this package the regression values are not produced by a network; they
+are the preliminary-detection records themselves (the file interface
+standing in for the regression heads), kept per feature-grid cell, so
+decoding is exactly invertible and testable, and only planted cells are ever
+written or read.
 """
 
 from __future__ import annotations
@@ -53,16 +55,10 @@ class DetectionBox3D:
 
 @dataclass(eq=False)
 class RegressionMaps:
-    """Per-cell regression values on the feature grid, one entry per field."""
+    """The regression slots of the feature grid: the detection record planted
+    at each (row, col) cell. Cells without a record hold nothing."""
 
-    offset: np.ndarray  # (2, H, W) subpixel center offset in cells
-    depth_sig: np.ndarray  # (H, W) inverse-sigmoid-transformed depth
-    log_sigma: np.ndarray  # (H, W) log std of the depth estimate
-    dims: np.ndarray  # (3, H, W) width, length, height
-    bin_conf: np.ndarray  # (N_bins, H, W)
-    bin_residual: np.ndarray  # (N_bins, 2, H, W) predicted (cos, sin)
-    velocity: np.ndarray  # (2, H, W)
-    attribute: np.ndarray  # (H, W) integer labels
+    cells: dict[tuple[int, int], PreliminaryDetection] = field(default_factory=dict)
     downsample: int = 4
     bin_centers: np.ndarray = field(default_factory=lambda: DEFAULT_BIN_CENTERS.copy())
 
@@ -115,32 +111,28 @@ def topk_peaks(
 ) -> list[Candidate]:
     """The K highest-confidence peaks across all class channels.
 
-    With ``suppress`` on, a pixel qualifies only when it equals the maximum
-    of its 3x3 neighborhood within its channel (plateaus all qualify).
-    Zero-valued pixels never produce candidates. Ties are broken by
-    (channel, row, column) ascending, which makes a uniform heatmap decode
-    to the first K cells in scan order.
+    With ``suppress`` on, a pixel qualifies only when no in-bounds pixel of
+    its 3x3 neighborhood within its channel is greater or NaN (plateaus all
+    qualify). Only positive pixels produce candidates, and only their
+    windows are read. Ties are broken by (channel, row, column) ascending,
+    which makes a uniform heatmap decode to the first K cells in scan order.
     """
     heatmap = np.asarray(heatmap, dtype=np.float64)
     if heatmap.ndim != 3:
         raise ValueError(f"heatmap must be (C, H, W), got {heatmap.shape}")
-    if suppress:
-        padded = np.pad(
-            heatmap, ((0, 0), (1, 1), (1, 1)), constant_values=-np.inf
-        )
-        window_max = np.full_like(heatmap, -np.inf)
-        for dr in range(3):
-            for dc in range(3):
-                np.maximum(
-                    window_max,
-                    padded[:, dr : dr + heatmap.shape[1], dc : dc + heatmap.shape[2]],
-                    out=window_max,
-                )
-        eligible = (heatmap == window_max) & (heatmap > 0)
-    else:
-        eligible = heatmap > 0
-    chans, rows, cols = np.nonzero(eligible)
+    chans, rows, cols = np.nonzero(heatmap)
     values = heatmap[chans, rows, cols]
+    keep = values > 0
+    if suppress:
+        _, height, width = heatmap.shape
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                # A neighbour off the grid clamps onto a pixel of the same
+                # window, which the comparison already covers.
+                rr = np.clip(rows + dr, 0, height - 1)
+                cc = np.clip(cols + dc, 0, width - 1)
+                keep &= heatmap[chans, rr, cc] <= values
+    chans, rows, cols, values = chans[keep], rows[keep], cols[keep], values[keep]
     order = np.lexsort((cols, rows, chans, -values))[:k]
     return [
         Candidate(class_id=int(chans[i]), score=float(values[i]), row=int(rows[i]), col=int(cols[i]))
@@ -155,11 +147,11 @@ def build_maps_from_detections(
     downsample: int = 4,
     bin_centers: np.ndarray = DEFAULT_BIN_CENTERS,
 ) -> tuple[np.ndarray, RegressionMaps]:
-    """Plant detection records into a class heatmap and regression grids.
+    """Plant detection records into a class heatmap and regression slots.
 
     Each detection writes its score at its projected center's feature cell
-    (collisions keep the max score) and fills that cell's regression slots;
-    when two detections share a cell the later one wins the regression slot.
+    (collisions keep the max score) and becomes that cell's regression
+    record; when two detections share a cell the later one wins the record.
     A center outside [0, W] x [0, H], NaN included, raises ValueError.
     This is the bridge from the detections file format to the decoder.
     """
@@ -169,19 +161,9 @@ def build_maps_from_detections(
             f"downsample {downsample} must divide image size {image_size} exactly"
         )
     grid_w, grid_h = width // downsample, height // downsample
-    n_bins = len(bin_centers)
     heatmap = np.zeros((num_classes, grid_h, grid_w))
     maps = RegressionMaps(
-        offset=np.zeros((2, grid_h, grid_w)),
-        depth_sig=np.zeros((grid_h, grid_w)),
-        log_sigma=np.zeros((grid_h, grid_w)),
-        dims=np.ones((3, grid_h, grid_w)),
-        bin_conf=np.zeros((n_bins, grid_h, grid_w)),
-        bin_residual=np.zeros((n_bins, 2, grid_h, grid_w)),
-        velocity=np.zeros((2, grid_h, grid_w)),
-        attribute=np.zeros((grid_h, grid_w), dtype=np.int64),
-        downsample=downsample,
-        bin_centers=np.asarray(bin_centers, dtype=np.float64),
+        downsample=downsample, bin_centers=np.asarray(bin_centers, dtype=np.float64)
     )
     for det in dets:
         if not 0 <= det.class_id < num_classes:
@@ -189,21 +171,11 @@ def build_maps_from_detections(
         u, v = det.projected_center
         if not (0 <= u <= width and 0 <= v <= height):
             raise ValueError(f"projected center ({u}, {v}) outside the {width}x{height} image")
-        gu = u / downsample
-        gv = v / downsample
         # The right and bottom image edges belong to the last cell.
-        col = min(int(math.floor(gu)), grid_w - 1)
-        row = min(int(math.floor(gv)), grid_h - 1)
+        col = min(int(math.floor(u / downsample)), grid_w - 1)
+        row = min(int(math.floor(v / downsample)), grid_h - 1)
         heatmap[det.class_id, row, col] = max(heatmap[det.class_id, row, col], det.score)
-        maps.offset[:, row, col] = (gu - col, gv - row)
-        maps.depth_sig[row, col] = encode_depth(det.depth)
-        maps.log_sigma[row, col] = det.log_sigma
-        maps.dims[:, row, col] = det.box3d.dims
-        target = OrientationTarget(yaw=det.box3d.yaw, bin_centers=maps.bin_centers)
-        maps.bin_conf[:, row, col] = target.flags.astype(np.float64)
-        maps.bin_residual[:, :, row, col] = target.residuals
-        maps.velocity[:, row, col] = det.box3d.velocity
-        maps.attribute[row, col] = det.attribute
+        maps.cells[row, col] = det
     return heatmap, maps
 
 
@@ -215,34 +187,42 @@ def decode_detections(
 ) -> list[DetectionBox3D]:
     """Assemble candidates into 3D boxes and filter by final confidence.
 
-    Results are sorted by confidence, descending; ties keep candidate order.
+    Each field is decoded from the record planted at the candidate's cell;
+    a candidate at a cell without a record raises ValueError. Results are
+    sorted by confidence, descending; ties keep candidate order.
     """
+    ds = maps.downsample
     results = []
     for cand in candidates:
         row, col = cand.row, cand.col
-        offset = maps.offset[:, row, col]
-        pixel = np.array(
-            [(col + offset[0]) * maps.downsample, (row + offset[1]) * maps.downsample]
-        )
-        depth = decode_depth(maps.depth_sig[row, col])
+        det = maps.cells.get((row, col))
+        if det is None:
+            raise ValueError(f"candidate at cell ({row}, {col}) has no planted detection")
+        u, v = det.projected_center
+        # Decode through what a regression head outputs (subpixel offset,
+        # inverse-sigmoid depth, orientation bins), not the record's raw
+        # values, which can differ from the decoded ones in the last bit.
+        pixel = np.array([(col + (u / ds - col)) * ds, (row + (v / ds - row)) * ds])
+        depth = decode_depth(encode_depth(det.depth))
         center = unproject_point(camera, pixel, depth)
+        target = OrientationTarget(yaw=det.box3d.yaw, bin_centers=maps.bin_centers)
         yaw = decode_orientation(
-            maps.bin_conf[:, row, col], maps.bin_residual[:, :, row, col], maps.bin_centers
+            target.flags.astype(np.float64), target.residuals, maps.bin_centers
         )
         box = Box3D(
             center=center,
-            dims=maps.dims[:, row, col],
+            dims=det.box3d.dims.copy(),
             yaw=yaw,
-            velocity=maps.velocity[:, row, col],
+            velocity=det.box3d.velocity.copy(),
         )
-        _, p_3d = confidence(cand.score, maps.log_sigma[row, col])
+        _, p_3d = confidence(cand.score, det.log_sigma)
         if p_3d >= threshold:
             results.append(
                 DetectionBox3D(
                     box=box,
                     class_id=cand.class_id,
                     score=p_3d,
-                    attribute=int(maps.attribute[row, col]),
+                    attribute=int(det.attribute),
                 )
             )
     results.sort(key=lambda d: -d.score)

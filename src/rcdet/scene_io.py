@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -55,9 +55,11 @@ DEFAULT_IMAGE_SIZE = (800, 448)
 DEFAULT_FOCAL = 500.0
 
 # Bounds on the input integers that size a frame's dense grids. `rcdet run`
-# plants one class channel per class id up to the frame's largest, each of
-# image_size / 4 cells, so an unbounded id or size allocates without limit.
-# Attribute ids share the class bound. 4096 px covers 4K UHD (3840 x 2160).
+# allocates one class channel per class id up to the frame's largest, each of
+# image_size / 4 cells. Only planted cells are written, so the untouched pages
+# cost no resident memory, but the allocation and the peak search's scan grow
+# with both and would be unbounded without these caps. Attribute ids share the
+# class bound. 4096 px covers 4K UHD (3840 x 2160).
 MAX_LABEL = 255
 MAX_IMAGE_SIDE = 4096
 
@@ -100,6 +102,23 @@ class SynthConfig:
     downsample: int = 4  # feature-grid stride used for center-spacing checks
 
     def __post_init__(self) -> None:
+        # Under postponed annotations a field's type is its annotation text.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_finite_number(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        size = self.image_size
+        if not (
+            isinstance(size, (list, tuple))
+            and len(size) == 2
+            and all(_is_integer(side) and 1 <= side <= MAX_IMAGE_SIDE for side in size)
+        ):
+            raise ValueError(
+                f"image_size must be two integers in [1, {MAX_IMAGE_SIDE}], got {size!r}"
+            )
+        self.image_size = tuple(size)
         if self.n_frames < 0 or self.objects_min < 0:
             raise ValueError("counts must be non-negative")
         if self.objects_max < self.objects_min:
@@ -110,6 +129,19 @@ class SynthConfig:
             raise ValueError("rates and noise scales must be >= 0")
         if self.n_classes < 1 or self.n_classes > len(_CLASS_DIMS):
             raise ValueError(f"n_classes must be in [1, {len(_CLASS_DIMS)}]")
+        if self.downsample < 1:
+            raise ValueError(f"downsample must be >= 1, got {self.downsample}")
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: Any) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def default_camera(
@@ -299,6 +331,18 @@ def _sweep_from_json(obj: dict, line: int) -> RadarSweep:
     return RadarSweep(timestamp=float(_finite(obj, "timestamp", line, "sweep")), points=points)
 
 
+def _sweeps_from_json(record: dict, line: int) -> list[RadarSweep]:
+    """The frame's sweeps, newest first: timestamps never increase, and each
+    lies a finite time behind the newest (its points' sweep age)."""
+    sweeps = [_sweep_from_json(s, line) for s in _objects(record, "radar_sweeps", line, "frame")]
+    stamps = [s.timestamp for s in sweeps]
+    if any(newer < older for newer, older in zip(stamps, stamps[1:])):
+        raise ParseError(f"line {line}: frame radar_sweeps must be ordered newest first")
+    if stamps and not math.isfinite(stamps[0] - stamps[-1]):
+        raise ParseError(f"line {line}: frame radar_sweeps must span a finite time")
+    return sweeps
+
+
 def _frame_to_json(frame: SceneFrame) -> dict:
     record = {
         "frame_id": frame.frame_id,
@@ -329,9 +373,7 @@ def _frame_from_json(record: dict, line: int) -> SceneFrame:
     return SceneFrame(
         frame_id=_integer(record, "frame_id", line, "frame"),
         camera=_camera_from_json(_object(record, "camera", line, "frame"), line),
-        radar_sweeps=[
-            _sweep_from_json(s, line) for s in _objects(record, "radar_sweeps", line, "frame")
-        ],
+        radar_sweeps=_sweeps_from_json(record, line),
         detections=[
             _detection_from_json(d, line) for d in _objects(record, "detections", line, "frame")
         ],

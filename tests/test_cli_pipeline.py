@@ -66,6 +66,37 @@ def test_process_frame_hybrid_memory_independent_of_feature_width():
     assert peak <= 32 * 2**20
 
 
+def test_process_frame_memory_with_largest_class_id():
+    # Class id 255 makes the class heatmap 256 channels deep: 43.75 MiB of
+    # zeros on the default camera, which top-K and decode must not copy.
+    frame = synth_scene(SynthConfig(seed=5, n_frames=1, objects_min=3, objects_max=3))[0]
+    frame.detections[0].class_id = 255
+    tracemalloc.start()
+    try:
+        result = process_frame(frame, PipelineConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(d.class_id for d in result.detections)[-1] == 255
+    assert peak <= 64 * 2**20
+
+
+def test_kept_detections_hold_no_feature_grids():
+    """Decoded boxes own their fields: keeping every frame's detections,
+    as `run_scenes` does, keeps none of a frame's grids alive."""
+    frames = synth_scene(SynthConfig(seed=6, n_frames=20, objects_min=6, objects_max=12))
+    cfg = PipelineConfig()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        kept = [process_frame(frame, cfg).detections for frame in frames]
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, kept)) >= 100
+    assert held <= 2**20
+
+
 @pytest.mark.parametrize(
     "strategy,variant",
     [("handcrafted", None), ("learned", "lite"), ("hybrid", "large")],
@@ -367,6 +398,40 @@ def test_cli_run_rejects_non_finite_field(tmp_path, capsys, edit, message):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _reverse_sweeps(rec):
+    rec["radar_sweeps"].reverse()
+
+
+def _stretch_sweeps(rec):
+    rec["radar_sweeps"][0]["timestamp"] = 1e308
+    rec["radar_sweeps"][-1]["timestamp"] = -1e308
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_reverse_sweeps, "frame radar_sweeps must be ordered newest first"),
+        (_stretch_sweeps, "frame radar_sweeps must span a finite time"),
+    ],
+    ids=["oldest-first", "infinite-span"],
+)
+def test_cli_rejects_unordered_radar_sweeps(tmp_path, capsys, command, edit, message):
+    """Sweeps come newest first, each a finite age behind the newest: both
+    commands that read a scene file exit 1 naming the line and the field."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_min=1, objects_max=2)
+    dets = str(tmp_path / "dets.jsonl")
+    assert main(["run", "--scenes", scenes, "--out", dets]) == 0
+    capsys.readouterr()
+    _rewrite_first_frame(scenes, edit)
+    args = {
+        "run": ["run", "--scenes", scenes, "--out", str(tmp_path / "out.jsonl")],
+        "eval": ["eval", "--dets", dets, "--gt", scenes, "--report", str(tmp_path / "r")],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
 def _set_at(path, value):
     """An edit of a parsed record that sets the field at ``path`` (keys and
     list indices) to ``value``."""
@@ -584,6 +649,39 @@ def test_cli_synth_rejects_unknown_config_key(tmp_path, capsys):
     config_path = tmp_path / "synth.json"
     config_path.write_text(json.dumps({"bogus_knob": 3}))
     assert main(["synth", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 1
+
+
+_BAD_SYNTH_CONFIGS = [
+    ({"image_size": 5}, "image_size"),
+    ({"image_size": [200]}, "image_size"),
+    ({"image_size": [200.5, 112]}, "image_size"),
+    ({"image_size": [True, 112]}, "image_size"),
+    ({"image_size": [0, 112]}, "image_size"),
+    ({"image_size": [8192, 112]}, "image_size"),
+    ({"n_frames": 2.5}, "n_frames"),
+    ({"n_frames": True}, "n_frames"),
+    ({"seed": "a"}, "seed"),
+    ({"objects_max": None}, "objects_max"),
+    ({"focal": "far"}, "focal"),
+    ({"clutter_density": float("nan")}, "clutter_density"),
+    ({"log_sigma": float("-inf")}, "log_sigma"),
+    ({"max_speed": 10**400}, "max_speed"),
+    ({"position_noise": [0.1]}, "position_noise"),
+    ({"downsample": 0}, "downsample"),
+]
+
+
+@pytest.mark.parametrize(
+    "settings,field", _BAD_SYNTH_CONFIGS, ids=[json.dumps(s)[:32] for s, _ in _BAD_SYNTH_CONFIGS]
+)
+def test_cli_synth_rejects_wrongly_typed_config(tmp_path, capsys, settings, field):
+    config_path = tmp_path / "synth.json"
+    config_path.write_text(json.dumps(settings))
+    out = tmp_path / "s.jsonl"
+    assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad synth config: {field} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- benchmark -----------------------------------------------------------------

@@ -3,7 +3,10 @@ and the plant-and-recover contract for whole detections."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from rcdet.decoder import (
     topk_peaks,
     unproject_center,
 )
-from rcdet.geometry import project_point, wrap_angle
+from rcdet.geometry import Box2D, Box3D, CameraModel, project_point, wrap_angle
 from rcdet.losses import DEFAULT_BIN_CENTERS, OrientationTarget
+from rcdet.radar import PreliminaryDetection
 from rcdet.scene_io import default_camera
 
 from conftest import detection_for_box, random_visible_box
@@ -183,10 +187,31 @@ def _topk_oracle(heatmap, k):
     return [(c, r, col) for _, c, r, col in entries[:k]]
 
 
-def test_topk_matches_sort_oracle(rng):
+def _oracle_heatmaps(rng):
+    """Dense rounded maps, sparse ones (at most 5 % of pixels positive, ties
+    included) and plateaus of equal values that touch and overlap."""
     for _ in range(20):
         heatmap = np.round(rng.uniform(0, 1, size=(2, 9, 11)), 2)
         heatmap[heatmap < 0.3] = 0.0
+        yield heatmap
+    for _ in range(20):
+        heatmap = np.zeros((3, 9, 11))
+        n = int(rng.integers(0, heatmap.size // 20 + 1))
+        heatmap.flat[rng.choice(heatmap.size, n, replace=False)] = np.round(
+            rng.uniform(0.05, 1, n), 1
+        )
+        yield heatmap
+    for _ in range(20):
+        heatmap = np.zeros((2, 9, 11))
+        for _ in range(4):
+            c, r, col = int(rng.integers(2)), int(rng.integers(9)), int(rng.integers(11))
+            h, w = rng.integers(1, 4, size=2)
+            heatmap[c, r : r + h, col : col + w] = rng.choice([0.5, 0.7])
+        yield heatmap
+
+
+def test_topk_matches_sort_oracle(rng):
+    for heatmap in _oracle_heatmaps(rng):
         k = int(rng.integers(1, 30))
         peaks = topk_peaks(heatmap, k=k)
         assert [(p.class_id, p.row, p.col) for p in peaks] == _topk_oracle(heatmap, k)
@@ -258,7 +283,7 @@ def test_decoded_score_bounded_by_class_score(rng):
     heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
     candidates = topk_peaks(heatmap, k=100)
     for cand in candidates:
-        _, p3d = confidence(cand.score, maps.log_sigma[cand.row, cand.col])
+        _, p3d = confidence(cand.score, maps.cells[(cand.row, cand.col)].log_sigma)
         assert p3d <= cand.score
 
 
@@ -294,5 +319,110 @@ def test_build_maps_image_edges_map_to_edge_cells(rng, center, cell):
     dets[0].projected_center = np.array(center)
     heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
     assert np.argwhere(heatmap[dets[0].class_id] > 0).tolist() == [list(cell)]
-    row, col = cell
-    assert np.array_equal(maps.offset[:, row, col], (center[0] / 4 - col, center[1] / 4 - row))
+    assert list(maps.cells) == [cell]
+    (decoded,) = decode_detections(topk_peaks(heatmap), maps, camera)
+    pixel, _ = project_point(camera, decoded.box.center)
+    assert np.abs(pixel - center).max() < 1e-9
+
+
+def test_decode_rejects_candidate_without_planted_record(rng):
+    camera, dets = _planted_scene(rng, n_boxes=1)
+    heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
+    ((row, col),) = maps.cells
+    row = (row + 2) % heatmap.shape[1]
+    with pytest.raises(ValueError, match=rf"cell \({row}, {col}\) has no planted detection"):
+        decode_detections([Candidate(class_id=0, score=0.5, row=row, col=col)], maps, camera)
+
+
+# The sha256 of the candidates and boxes that `_crowded_decode_digest`
+# decodes, computed with the dense regression grids this decoder replaced.
+_CROWDED_DECODE_DIGEST = "fda71d0440095bd59ec414da4a4bde3538f8bfc8c5f25445d1a7d12c115efc16"
+
+
+def _crowded_detections(rng, n, image_size):
+    """``n`` records crowded onto the image's feature grid: integer centers
+    (shared cells), centers on the image corners (right and bottom edges
+    included), and scores that are 0, tied, or drawn."""
+    width, height = image_size
+    dets = []
+    for _ in range(n):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            center = (float(rng.choice([0, width])), float(rng.choice([0, height])))
+        elif kind == 1:
+            center = (float(rng.integers(width + 1)), float(rng.integers(height + 1)))
+        else:
+            center = (rng.uniform(0, width), rng.uniform(0, height))
+        box = Box3D(
+            center=rng.uniform(-5, 5, 3),
+            dims=rng.uniform(0.1, 5, 3),
+            yaw=rng.uniform(-4, 4),
+            velocity=rng.uniform(-9, 9, 2),
+        )
+        dets.append(
+            PreliminaryDetection(
+                class_id=int(rng.integers(3)),
+                score=float(rng.choice([0.0, 0.5, 1.0, rng.uniform()])),
+                bbox2d=Box2D(0.0, 0.0, 1.0, 1.0),
+                projected_center=center,
+                depth=float(rng.uniform(0.5, 80)),
+                log_sigma=float(rng.uniform(-6, 2)),
+                box3d=box,
+                attribute=int(rng.integers(256)),
+            )
+        )
+    return dets
+
+
+def _crowded_decode_digest() -> tuple[str, Counter]:
+    """Digest of seeded crowded frames through top-K (k drawn, with and
+    without suppression) and decode, plus counts of the cases they hit."""
+    rng = np.random.default_rng(2024)
+    camera = CameraModel(
+        intrinsic=np.array([[20.0, 0.0, 15.0], [0.0, 22.0, 8.5], [0.0, 0.0, 1.0]]),
+        extrinsic=np.eye(4),
+        image_size=(32, 16),
+    )
+    digest = hashlib.sha256()
+    seen = Counter()
+    for _ in range(300):
+        dets = _crowded_detections(rng, int(rng.integers(1, 40)), camera.image_size)
+        heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
+        k = int(rng.integers(1, 40))
+        for suppress in (True, False):
+            candidates = topk_peaks(heatmap, k, suppress)
+            seen["k below candidates"] += len(topk_peaks(heatmap, 10**6, suppress)) > k
+            for cand in candidates:
+                digest.update(struct.pack("<qdqq", cand.class_id, cand.score, cand.row, cand.col))
+            for out in decode_detections(candidates, maps, camera):
+                box = out.box
+                digest.update(box.center.tobytes() + box.dims.tobytes() + box.velocity.tobytes())
+                digest.update(struct.pack("<dqdq", box.yaw, out.class_id, out.score, out.attribute))
+        cells = [
+            (min(int(d.projected_center[1] // 4), 3), min(int(d.projected_center[0] // 4), 7))
+            for d in dets
+        ]
+        by_cell = Counter(cells)
+        seen["same cell, same class"] += any(
+            n > 1 for n in Counter(zip(cells, (d.class_id for d in dets))).values()
+        )
+        seen["same cell, other class"] += any(
+            len({d.class_id for d, c in zip(dets, cells) if c == cell}) > 1 for cell in by_cell
+        )
+        seen["right or bottom edge"] += any(
+            d.projected_center[0] == 32 or d.projected_center[1] == 16 for d in dets
+        )
+        seen["zero score"] += any(d.score == 0 for d in dets)
+        seen["equal scores"] += any(
+            n > 1 for s, n in Counter(d.score for d in dets).items() if s > 0
+        )
+    return digest.hexdigest(), seen
+
+
+def test_decode_bits_pinned():
+    """Crowded frames (shared cells within and across classes, equal and
+    zero scores, edge centers, k below the candidate count, suppression on
+    and off) decode to the same bits as with dense regression grids."""
+    hexdigest, seen = _crowded_decode_digest()
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+    assert hexdigest == _CROWDED_DECODE_DIGEST
