@@ -1,13 +1,14 @@
-"""Decode heatmap peaks and planted detection records into final 3D detections.
+"""Decode class-score peaks and planted detection records into 3D detections.
 
-The class heatmap lives on the image feature grid (image resolution divided
-by ``downsample``). Peak picking takes the K highest values across all class
-channels after 3x3 local-maximum suppression, comparing each positive pixel
-with its in-bounds neighbours only. Each candidate is assembled from the
-record planted at its cell: subpixel center offset, inverse-sigmoid-
-transformed depth, multi-bin orientation, dimensions, velocity, and
-attribute. The final confidence attenuates the class score by the predicted
-depth uncertainty: p_3d = exp(-sigma^2) * p_k.
+Class scores are a map from the planted (class, row, col) cells of the image
+feature grid (image resolution divided by ``downsample``) to their max score.
+Peak picking takes the K highest across all classes after 3x3 local-maximum
+suppression, reading only planted cells and their neighbours, so it scales
+with the detections, not the class ids or image area. Each candidate is
+assembled from the record planted at its cell: subpixel center offset,
+inverse-sigmoid-transformed depth, multi-bin orientation, dimensions,
+velocity, and attribute. The final confidence attenuates the class score by
+the predicted depth uncertainty: p_3d = exp(-sigma^2) * p_k.
 
 In this package the regression values are not produced by a network; they
 are the preliminary-detection records themselves (the file interface
@@ -35,7 +36,7 @@ unproject_center = unproject_point
 
 @dataclass
 class Candidate:
-    """A heatmap peak: class channel, confidence, and feature-grid cell."""
+    """A class-score peak: class, confidence, and feature-grid cell."""
 
     class_id: int
     score: float
@@ -107,37 +108,33 @@ def decode_orientation(
 
 
 def topk_peaks(
-    heatmap: np.ndarray, k: int = DEFAULT_TOP_K, suppress: bool = True
+    scores: dict[tuple[int, int, int], float], k: int = DEFAULT_TOP_K, suppress: bool = True
 ) -> list[Candidate]:
-    """The K highest-confidence peaks across all class channels.
+    """The K highest-confidence peaks of a (class, row, col) -> score map.
 
-    With ``suppress`` on, a pixel qualifies only when no in-bounds pixel of
-    its 3x3 neighborhood within its channel is greater or NaN (plateaus all
-    qualify). Only positive pixels produce candidates, and only their
-    windows are read. Ties are broken by (channel, row, column) ascending,
-    which makes a uniform heatmap decode to the first K cells in scan order.
+    Only positive entries produce candidates. With ``suppress`` on, an entry
+    qualifies only when none of its 3x3 neighbours within its class is
+    greater; an absent neighbour scores 0.0, and plateaus all qualify. Ties
+    are broken by (class, row, column) ascending, which makes a uniform map
+    decode to the first K cells in scan order.
     """
-    heatmap = np.asarray(heatmap, dtype=np.float64)
-    if heatmap.ndim != 3:
-        raise ValueError(f"heatmap must be (C, H, W), got {heatmap.shape}")
-    chans, rows, cols = np.nonzero(heatmap)
-    values = heatmap[chans, rows, cols]
-    keep = values > 0
-    if suppress:
-        _, height, width = heatmap.shape
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                # A neighbour off the grid clamps onto a pixel of the same
-                # window, which the comparison already covers.
-                rr = np.clip(rows + dr, 0, height - 1)
-                cc = np.clip(cols + dc, 0, width - 1)
-                keep &= heatmap[chans, rr, cc] <= values
-    chans, rows, cols, values = chans[keep], rows[keep], cols[keep], values[keep]
-    order = np.lexsort((cols, rows, chans, -values))[:k]
+    peaks = sorted(
+        (-score, cls, row, col)
+        for (cls, row, col), score in scores.items()
+        if score > 0 and not (suppress and _beaten(scores, cls, row, col, score))
+    )
     return [
-        Candidate(class_id=int(chans[i]), score=float(values[i]), row=int(rows[i]), col=int(cols[i]))
-        for i in order
+        Candidate(class_id=cls, score=-neg, row=row, col=col)
+        for neg, cls, row, col in peaks[:k]
     ]
+
+
+def _beaten(scores: dict, cls: int, row: int, col: int, score: float) -> bool:
+    return any(
+        scores.get((cls, row + dr, col + dc), 0.0) > score
+        for dr in (-1, 0, 1)
+        for dc in (-1, 0, 1)
+    )
 
 
 def build_maps_from_detections(
@@ -146,13 +143,14 @@ def build_maps_from_detections(
     num_classes: int,
     downsample: int = 4,
     bin_centers: np.ndarray = DEFAULT_BIN_CENTERS,
-) -> tuple[np.ndarray, RegressionMaps]:
-    """Plant detection records into a class heatmap and regression slots.
+) -> tuple[dict[tuple[int, int, int], float], RegressionMaps]:
+    """Plant detection records into a class score map and regression slots.
 
-    Each detection writes its score at its projected center's feature cell
-    (collisions keep the max score) and becomes that cell's regression
-    record; when two detections share a cell the later one wins the record.
-    A center outside [0, W] x [0, H], NaN included, raises ValueError.
+    Each detection writes its score at (class, row, col) of its projected
+    center's feature cell (collisions keep the max score) and becomes that
+    cell's regression record; when two detections share a cell the later one
+    wins the record. A class id outside [0, ``num_classes``) or a center
+    outside [0, W] x [0, H], NaN included, raises ValueError.
     This is the bridge from the detections file format to the decoder.
     """
     width, height = image_size
@@ -161,7 +159,7 @@ def build_maps_from_detections(
             f"downsample {downsample} must divide image size {image_size} exactly"
         )
     grid_w, grid_h = width // downsample, height // downsample
-    heatmap = np.zeros((num_classes, grid_h, grid_w))
+    scores: dict[tuple[int, int, int], float] = {}
     maps = RegressionMaps(
         downsample=downsample, bin_centers=np.asarray(bin_centers, dtype=np.float64)
     )
@@ -174,9 +172,10 @@ def build_maps_from_detections(
         # The right and bottom image edges belong to the last cell.
         col = min(int(math.floor(u / downsample)), grid_w - 1)
         row = min(int(math.floor(v / downsample)), grid_h - 1)
-        heatmap[det.class_id, row, col] = max(heatmap[det.class_id, row, col], det.score)
+        key = (det.class_id, row, col)
+        scores[key] = max(scores.get(key, 0.0), float(det.score))
         maps.cells[row, col] = det
-    return heatmap, maps
+    return scores, maps
 
 
 def decode_detections(

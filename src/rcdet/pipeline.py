@@ -3,7 +3,7 @@ extraction and rasterization, then box decoding.
 
 The radar feature heatmap is the fusion-side product of a frame (the input
 contract for downstream regression heads); the decoded boxes come from the
-preliminary-detection records planted into the decoder grids. Frames are
+preliminary-detection records planted at the decoder's grid cells. Frames are
 independent, so a scene set can be processed by a worker pool; results are
 always ordered by frame id regardless of completion order.
 """
@@ -121,10 +121,10 @@ def process_frame(
     num_classes = cfg.num_classes
     if num_classes is None:
         num_classes = max((d.class_id + 1 for d in frame.detections), default=1)
-    class_heatmap, maps = build_maps_from_detections(
+    scores, maps = build_maps_from_detections(
         frame.detections, frame.camera.image_size, num_classes, cfg.downsample
     )
-    candidates = topk_peaks(class_heatmap, cfg.top_k)
+    candidates = topk_peaks(scores, cfg.top_k)
     detections = decode_detections(candidates, maps, frame.camera, cfg.score_threshold)
     return FrameResult(
         frame_id=frame.frame_id,

@@ -38,6 +38,7 @@ from .geometry import (
 from .metrics import GroundTruth
 from .radar import (
     DEFAULT_PILLAR_DIMS,
+    DEPTH_GATE_FLOOR,
     Pillar,
     PreliminaryDetection,
     RadarPoint,
@@ -54,12 +55,11 @@ SCHEMA_VERSION = 1
 DEFAULT_IMAGE_SIZE = (800, 448)
 DEFAULT_FOCAL = 500.0
 
-# Bounds on the input integers that size a frame's dense grids. `rcdet run`
-# allocates one class channel per class id up to the frame's largest, each of
-# image_size / 4 cells. Only planted cells are written, so the untouched pages
-# cost no resident memory, but the allocation and the peak search's scan grow
-# with both and would be unbounded without these caps. Attribute ids share the
-# class bound. 4096 px covers 4K UHD (3840 x 2160).
+# Bounds on input integers. Class and attribute ids size nothing (class
+# scores are kept only at the planted cells); [0, MAX_LABEL] is an input rule.
+# An image side sets the radar heatmap's owner grid (image_size / 4 cells of
+# int32) and its dense `.values` view, which MAX_IMAGE_SIDE caps. 4096 px
+# covers 4K UHD (3840 x 2160).
 MAX_LABEL = 255
 MAX_IMAGE_SIDE = 4096
 
@@ -76,6 +76,12 @@ class SceneFrame:
     radar_sweeps: list[RadarSweep]
     detections: list[PreliminaryDetection]
     ground_truth: list[GroundTruth] | None = None
+
+
+_NON_NEGATIVE_SYNTH_FIELDS = (
+    "seed", "n_frames", "objects_min", "points_per_object_min", "clutter_density",
+    "position_noise", "velocity_noise", "depth_noise", "bbox_jitter", "max_speed",
+)
 
 
 @dataclass
@@ -119,14 +125,17 @@ class SynthConfig:
                 f"image_size must be two integers in [1, {MAX_IMAGE_SIDE}], got {size!r}"
             )
         self.image_size = tuple(size)
-        if self.n_frames < 0 or self.objects_min < 0:
-            raise ValueError("counts must be non-negative")
+        for name in _NON_NEGATIVE_SYNTH_FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.n_sweeps < 1:
+            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
+        if self.focal <= 0:
+            raise ValueError(f"focal must be > 0, got {self.focal!r}")
         if self.objects_max < self.objects_min:
             raise ValueError("objects_max must be >= objects_min")
         if self.points_per_object_max < self.points_per_object_min:
             raise ValueError("points_per_object_max must be >= points_per_object_min")
-        if self.clutter_density < 0 or self.position_noise < 0 or self.velocity_noise < 0:
-            raise ValueError("rates and noise scales must be >= 0")
         if self.n_classes < 1 or self.n_classes > len(_CLASS_DIMS):
             raise ValueError(f"n_classes must be in [1, {len(_CLASS_DIMS)}]")
         if self.downsample < 1:
@@ -297,6 +306,26 @@ def _detection_from_json(obj: dict, line: int) -> PreliminaryDetection:
         raise ParseError(f"line {line}: bad detection record: {exc}") from exc
 
 
+def _check_detection_fits(det: PreliminaryDetection, camera: CameraModel, line: int) -> None:
+    """The detection's box and center lie in its camera's image (edges
+    included), and its depth is beyond the radar depth gate's floor."""
+    width, height = camera.image_size
+    box = det.bbox2d
+    if not (0 <= box.x_min and box.x_max <= width and 0 <= box.y_min and box.y_max <= height):
+        raise ParseError(
+            f"line {line}: detection bbox must lie inside the {width}x{height} image"
+        )
+    u, v = det.projected_center
+    if not (0 <= u <= width and 0 <= v <= height):
+        raise ParseError(
+            f"line {line}: detection center2d must lie inside the {width}x{height} image"
+        )
+    if det.depth <= DEPTH_GATE_FLOOR:
+        raise ParseError(
+            f"line {line}: detection depth must be greater than the {DEPTH_GATE_FLOOR} m gate floor"
+        )
+
+
 def _sweep_to_json(sweep: RadarSweep) -> dict:
     return {
         "timestamp": sweep.timestamp,
@@ -370,15 +399,15 @@ def _frame_from_json(record: dict, line: int) -> SceneFrame:
             )
             for g in _objects(record, "ground_truth", line, "frame")
         ]
-    return SceneFrame(
-        frame_id=_integer(record, "frame_id", line, "frame"),
-        camera=_camera_from_json(_object(record, "camera", line, "frame"), line),
-        radar_sweeps=_sweeps_from_json(record, line),
-        detections=[
-            _detection_from_json(d, line) for d in _objects(record, "detections", line, "frame")
-        ],
-        ground_truth=ground_truth,
-    )
+    frame_id = _integer(record, "frame_id", line, "frame")
+    camera = _camera_from_json(_object(record, "camera", line, "frame"), line)
+    radar_sweeps = _sweeps_from_json(record, line)
+    detections = [
+        _detection_from_json(d, line) for d in _objects(record, "detections", line, "frame")
+    ]
+    for det in detections:
+        _check_detection_fits(det, camera, line)
+    return SceneFrame(frame_id, camera, radar_sweeps, detections, ground_truth)
 
 
 def _read_lines(path: str, schema: str) -> list[tuple[int, dict]]:
@@ -688,7 +717,7 @@ def synth_scene(cfg: SynthConfig) -> list[SceneFrame]:
         base_time = frame_id * 0.5
         sweeps = [
             RadarSweep(timestamp=base_time - 0.1 * i, points=[])
-            for i in range(max(cfg.n_sweeps, 1))
+            for i in range(cfg.n_sweeps)
         ]
         for i, point in enumerate(all_points):
             sweeps[i % len(sweeps)].points.append(point)

@@ -1,0 +1,62 @@
+"""The benchmark's view of the library: ``perfbench`` imports ``rcdet`` names
+and replays ``process_frame`` stage by stage to time it. The replay must keep
+importing and keep computing what ``process_frame`` computes, bit for bit,
+or every benchmark run reports incorrect output."""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+import perfbench.harness  # noqa: E402,F401  (imports every rcdet name the benchmark uses)
+from perfbench.tracing import Tracer, traced_process_frame  # noqa: E402
+from rcdet.kpconv import build_network  # noqa: E402
+from rcdet.pipeline import PipelineConfig, process_frame  # noqa: E402
+from rcdet.scene_io import SynthConfig, synth_scene  # noqa: E402
+
+
+def _box_bits(detections) -> list[tuple]:
+    return [
+        (
+            d.box.center.tobytes(),
+            d.box.dims.tobytes(),
+            d.box.velocity.tobytes(),
+            np.float64(d.box.yaw).tobytes(),
+            d.class_id,
+            np.float64(d.score).tobytes(),
+            d.attribute,
+        )
+        for d in detections
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["handcrafted", "learned", "hybrid"])
+def test_traced_replay_matches_process_frame(strategy):
+    frames = synth_scene(
+        SynthConfig(
+            seed=3, n_frames=3, objects_min=2, objects_max=5, points_per_object_max=20,
+            clutter_density=0.05, n_sweeps=3, depth_noise=0.3, bbox_jitter=2.0,
+        )
+    )
+    cfg = PipelineConfig(feature_strategy=strategy)
+    net = None if strategy == "handcrafted" else build_network("lite", seed=0)
+    tracer = Tracer()
+    kept = 0
+    for frame in frames:
+        result = process_frame(frame, cfg, net)
+        kept += len(result.detections)
+        replay = traced_process_frame(frame, cfg, net, tracer)
+        assert result.detections
+        assert _box_bits(replay.detections) == _box_bits(result.detections)
+        expected, traced = result.radar_heatmap, replay.radar_heatmap
+        assert traced.owner.dtype == expected.owner.dtype
+        assert traced.owner.tobytes() == expected.owner.tobytes()
+        assert traced.rows.shape == expected.rows.shape
+        assert traced.rows.tobytes() == expected.rows.tobytes()
+    assert tracer.counts["decoder.kept"] == kept

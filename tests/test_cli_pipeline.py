@@ -66,10 +66,12 @@ def test_process_frame_hybrid_memory_independent_of_feature_width():
     assert peak <= 32 * 2**20
 
 
-def test_process_frame_memory_with_largest_class_id():
-    # Class id 255 makes the class heatmap 256 channels deep: 43.75 MiB of
-    # zeros on the default camera, which top-K and decode must not copy.
-    frame = synth_scene(SynthConfig(seed=5, n_frames=1, objects_min=3, objects_max=3))[0]
+def _class_255_frame_peak(image_size) -> int:
+    """The ``tracemalloc`` peak of one handcrafted ``process_frame`` whose
+    first detection has the largest class id."""
+    frame = synth_scene(
+        SynthConfig(seed=5, n_frames=1, objects_min=3, objects_max=3, image_size=image_size)
+    )[0]
     frame.detections[0].class_id = 255
     tracemalloc.start()
     try:
@@ -78,7 +80,20 @@ def test_process_frame_memory_with_largest_class_id():
     finally:
         tracemalloc.stop()
     assert sorted(d.class_id for d in result.detections)[-1] == 255
-    assert peak <= 64 * 2**20
+    return peak
+
+
+def test_process_frame_memory_with_largest_class_id():
+    # Class scores are kept only at the planted cells, so class id 255 costs
+    # no more than class 0; a dense 256-channel class heatmap of the default
+    # camera would take 43.75 MiB.
+    assert _class_255_frame_peak((800, 448)) <= 4 * 2**20
+
+
+def test_process_frame_memory_with_largest_class_id_on_largest_camera():
+    # At 4096 x 4096 px the radar owner grid (4 MiB of int32) dominates; a
+    # dense 256-channel class heatmap would take 2 GiB.
+    assert _class_255_frame_peak((4096, 4096)) <= 16 * 2**20
 
 
 def test_kept_detections_hold_no_feature_grids():
@@ -330,7 +345,7 @@ def test_cli_run_rejects_center_outside_image(tmp_path, capsys, center):
     _rewrite_first_frame(scenes, lambda rec: rec["detections"][0].update(center2d=center))
     assert main(["run", "--scenes", scenes, "--out", str(tmp_path / "dets.jsonl")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: projected center") and "800x448 image" in err
+    assert err == "error: line 2: detection center2d must lie inside the 800x448 image\n"
 
 
 _NAN = float("nan")
@@ -430,6 +445,36 @@ def test_cli_rejects_unordered_radar_sweeps(tmp_path, capsys, command, edit, mes
     }[command]
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("bbox", [-50.0, 10.0, 100.0, 100.0], "bbox must lie inside the 800x448 image"),
+        ("bbox", [10.0, 10.0, 100.0, 449.0], "bbox must lie inside the 800x448 image"),
+        ("center2d", [900.0, 10.0], "center2d must lie inside the 800x448 image"),
+        ("center2d", [10.0, -0.5], "center2d must lie inside the 800x448 image"),
+        ("depth", 0.3, "depth must be greater than the 0.5 m gate floor"),
+        ("depth", 0.5, "depth must be greater than the 0.5 m gate floor"),
+    ],
+    ids=["bbox-left", "bbox-bottom", "center-right", "center-top", "depth-0.3", "depth-0.5"],
+)
+def test_cli_rejects_detection_outside_camera(tmp_path, capsys, command, field, value, message):
+    """A detection whose box or center leaves its camera's image, or whose
+    depth is not beyond the radar gate's floor: both commands that read a
+    scene file exit 1 naming the line and the field."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_min=1, objects_max=2)
+    dets = str(tmp_path / "dets.jsonl")
+    assert main(["run", "--scenes", scenes, "--out", dets]) == 0
+    capsys.readouterr()
+    _rewrite_first_frame(scenes, _set_detection(field, value))
+    args = {
+        "run": ["run", "--scenes", scenes, "--out", str(tmp_path / "out.jsonl")],
+        "eval": ["eval", "--dets", dets, "--gt", scenes, "--report", str(tmp_path / "r")],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: line 2: detection {message}\n"
 
 
 def _set_at(path, value):
@@ -668,6 +713,20 @@ _BAD_SYNTH_CONFIGS = [
     ({"max_speed": 10**400}, "max_speed"),
     ({"position_noise": [0.1]}, "position_noise"),
     ({"downsample": 0}, "downsample"),
+    ({"seed": -1}, "seed"),
+    ({"n_frames": -1}, "n_frames"),
+    ({"objects_min": -1}, "objects_min"),
+    ({"points_per_object_min": -5, "points_per_object_max": -1}, "points_per_object_min"),
+    ({"n_sweeps": -3}, "n_sweeps"),
+    ({"n_sweeps": 0}, "n_sweeps"),
+    ({"clutter_density": -1}, "clutter_density"),
+    ({"position_noise": -0.1}, "position_noise"),
+    ({"velocity_noise": -0.1}, "velocity_noise"),
+    ({"depth_noise": -1}, "depth_noise"),
+    ({"bbox_jitter": -2}, "bbox_jitter"),
+    ({"max_speed": -3}, "max_speed"),
+    ({"focal": -5.0}, "focal"),
+    ({"focal": 0.0}, "focal"),
 ]
 
 

@@ -141,17 +141,25 @@ def test_unproject_offset_scales_with_intrinsics():
 # -- peak picking -------------------------------------------------------------------
 
 
+def _planted(heatmap):
+    """The (class, row, col) -> score map of a dense heatmap's nonzero pixels."""
+    return {
+        (int(c), int(r), int(col)): float(heatmap[c, r, col])
+        for c, r, col in zip(*np.nonzero(heatmap))
+    }
+
+
 def test_topk_single_nonzero_pixel():
     heatmap = np.zeros((2, 8, 8))
     heatmap[1, 3, 4] = 0.7
-    peaks = topk_peaks(heatmap, k=100)
+    peaks = topk_peaks(_planted(heatmap), k=100)
     assert len(peaks) == 1
     assert peaks[0] == Candidate(class_id=1, score=0.7, row=3, col=4)
 
 
 def test_topk_uniform_heatmap_scan_order():
     heatmap = np.full((1, 4, 4), 0.5)
-    peaks = topk_peaks(heatmap, k=5)
+    peaks = topk_peaks(_planted(heatmap), k=5)
     assert [(p.row, p.col) for p in peaks] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
 
 
@@ -160,9 +168,9 @@ def test_topk_suppresses_non_maxima():
     heatmap[0, 2, 2] = 0.9
     heatmap[0, 2, 3] = 0.8  # adjacent, below the peak
     heatmap[0, 0, 0] = 0.5
-    peaks = topk_peaks(heatmap, k=10)
+    peaks = topk_peaks(_planted(heatmap), k=10)
     assert [(p.row, p.col) for p in peaks] == [(2, 2), (0, 0)]
-    unsuppressed = topk_peaks(heatmap, k=10, suppress=False)
+    unsuppressed = topk_peaks(_planted(heatmap), k=10, suppress=False)
     assert len(unsuppressed) == 3
 
 
@@ -213,14 +221,14 @@ def _oracle_heatmaps(rng):
 def test_topk_matches_sort_oracle(rng):
     for heatmap in _oracle_heatmaps(rng):
         k = int(rng.integers(1, 30))
-        peaks = topk_peaks(heatmap, k=k)
+        peaks = topk_peaks(_planted(heatmap), k=k)
         assert [(p.class_id, p.row, p.col) for p in peaks] == _topk_oracle(heatmap, k)
 
 
 def test_topk_superset_maximal(rng):
     heatmap = rng.uniform(0, 1, size=(2, 12, 12))
     k = 10
-    peaks = topk_peaks(heatmap, k=k)
+    peaks = topk_peaks(_planted(heatmap), k=k)
     smallest = min(p.score for p in peaks)
     selected = {(p.class_id, p.row, p.col) for p in peaks}
     for c, r, col in _topk_oracle(heatmap, 10_000):
@@ -317,19 +325,19 @@ def test_build_maps_rejects_center_outside_image(rng, center):
 def test_build_maps_image_edges_map_to_edge_cells(rng, center, cell):
     camera, dets = _planted_scene(rng, n_boxes=1)
     dets[0].projected_center = np.array(center)
-    heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
-    assert np.argwhere(heatmap[dets[0].class_id] > 0).tolist() == [list(cell)]
+    scores, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
+    assert list(scores) == [(dets[0].class_id, *cell)]
     assert list(maps.cells) == [cell]
-    (decoded,) = decode_detections(topk_peaks(heatmap), maps, camera)
+    (decoded,) = decode_detections(topk_peaks(scores), maps, camera)
     pixel, _ = project_point(camera, decoded.box.center)
     assert np.abs(pixel - center).max() < 1e-9
 
 
 def test_decode_rejects_candidate_without_planted_record(rng):
     camera, dets = _planted_scene(rng, n_boxes=1)
-    heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
+    _, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
     ((row, col),) = maps.cells
-    row = (row + 2) % heatmap.shape[1]
+    row = (row + 2) % (camera.image_size[1] // 4)
     with pytest.raises(ValueError, match=rf"cell \({row}, {col}\) has no planted detection"):
         decode_detections([Candidate(class_id=0, score=0.5, row=row, col=col)], maps, camera)
 
