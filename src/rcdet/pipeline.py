@@ -22,6 +22,7 @@ from .decoder import (
     decode_detections,
     topk_peaks,
 )
+from .errors import DimensionMismatch
 from .features import (
     FeatureHeatmap,
     FeatureVector,
@@ -140,7 +141,17 @@ def run_scenes(
     net: KPNetworkConfig | None = None,
     workers: int = 1,
 ) -> list[FrameResult]:
-    """Process frames (optionally with a thread pool) and order results by frame id."""
+    """Process frames (optionally with a thread pool) and order results by frame id.
+
+    Every frame's image sides are checked against the feature stride before
+    any frame is processed."""
+    for frame in frames:
+        width, height = frame.camera.image_size
+        if width % cfg.downsample or height % cfg.downsample:
+            raise DimensionMismatch(
+                f"frame {frame.frame_id}: camera image_size {width}x{height} must be a "
+                f"multiple of the feature stride {cfg.downsample}"
+            )
     if workers > 1 and len(frames) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda f: process_frame(f, cfg, net), frames))

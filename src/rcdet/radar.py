@@ -18,7 +18,7 @@ component arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,10 +62,60 @@ class RadarPoint:
 
 @dataclass(eq=False)
 class RadarSweep:
-    """A timestamped radar sweep, points already registered to the current ego frame."""
+    """A timestamped radar sweep as float64 columns, one row per return.
+
+    ``positions`` (N, 3) are already registered to the current ego frame;
+    ``velocities`` (N, 2), ``rcs`` (N,) and ``sweep_ages`` (N,) follow
+    :class:`RadarPoint`'s fields. The columns are the only storage: ``points``
+    builds :class:`RadarPoint` objects from them on each access. Each column
+    is the sweep's own read-only copy, so a point's ``position`` and
+    ``velocity``, which are views of a row, cannot change the sweep.
+    """
 
     timestamp: float
-    points: list[RadarPoint]
+    positions: np.ndarray
+    velocities: np.ndarray
+    rcs: np.ndarray
+    sweep_ages: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.timestamp = float(self.timestamp)
+        if not math.isfinite(self.timestamp):
+            raise ValueError("radar sweep timestamp must be finite")
+        n = len(self.positions)
+        for name, shape in (
+            ("positions", (n, 3)), ("velocities", (n, 2)), ("rcs", (n,)), ("sweep_ages", (n,))
+        ):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            if column.shape != shape:
+                raise ValueError(f"radar sweep {name} must have shape {shape}, got {column.shape}")
+            if not np.isfinite(column).all():
+                raise ValueError(f"radar sweep {name} must be finite")
+            column.flags.writeable = False
+            setattr(self, name, column)
+        if (self.sweep_ages < 0).any():
+            raise ValueError("radar sweep sweep_ages must be >= 0")
+
+    @classmethod
+    def from_points(cls, timestamp: float, points: Sequence[RadarPoint]) -> RadarSweep:
+        """The sweep whose rows are ``points``, in order."""
+        return cls(
+            timestamp,
+            positions=np.array([p.position for p in points]).reshape(-1, 3),
+            velocities=np.array([p.velocity for p in points]).reshape(-1, 2),
+            rcs=[p.rcs for p in points],
+            sweep_ages=[p.sweep_age for p in points],
+        )
+
+    @property
+    def points(self) -> list[RadarPoint]:
+        """The rows as new :class:`RadarPoint` objects, in order."""
+        return [
+            RadarPoint(position, velocity, rcs, age)
+            for position, velocity, rcs, age in zip(
+                self.positions, self.velocities, self.rcs.tolist(), self.sweep_ages.tolist()
+            )
+        ]
 
 
 @dataclass(eq=False)
@@ -165,12 +215,14 @@ class Cluster:
 def accumulate_sweeps(
     sweeps: Sequence[RadarSweep], max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> list[RadarPoint]:
-    """Concatenate the newest ``max_sweeps`` sweeps and stamp sweep ages.
+    """The rows of the newest ``max_sweeps`` sweeps as points, stamped with
+    their sweep's age.
 
-    ``sweeps`` must be ordered newest-first. Ages are measured from the
-    newest sweep's timestamp; positions are assumed pre-registered to the
-    current ego frame by the data producer. Fewer sweeps than the cap is
-    fine.
+    ``sweeps`` must be ordered newest-first. A point's age is the newest
+    sweep's timestamp minus its own sweep's, whatever ``sweep_ages`` the
+    sweep holds; positions are assumed pre-registered to the current ego
+    frame by the data producer. One :class:`RadarPoint` is built per kept
+    row, straight from the columns. Fewer sweeps than the cap is fine.
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
@@ -181,7 +233,12 @@ def accumulate_sweeps(
     out: list[RadarPoint] = []
     for sweep in kept:
         age = newest - sweep.timestamp
-        out.extend(replace(point, sweep_age=age) for point in sweep.points)
+        out.extend(
+            RadarPoint(position, velocity, rcs, age)
+            for position, velocity, rcs in zip(
+                sweep.positions, sweep.velocities, sweep.rcs.tolist()
+            )
+        )
     return out
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -330,34 +331,63 @@ def _sweep_to_json(sweep: RadarSweep) -> dict:
     return {
         "timestamp": sweep.timestamp,
         "points": [
-            {
-                "position": p.position.tolist(),
-                "velocity": p.velocity.tolist(),
-                "rcs": p.rcs,
-                "sweep_age": p.sweep_age,
-            }
-            for p in sweep.points
+            {"position": position, "velocity": velocity, "rcs": rcs, "sweep_age": age}
+            for position, velocity, rcs, age in zip(
+                sweep.positions.tolist(),
+                sweep.velocities.tolist(),
+                sweep.rcs.tolist(),
+                sweep.sweep_ages.tolist(),
+            )
         ],
     }
 
 
+_NUMBER_TYPES = {int, float}  # not bool: a JSON true is no number
+
+
+def _point_column(records: list[dict], name: str, width: int, line: int) -> np.ndarray:
+    """Field ``name`` of every radar point record as one float64 column:
+    (N, ``width``) for a list field, (N,) for a number (``width`` 0, and 0.0
+    where the field is missing)."""
+    try:
+        if width:
+            values = [rec[name] for rec in records]
+        else:
+            values = [rec.get(name, 0.0) for rec in records]
+    except KeyError:  # indexing, not _require_field: this runs per point
+        raise ParseError(f"line {line}: missing field {name!r}") from None
+    kind = f"a list of {width} numbers" if width else "a number"
+    if width:
+        if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {width}):
+            raise ParseError(f"line {line}: radar point {name} must be {kind}")
+        values = list(chain.from_iterable(values))
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise ParseError(f"line {line}: radar point {name} must be {kind}")
+    try:
+        column = np.array(values, dtype=np.float64)
+        finite = np.isfinite(column).all()
+    except OverflowError:  # an integer beyond float64
+        finite = False
+    if not finite:
+        raise ParseError(f"line {line}: radar point {name} must be finite")
+    return column.reshape(-1, width) if width else column
+
+
 def _sweep_from_json(obj: dict, line: int) -> RadarSweep:
-    points = []
-    for rec in _objects(obj, "points", line, "sweep"):
-        try:
-            points.append(
-                RadarPoint(
-                    position=rec["position"],
-                    velocity=rec["velocity"],
-                    rcs=float(rec.get("rcs", 0.0)),
-                    sweep_age=float(rec.get("sweep_age", 0.0)),
-                )
-            )
-        except KeyError as exc:  # indexing, not _require_field: this runs per point
-            raise ParseError(f"line {line}: missing field {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"line {line}: bad radar point: {exc}") from exc
-    return RadarSweep(timestamp=float(_finite(obj, "timestamp", line, "sweep")), points=points)
+    records = _objects(obj, "points", line, "sweep")
+    timestamp = _finite(obj, "timestamp", line, "sweep")
+    columns = {
+        column: _point_column(records, name, width, line)
+        for column, name, width in (
+            ("positions", "position", 3),
+            ("velocities", "velocity", 2),
+            ("rcs", "rcs", 0),
+            ("sweep_ages", "sweep_age", 0),
+        )
+    }
+    if (columns["sweep_ages"] < 0).any():
+        raise ParseError(f"line {line}: radar point sweep_age must be >= 0")
+    return RadarSweep(timestamp, **columns)
 
 
 def _sweeps_from_json(record: dict, line: int) -> list[RadarSweep]:
@@ -714,13 +744,12 @@ def synth_scene(cfg: SynthConfig) -> list[SceneFrame]:
             detections.append(_detection_from_box(rng, cfg, camera, gt))
         all_points.extend(_sample_clutter(rng, cfg))
 
+        # Points are dealt round-robin: point i goes to sweep i % n_sweeps.
         base_time = frame_id * 0.5
         sweeps = [
-            RadarSweep(timestamp=base_time - 0.1 * i, points=[])
+            RadarSweep.from_points(base_time - 0.1 * i, all_points[i :: cfg.n_sweeps])
             for i in range(cfg.n_sweeps)
         ]
-        for i, point in enumerate(all_points):
-            sweeps[i % len(sweeps)].points.append(point)
 
         frames.append(
             SceneFrame(

@@ -1,7 +1,9 @@
 """The benchmark's view of the library: ``perfbench`` imports ``rcdet`` names
 and replays ``process_frame`` stage by stage to time it. The replay must keep
 importing and keep computing what ``process_frame`` computes, bit for bit,
-or every benchmark run reports incorrect output."""
+or every benchmark run reports incorrect output. At its default seed the
+benchmark also refuses to run unless ``synth_scene`` and ``save_scenes``
+write the scene files whose sha256 it pins."""
 
 from __future__ import annotations
 
@@ -14,11 +16,12 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
-import perfbench.harness  # noqa: E402,F401  (imports every rcdet name the benchmark uses)
+import perfbench.harness  # noqa: E402  (imports every rcdet name the benchmark uses)
 from perfbench.tracing import Tracer, traced_process_frame  # noqa: E402
 from rcdet.kpconv import build_network  # noqa: E402
 from rcdet.pipeline import PipelineConfig, process_frame  # noqa: E402
-from rcdet.scene_io import SynthConfig, synth_scene  # noqa: E402
+from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+from rcdet.scene_io import SynthConfig, save_scenes, synth_scene  # noqa: E402
 
 
 def _box_bits(detections) -> list[tuple]:
@@ -60,3 +63,17 @@ def test_traced_replay_matches_process_frame(strategy):
         assert traced.rows.shape == expected.rows.shape
         assert traced.rows.tobytes() == expected.rows.tobytes()
     assert tracer.counts["decoder.kept"] == kept
+
+
+@pytest.mark.parametrize("name", ["lite-2w", "hybrid-large"])
+def test_scene_files_match_pinned_digests(tmp_path, name):
+    """The benchmark's scene files at its default seed, written as it writes
+    them: one file of ``n_frames`` frames per clip."""
+    workload = WORKLOADS[name]
+    frames = synth_scene(workload.synth_config(DEFAULT_SEED, workload.n_frames))
+    digests = []
+    for i in range(workload.clips):
+        path = str(tmp_path / f"scene{i}.jsonl")
+        save_scenes(path, frames[i * workload.n_frames : (i + 1) * workload.n_frames])
+        digests.append(perfbench.harness.sha256_file(path))
+    assert digests == perfbench.harness.load_digests()[name]["scene_sha256"]

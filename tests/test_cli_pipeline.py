@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcdet import pipeline
 from rcdet.bench import bench_association, format_bench, random_association_inputs
 from rcdet.cli import main
 from rcdet.errors import ResultMismatch
@@ -490,8 +491,9 @@ def _set_at(path, value):
 
 
 def _run_or_eval_edited(tmp_path, kind, edit) -> int:
-    """Edit the first frame of a fresh scene file (then ``rcdet run`` it) or
-    of its detections file (then ``rcdet eval`` it); the exit code."""
+    """Edit the first frame of a fresh scene file (then ``rcdet run`` it, or
+    with kind ``gt`` ``rcdet eval`` against it) or of its detections file
+    (then ``rcdet eval`` it); the exit code."""
     scenes = _write_scene(
         tmp_path, seed=2, n_frames=2, objects_min=1, objects_max=2, image_size=(200, 112),
         focal=125.0,
@@ -502,7 +504,7 @@ def _run_or_eval_edited(tmp_path, kind, edit) -> int:
     if kind == "scenes":
         _rewrite_first_frame(scenes, edit)
         return main(["run", "--scenes", scenes, "--out", out])
-    _rewrite_first_frame(dets, edit)
+    _rewrite_first_frame(scenes if kind == "gt" else dets, edit)
     return main(["eval", "--dets", dets, "--gt", scenes, "--report", str(tmp_path / "r")])
 
 
@@ -542,6 +544,20 @@ _WRONG_TYPES = [
     ("dets", ("frame_id",), 0.5, "frame frame_id must be an integer"),
     ("dets", ("boxes", 0, "class_id"), [0], "box class_id must be a number"),
     ("dets", ("boxes", 0, "class_id"), 0.5, "box class_id must be an integer"),
+] + [
+    (kind, ("radar_sweeps", 0, "points", 0, field), value, f"radar point {field} must be {what}")
+    for kind in ("scenes", "gt")
+    for field, value, what in [
+        ("position", ["1.5", 20, 0], "a list of 3 numbers"),
+        ("position", [True, 20, 0], "a list of 3 numbers"),
+        ("position", [[1.0], [2.0], [0.0]], "a list of 3 numbers"),
+        ("position", [[1, 2, 0]], "a list of 3 numbers"),
+        ("velocity", [False, True], "a list of 2 numbers"),
+        ("rcs", "3.5", "a number"),
+        ("rcs", True, "a number"),
+        ("sweep_age", "0.5", "a number"),
+        ("sweep_age", -0.5, ">= 0"),
+    ]
 ]
 
 
@@ -558,6 +574,33 @@ def test_cli_rejects_wrong_json_type(tmp_path, capsys, kind, path, value, messag
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("image_size", [[802, 448], [800, 450]])
+def test_cli_run_rejects_image_side_off_the_feature_stride(
+    tmp_path, capsys, monkeypatch, image_size
+):
+    """A camera image side that is no multiple of the feature stride, in the
+    last frame: `rcdet run` exits 1 naming the frame before it processes any
+    frame; `rcdet eval` reads the file as before."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=3, objects_min=1, objects_max=2)
+    dets = str(tmp_path / "dets.jsonl")
+    assert main(["run", "--scenes", scenes, "--out", dets]) == 0
+    capsys.readouterr()
+    header, *records = Path(scenes).read_text().splitlines()
+    last = json.loads(records[-1])
+    last["camera"]["image_size"] = image_size
+    Path(scenes).write_text("\n".join([header, *records[:-1], json.dumps(last)]) + "\n")
+    processed = []
+    monkeypatch.setattr(pipeline, "process_frame", lambda frame, *args: processed.append(frame))
+    assert main(["run", "--scenes", scenes, "--out", str(tmp_path / "out.jsonl")]) == 1
+    width, height = image_size
+    assert capsys.readouterr().err == (
+        f"error: frame 2: camera image_size {width}x{height} must be a multiple of the "
+        "feature stride 4\n"
+    )
+    assert processed == []
+    assert main(["eval", "--dets", dets, "--gt", scenes, "--report", str(tmp_path / "r")]) == 0
 
 
 def _field_paths(node, prefix=()):

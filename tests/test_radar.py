@@ -10,6 +10,7 @@ every (point, detection) pair exactly.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -45,7 +46,47 @@ from conftest import (
 
 
 def _sweep(rng, timestamp: float, count: int) -> RadarSweep:
-    return RadarSweep(timestamp=timestamp, points=random_radar_points(rng, count))
+    return RadarSweep.from_points(timestamp, random_radar_points(rng, count))
+
+
+def test_sweep_from_points_round_trips(rng):
+    points = random_radar_points(rng, 7)
+    points[3].sweep_age = 0.25
+    got = RadarSweep.from_points(2.5, points).points
+    assert [
+        (p.position.tobytes(), p.velocity.tobytes(), p.rcs, p.sweep_age) for p in got
+    ] == [(p.position.tobytes(), p.velocity.tobytes(), p.rcs, p.sweep_age) for p in points]
+    with pytest.raises(ValueError, match="read-only"):
+        got[0].position[0] = 1.0
+    empty = RadarSweep.from_points(2.5, [])
+    assert empty.positions.shape == (0, 3) and empty.velocities.shape == (0, 2)
+    assert empty.points == []
+
+
+def _columns(n: int = 4) -> dict:
+    return dict(
+        positions=np.zeros((n, 3)), velocities=np.zeros((n, 2)), rcs=np.zeros(n),
+        sweep_ages=np.zeros(n),
+    )
+
+
+@pytest.mark.parametrize(
+    "column,value,message",
+    [
+        ("positions", np.zeros((4, 2)), "positions must have shape (4, 3)"),
+        ("velocities", np.zeros(4), "velocities must have shape (4, 2)"),
+        ("rcs", np.zeros(3), "rcs must have shape (4,)"),
+        ("sweep_ages", np.zeros((4, 1)), "sweep_ages must have shape (4,)"),
+        ("positions", np.array([[0.0, np.nan, 0.0]] * 4), "positions must be finite"),
+        ("velocities", np.full((4, 2), np.inf), "velocities must be finite"),
+        ("rcs", np.array([0.0, 0.0, -np.inf, 0.0]), "rcs must be finite"),
+        ("sweep_ages", np.array([0.0, np.nan, 0.0, 0.0]), "sweep_ages must be finite"),
+        ("sweep_ages", np.array([0.0, 0.1, -0.1, 0.0]), "sweep_ages must be >= 0"),
+    ],
+)
+def test_sweep_rejects_bad_column(column, value, message):
+    with pytest.raises(ValueError, match=re.escape(f"radar sweep {message}")):
+        RadarSweep(1.0, **{**_columns(), column: value})
 
 
 def test_accumulate_single_sweep(rng):
