@@ -79,6 +79,17 @@ def _finite_positive(value: float) -> bool:
     return value > 0 and math.isfinite(value)
 
 
+def _check_finite_positive(name: str, value: float) -> None:
+    if not _finite_positive(value):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_cap(cap: int | None) -> None:
+    """A neighbor cap is None (no cap) or an int of at least 1, not a bool."""
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+        raise ValueError(f"neighbor cap must be None or an int >= 1, got {cap!r}")
+
+
 @dataclass(eq=False)
 class KPConvLayerConfig:
     """One kernel-point convolution layer: geometry, weights, stride flag."""
@@ -138,6 +149,7 @@ class KPNetworkConfig:
             raise ValueError("network needs at least one layer")
         if not _finite_positive(self.base_cell_size):
             raise ValueError("base_cell_size must be finite and positive")
+        _check_cap(self.neighbor_cap)
         if self.layers[0].in_channels != POINT_FEATURE_DIM:
             raise ValueError(
                 f"first layer takes {self.layers[0].in_channels} input channels, "
@@ -247,13 +259,23 @@ def _grid_cells(
 
     Cells are keyed by (segment id, floor division of the coordinates) and
     ordered by that key lexicographically, so a segment's cells are
-    contiguous and ordered as if the segment were subsampled alone.
+    contiguous and ordered as if the segment were subsampled alone. One
+    ``np.lexsort`` orders the points by key; a cell starts wherever a key
+    differs from the one before it.
     """
-    if cell <= 0:
-        raise ValueError(f"cell size must be positive, got {cell}")
-    keys = np.column_stack([segments, np.floor(positions / cell).astype(np.int64)])
-    cells, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    return cells[:, 0], inverse.reshape(-1), counts  # inverse's shape varies across numpy 2.0.x
+    _check_finite_positive("cell size", cell)
+    keys = [segments, *(np.floor(positions[:, k] / cell).astype(np.int64) for k in range(3))]
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    first = np.flatnonzero(starts)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    counts = np.diff(first, append=order.size)
+    return segments[order[first]], inverse, counts
 
 
 def _cell_means(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -293,11 +315,14 @@ def _segment_neighbors(
     distance, index), truncated to ``cap`` and padded with N_s up to the
     longest row M, plus each row's length. Queries are processed in blocks of
     ``_QUERY_BLOCK``; a block's distance table spans the largest support
-    segment among its queries.
+    segment among its queries. The squared distance is (dx² + dy²) + dz²,
+    each plane gathered from a contiguous coordinate column; entries outside
+    the radius or the segment are set to +inf before the sort.
     """
     n_s = support.shape[0]
     sizes = np.diff(support_bounds)
     r2 = radius * radius
+    columns = support.T.copy()
     width = sizes.max(initial=0) if cap is None else min(cap, sizes.max(initial=0))
     table = np.full((queries.shape[0], width), n_s, dtype=np.intp)
     lengths = np.zeros(queries.shape[0], dtype=np.intp)
@@ -307,11 +332,20 @@ def _segment_neighbors(
         size = sizes[query_segments[block]]
         local = np.arange(size.max(initial=0))
         index = np.minimum(first[:, None] + local, n_s - 1)
-        d2 = sum((support[index, k] - queries[block, k, None]) ** 2 for k in range(3))
+        d2 = np.take(columns[0], index)
+        d2 -= queries[block, 0, None]
+        d2 *= d2
+        square = np.empty_like(d2)
+        for k in (1, 2):
+            np.take(columns[k], index, out=square)
+            square -= queries[block, k, None]
+            square *= square
+            d2 += square
         within = (local < size[:, None]) & (d2 <= r2)
-        # NaN sorts last, so a stable sort puts the in-radius entries first,
-        # ordered by (squared distance, index within the segment).
-        order = np.argsort(np.where(within, d2, np.nan), axis=1, kind="stable")[:, :width]
+        d2[~within] = np.inf
+        # A stable sort puts the in-radius entries first, ordered by
+        # (squared distance, index within the segment).
+        order = np.argsort(d2, axis=1, kind="stable")[:, :width]
         count = within.sum(axis=1)
         lengths[block] = count if cap is None else np.minimum(count, cap)
         np.copyto(
@@ -335,8 +369,8 @@ def radius_neighbors(
     exactly reproducible by a scalar oracle. Queries are processed in blocks
     of ``_QUERY_BLOCK`` so the distance table stays block x N_s.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_finite_positive("radius", radius)
+    _check_cap(cap)
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
     support = np.asarray(support, dtype=np.float64).reshape(-1, 3)
     table, lengths = _segment_neighbors(
@@ -368,20 +402,33 @@ def _neighborhood(
             f"support features have {support.features.shape[1]} channels, "
             f"layer expects {layer.in_channels}"
         )
-    positions = np.vstack([support.positions, np.zeros((1, 3))])
+    columns = np.zeros((3, support.count + 1))
+    columns[:, :-1] = support.positions.T
+    influence = _influence(
+        layer, [np.take(columns[k], table) - query_positions[:, k, None] for k in range(3)]
+    )
     features = np.vstack([support.features, np.zeros((1, layer.in_channels))])
-    influence = _influence(layer, positions[table] - query_positions[:, None, :])
     weighted = influence.transpose(0, 2, 1) @ features[table]  # (N_q, K, in)
     return weighted.reshape(table.shape[0], -1)
 
 
-def _influence(layer: KPConvLayerConfig, rel: np.ndarray) -> np.ndarray:
+def _influence(layer: KPConvLayerConfig, rel: Sequence[np.ndarray]) -> np.ndarray:
     """Each kernel point's linear influence on neighbors at relative
-    positions ``rel`` (N_q, M, 3), shape (N_q, M, K)."""
-    squares = rel[:, :, None, :] - layer.kernel_points  # (N_q, M, K, 3)
-    squares *= squares
-    dist = np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])
-    return np.maximum(0.0, 1.0 - dist / layer.influence_sigma)
+    positions ``rel``, the x, y and z planes (N_q, M), shape (N_q, M, K).
+
+    The distance to kernel point k is sqrt((dx² + dy²) + dz²) over (N_q, M, K)
+    planes, one coordinate at a time."""
+    dist = np.subtract(rel[0][:, :, None], layer.kernel_points[:, 0])
+    dist *= dist
+    square = np.empty_like(dist)
+    for k in (1, 2):
+        np.subtract(rel[k][:, :, None], layer.kernel_points[:, k], out=square)
+        square *= square
+        dist += square
+    np.sqrt(dist, out=dist)
+    dist /= layer.influence_sigma
+    np.subtract(1.0, dist, out=dist)
+    return np.maximum(0.0, dist, out=dist)
 
 
 def _listed_neighborhood(
@@ -468,15 +515,33 @@ def cluster_to_point_features(
     are (x, y, v_x, v_y, 1.0) with positions and velocities normalized the
     same way as the handcrafted features. Members are put in a canonical
     lexicographic order first, so downstream processing is exactly invariant
-    to the input ordering.
+    to the input ordering. This is the one-cluster case of :func:`_point_sets`.
     """
-    positions = cluster.positions()
-    velocities = cluster.velocities()
-    rows = np.concatenate([positions, velocities], axis=1)
-    order = np.lexsort(tuple(rows[:, i] for i in reversed(range(rows.shape[1]))))
+    return _point_sets([cluster], position_norm, velocity_norm)[0]
+
+
+def _point_sets(
+    clusters: Sequence[Cluster],
+    position_norm: float = DEFAULT_POSITION_NORM,
+    velocity_norm: float = DEFAULT_VELOCITY_NORM,
+) -> tuple[PointFeatures, np.ndarray]:
+    """Every cluster's :func:`cluster_to_point_features`, stacked in cluster
+    order, and the segment bounds: cluster s owns rows
+    ``bounds[s]:bounds[s + 1]``.
+
+    One ``np.lexsort`` keyed by (segment, x, y, z, v_x, v_y) puts each
+    cluster's members in their canonical order; each centroid is the mean of
+    its cluster's contiguous slice.
+    """
+    members = [point for cluster in clusters for point in cluster.members]
+    positions = np.array([p.position for p in members]).reshape(-1, 3)
+    velocities = np.array([p.velocity for p in members]).reshape(-1, 2)
+    counts = [cluster.member_count for cluster in clusters]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    segments = np.repeat(np.arange(len(clusters)), counts)
+    order = np.lexsort((*velocities.T[::-1], *positions.T[::-1], segments))
     positions = positions[order]
     velocities = velocities[order]
-    centroid = positions.mean(axis=0) if positions.shape[0] else np.zeros(3)
     features = np.column_stack(
         [
             positions[:, 0] / position_norm,
@@ -486,29 +551,29 @@ def cluster_to_point_features(
             np.ones(positions.shape[0]),
         ]
     )
-    return PointFeatures(positions=positions - centroid, features=features)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b > a:
+            positions[a:b] -= positions[a:b].mean(axis=0)
+    return PointFeatures(positions=positions, features=features), bounds
 
 
 def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarray:
     """Run the convolution stack over all clusters of a frame at once and
     average-pool each cluster to one row, shape (n_clusters, output_dim).
 
-    The non-empty clusters' point sets are stacked, each tagged with a
-    segment id; subsampling and neighbor search never cross segments. The
-    influence gather and the weight product each run once per layer over
-    the whole frame; the product's fixed-shape row blocks (``_contract``)
-    give every row the bits it has when its cluster runs alone. Empty
-    clusters yield zero rows.
+    The clusters' point sets are stacked (``_point_sets``), each point
+    tagged with its cluster's segment id; subsampling and neighbor search
+    never cross segments. The influence gather and the weight product each
+    run once per layer over the whole frame; the product's fixed-shape row
+    blocks (``_contract``) give every row the bits it has when its cluster
+    runs alone. Empty clusters yield zero rows.
     """
     rows = np.zeros((len(clusters), net.output_dim))
-    filled = [i for i, cluster in enumerate(clusters) if cluster.member_count]
-    if not filled:
+    points, bounds = _point_sets(clusters)
+    if not points.count:
         return rows
-    point_sets = [cluster_to_point_features(clusters[i]) for i in filled]
-    positions = np.concatenate([p.positions for p in point_sets])
-    features = np.concatenate([p.features for p in point_sets])
-    segments = np.repeat(np.arange(len(filled)), [p.count for p in point_sets])
-    bounds = np.searchsorted(segments, np.arange(len(filled) + 1))
+    positions, features = points.positions, points.features
+    segments = np.repeat(np.arange(len(clusters)), np.diff(bounds))
     for i, layer in enumerate(net.layers):
         if layer.strided:
             cell = net.base_cell_size * 2.0**i
@@ -524,8 +589,10 @@ def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarra
         )
         features = _contract(weighted, layer)
         positions, segments = queries, query_segments
-        bounds = np.searchsorted(segments, np.arange(len(filled) + 1))
-    rows[filled] = [features[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
+        bounds = np.searchsorted(segments, np.arange(len(clusters) + 1))
+    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if b > a:
+            rows[s] = features[a:b].mean(axis=0)
     return rows
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcdet
@@ -137,6 +137,41 @@ def test_grid_subsample_mass_preservation(rng):
     weights = np.array([counts[key] for key in sorted(counts)], dtype=np.float64)
     weighted_mean = (out.positions * weights[:, None]).sum(axis=0) / n
     assert np.abs(weighted_mean - positions.mean(axis=0)).max() < 1e-12
+
+
+# Coordinates on both sides of the 0.5 m cell edges, so the keys include
+# negative cells and points share cells; repeats give duplicate points.
+_CELL_COORDS = [-1.0, -0.55, -0.5, -0.05, 0.0, 0.05, 0.5, 0.95]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(0, 2), *[st.sampled_from(_CELL_COORDS)] * 3), max_size=40
+    )
+)
+@example(points=[])
+@example(points=[(1, -0.05, 0.5, -1.0)])
+@example(points=[(0, -0.55, -0.55, -0.55)] * 3 + [(1, -0.55, -0.55, -0.55)])
+def test_grid_cells_match_unique_oracle(points):
+    """The lexsort cell keys equal np.unique over (segment, ix, iy, iz) rows."""
+    segments = np.array([p[0] for p in points], dtype=np.int64)
+    positions = np.array([p[1:] for p in points], dtype=np.float64).reshape(-1, 3)
+    keys = np.column_stack([segments, np.floor(positions / 0.5).astype(np.int64)])
+    cells, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    got = kpconv._grid_cells(positions, segments, 0.5)
+    assert np.array_equal(got[0], cells[:, 0])
+    assert np.array_equal(got[1], inverse.reshape(-1))
+    assert np.array_equal(got[2], counts)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_cell_and_radius_must_be_finite_and_positive(value):
+    points = PointFeatures(positions=np.zeros((2, 3)), features=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="cell size"):
+        grid_subsample(points, value)
+    with pytest.raises(ValueError, match="radius"):
+        radius_neighbors(np.zeros((1, 3)), np.zeros((2, 3)), value)
 
 
 # -- radius search ----------------------------------------------------------------
@@ -404,6 +439,15 @@ def test_build_network_bits_pinned(variant):
     assert digest.hexdigest() == _NETWORK_DIGESTS[variant]
 
 
+@pytest.mark.parametrize("cap", [0, -1, True, 2.5, "4"])
+def test_neighbor_cap_must_be_none_or_positive_int(cap):
+    layers = build_network("lite", seed=0).layers
+    with pytest.raises(ValueError, match="neighbor cap"):
+        KPNetworkConfig(layers=layers, neighbor_cap=cap)
+    with pytest.raises(ValueError, match="neighbor cap"):
+        radius_neighbors(np.zeros((1, 3)), np.zeros((2, 3)), 1.0, cap)
+
+
 @pytest.mark.parametrize("variant,first,out,layers", [("lite", 8, 64, 4), ("medium", 32, 512, 5), ("large", 64, 1024, 5)])
 def test_network_variant_shapes(variant, first, out, layers):
     net = build_network(variant, seed=0)
@@ -511,6 +555,26 @@ def test_frame_pass_rows_match_per_cluster_oracle(networks, variant, kinds, with
     assert rows.shape == (len(clusters), net.output_dim)
     for cluster, row in zip(clusters, rows):
         assert row.tobytes() == _per_cluster_oracle(cluster, net).tobytes()
+
+
+# sha256 of learned_rows over _mixed_frame(seed, _KINDS) for seeds 0-3, in
+# seed order: every cluster kind (empty, one point, one point repeated, 0.1 m,
+# 6 m with duplicates, 300 points) in each frame.
+_LEARNED_ROWS_DIGESTS = {
+    "lite": "50bba73ad53323a7f157a26ddfd679df1178df8d180478d1d2c0023847596ddf",
+    "large": "cfeb968cba48d286596fbf5fb523ea64a88ed571f90b82045cbebced458fbf62",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_LEARNED_ROWS_DIGESTS))
+def test_learned_rows_bits_pinned(networks, variant):
+    """The frame pass keeps its bits; the oracle test above compares two
+    paths that share the private helpers, so only a pin catches a change in
+    their arithmetic."""
+    digest = hashlib.sha256()
+    for seed in range(4):
+        digest.update(learned_rows(_mixed_frame(seed, _KINDS), networks[variant]).tobytes())
+    assert digest.hexdigest() == _LEARNED_ROWS_DIGESTS[variant]
 
 
 def test_repeated_point_reaches_deepest_layer_as_one_query(rng):
