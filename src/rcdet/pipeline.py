@@ -10,6 +10,8 @@ always ordered by frame id regardless of completion order.
 
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,9 +39,7 @@ from .radar import (
     DEFAULT_MIN_RANGE,
     DEFAULT_PILLAR_DIMS,
     Cluster,
-    accumulate_sweeps,
-    associate,
-    range_filter,
+    cluster_sweeps,
 )
 from .scene_io import SceneFrame
 
@@ -66,6 +66,36 @@ class PipelineConfig:
                 f"unknown feature strategy {self.feature_strategy!r}, "
                 f"expected one of {FEATURE_STRATEGIES}"
             )
+        for name in ("max_sweeps", "downsample", "top_k"):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name, low, high in (
+            ("min_range", 0.0, math.inf),
+            ("max_range", 0.0, math.inf),
+            ("expansion", 1.0, math.inf),
+            ("score_threshold", 0.0, 1.0),
+        ):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and low <= value <= high):
+                bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                raise ValueError(f"{name} must be a finite number {bounds}, got {value!r}")
+        if self.min_range > self.max_range:
+            raise ValueError(
+                f"min_range must not exceed max_range, got {self.min_range} > {self.max_range}"
+            )
+        dims = self.pillar_dims
+        if not (
+            np.ndim(dims) == 1
+            and len(dims) == 3
+            and all(_is_number(d) and math.isfinite(d) and d >= 0 for d in dims)
+        ):
+            raise ValueError(f"pillar_dims must be three finite numbers >= 0, got {dims!r}")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """``value`` is an instance of ``kind`` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -110,10 +140,9 @@ def process_frame(
 ) -> FrameResult:
     """Run one frame through the full chain: accumulate, filter, associate,
     extract, rasterize, decode."""
-    points = accumulate_sweeps(frame.radar_sweeps, cfg.max_sweeps)
-    points = range_filter(points, cfg.min_range, cfg.max_range)
-    clusters = associate(
-        points, frame.detections, frame.camera, cfg.pillar_dims, cfg.expansion
+    clusters = cluster_sweeps(
+        frame.radar_sweeps, frame.detections, frame.camera, cfg.max_sweeps,
+        cfg.min_range, cfg.max_range, cfg.pillar_dims, cfg.expansion,
     )
     features = [FeatureVector(row) for row in feature_rows(clusters, cfg, net)]
     radar_heatmap = rasterize_heatmap(

@@ -13,6 +13,12 @@ are clutter and are dropped.
 implement the identical contract and must produce bit-identical clusters;
 both therefore evaluate the projection with the same fixed left-to-right
 component arithmetic.
+
+``cluster_sweeps`` runs a frame's whole front end (accumulate, range gate,
+associate) on the sweeps' columns and builds a :class:`RadarPoint` only for
+a clustered return, one object shared by every cluster it joins.
+``accumulate_sweeps``, ``range_filter`` and ``associate`` are the same
+kernels with point lists at their edges.
 """
 
 from __future__ import annotations
@@ -110,12 +116,30 @@ class RadarSweep:
     @property
     def points(self) -> list[RadarPoint]:
         """The rows as new :class:`RadarPoint` objects, in order."""
-        return [
-            RadarPoint(position, velocity, rcs, age)
-            for position, velocity, rcs, age in zip(
-                self.positions, self.velocities, self.rcs.tolist(), self.sweep_ages.tolist()
-            )
-        ]
+        return _row_points(self.positions, self.velocities, self.rcs, self.sweep_ages)
+
+
+def _row_points(
+    positions: np.ndarray, velocities: np.ndarray, rcs: np.ndarray, ages: np.ndarray
+) -> list[RadarPoint]:
+    """One :class:`RadarPoint` per row of already-checked columns.
+
+    The points skip ``__post_init__``: their ``position`` and ``velocity``
+    are row views, and ``rcs``/``sweep_age`` plain floats, exactly what the
+    checked constructor would have stored. Those two columns are made
+    read-only, as the sweep's own are, so no point can change another.
+    """
+    positions.flags.writeable = velocities.flags.writeable = False
+    new = object.__new__
+    out = []
+    for position, velocity, r, age in zip(positions, velocities, rcs.tolist(), ages.tolist()):
+        point = new(RadarPoint)
+        point.position = position
+        point.velocity = velocity
+        point.rcs = r
+        point.sweep_age = age
+        out.append(point)
+    return out
 
 
 @dataclass(eq=False)
@@ -212,6 +236,47 @@ class Cluster:
         return np.stack([p.velocity for p in self.members])
 
 
+def _accumulated_columns(
+    sweeps: Sequence[RadarSweep], max_sweeps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the newest ``max_sweeps`` sweeps as new columns
+    (positions, velocities, rcs, ages), each row aged by its sweep.
+
+    A sweep's age is checked once, for the sweep, with the texts the point
+    constructor uses for one row; a sweep with no rows makes no point, so
+    its age is not checked.
+    """
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    kept = [sweep for sweep in sweeps[:max_sweeps] if len(sweep.rcs)]
+    if not kept:
+        return np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0), np.zeros(0)
+    newest = sweeps[0].timestamp
+    ages = [newest - sweep.timestamp for sweep in kept]
+    for age in ages:
+        if not math.isfinite(age):
+            raise ValueError("radar point sweep_age must be finite")
+        if age < 0:
+            raise ValueError(f"sweep_age must be >= 0, got {age}")
+    return (
+        np.concatenate([sweep.positions for sweep in kept]),
+        np.concatenate([sweep.velocities for sweep in kept]),
+        np.concatenate([sweep.rcs for sweep in kept]),
+        np.repeat(ages, [len(sweep.rcs) for sweep in kept]),
+    )
+
+
+def _in_range(positions: np.ndarray, min_range: float, max_range: float) -> np.ndarray:
+    """The rows whose BEV range lies in [min_range, max_range], as a mask.
+
+    ``sqrt(x*x + y*y)`` is correctly rounded in numpy as in ``math``, so a
+    row's verdict is the scalar formula's.
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    rng = np.sqrt(x * x + y * y)
+    return (min_range <= rng) & (rng <= max_range)
+
+
 def accumulate_sweeps(
     sweeps: Sequence[RadarSweep], max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> list[RadarPoint]:
@@ -221,25 +286,13 @@ def accumulate_sweeps(
     ``sweeps`` must be ordered newest-first. A point's age is the newest
     sweep's timestamp minus its own sweep's, whatever ``sweep_ages`` the
     sweep holds; positions are assumed pre-registered to the current ego
-    frame by the data producer. One :class:`RadarPoint` is built per kept
-    row, straight from the columns. Fewer sweeps than the cap is fine.
+    frame by the data producer. Fewer sweeps than the cap is fine.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    kept = sweeps[:max_sweeps]
-    if not kept:
-        return []
-    newest = kept[0].timestamp
-    out: list[RadarPoint] = []
-    for sweep in kept:
-        age = newest - sweep.timestamp
-        out.extend(
-            RadarPoint(position, velocity, rcs, age)
-            for position, velocity, rcs in zip(
-                sweep.positions, sweep.velocities, sweep.rcs.tolist()
-            )
-        )
-    return out
+    return _row_points(*_accumulated_columns(sweeps, max_sweeps))
+
+
+def _stacked_positions(points: Sequence[RadarPoint]) -> np.ndarray:
+    return np.array([p.position for p in points], dtype=np.float64).reshape(-1, 3)
 
 
 def range_filter(
@@ -248,23 +301,22 @@ def range_filter(
     max_range: float = DEFAULT_MAX_RANGE,
 ) -> list[RadarPoint]:
     """Keep points whose BEV range lies in [min_range, max_range] (inclusive)."""
-    out = []
-    for point in points:
-        x, y = float(point.position[0]), float(point.position[1])
-        rng = math.sqrt(x * x + y * y)
-        if min_range <= rng <= max_range:
-            out.append(point)
-    return out
+    keep = _in_range(_stacked_positions(points), min_range, max_range)
+    return [points[i] for i in np.flatnonzero(keep).tolist()]
+
+
+def _pillar_half_extents(pillar_dims: Sequence[float]) -> np.ndarray:
+    dims = np.asarray(pillar_dims, dtype=np.float64).reshape(3)
+    if not (np.isfinite(dims).all() and (dims >= 0).all()):
+        raise ValueError("pillar dims must be finite and non-negative")
+    return 0.5 * dims
 
 
 def pillar_expand(
     point: RadarPoint, pillar_dims: Sequence[float] = DEFAULT_PILLAR_DIMS
 ) -> Pillar:
     """Expand a radar point into a pillar centered on it."""
-    dims = np.asarray(pillar_dims, dtype=np.float64).reshape(3)
-    if not np.all(dims >= 0):
-        raise ValueError("pillar dims must be non-negative")
-    return Pillar(source=point, half_extents=0.5 * dims)
+    return Pillar(source=point, half_extents=_pillar_half_extents(pillar_dims))
 
 
 def build_frustum(
@@ -338,6 +390,85 @@ def frustum_contains(frustum: FrustumROI, pillar: Pillar) -> bool:
 _SAMPLE_SIGNS = np.vstack([np.zeros((1, 3)), _CORNER_SIGNS])
 
 
+def _member_rows(
+    positions: np.ndarray,
+    dets: Sequence[PreliminaryDetection],
+    camera: CameraModel,
+    pillar_dims: Sequence[float],
+    expansion: float,
+) -> list[np.ndarray]:
+    """Each detection's member rows of ``positions`` (N, 3), in row order.
+
+    The 9 pillar samples of every row are projected once; a detection then
+    box-tests only the rows whose center depth passes its gate.
+    """
+    half = _pillar_half_extents(pillar_dims)
+    if not (len(dets) and len(positions)):
+        return [np.zeros(0, dtype=np.intp) for _ in dets]
+    # One contiguous (N, 9) plane per coordinate: row + sample offset.
+    offsets = (_SAMPLE_SIGNS * half).T
+    sx, sy, sz = (positions[:, c, None] + offsets[c] for c in range(3))
+
+    # Componentwise left-to-right arithmetic: bit-identical to the scalar path.
+    ext = camera.extrinsic
+    k = camera.intrinsic
+    cam_x = ext[0, 0] * sx + ext[0, 1] * sy + ext[0, 2] * sz + ext[0, 3]
+    cam_y = ext[1, 0] * sx + ext[1, 1] * sy + ext[1, 2] * sz + ext[1, 3]
+    cam_z = ext[2, 0] * sx + ext[2, 1] * sy + ext[2, 2] * sz + ext[2, 3]
+    in_front = cam_z > MIN_CAMERA_DEPTH
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = (k[0, 0] * cam_x + k[0, 1] * cam_y + k[0, 2] * cam_z) / cam_z
+        v = (k[1, 0] * cam_x + k[1, 1] * cam_y + k[1, 2] * cam_z) / cam_z
+    center_depth = cam_z[:, 0]
+
+    rows = []
+    for det in dets:
+        frustum = build_frustum(det, camera, expansion)
+        d_min, d_max = frustum.depth_range
+        box = frustum.bbox2d
+        gated = np.flatnonzero((center_depth >= d_min) & (center_depth <= d_max))
+        cu, cv = u[gated], v[gated]
+        inside = (
+            in_front[gated]
+            & (cu >= box.x_min)
+            & (cu <= box.x_max)
+            & (cv >= box.y_min)
+            & (cv <= box.y_max)
+        )
+        rows.append(gated[inside.any(axis=1)])
+    return rows
+
+
+def cluster_sweeps(
+    sweeps: Sequence[RadarSweep],
+    dets: Sequence[PreliminaryDetection],
+    camera: CameraModel,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    min_range: float = DEFAULT_MIN_RANGE,
+    max_range: float = DEFAULT_MAX_RANGE,
+    pillar_dims: Sequence[float] = DEFAULT_PILLAR_DIMS,
+    expansion: float = 1.0,
+) -> list[Cluster]:
+    """A frame's radar front end in one pass over its sweep columns:
+    ``associate(range_filter(accumulate_sweeps(...)))``, with the same
+    clusters and members.
+
+    Only clustered rows become :class:`RadarPoint` objects, one per row,
+    shared by every cluster the row joins.
+    """
+    positions, velocities, rcs, ages = _accumulated_columns(sweeps, max_sweeps)
+    gated = np.flatnonzero(_in_range(positions, min_range, max_range))
+    rows = _member_rows(positions[gated], dets, camera, pillar_dims, expansion)
+    members = [gated[r] for r in rows]
+    clustered = np.zeros(len(positions), dtype=bool)
+    for m in members:
+        clustered[m] = True
+    clustered = np.flatnonzero(clustered)
+    columns = [column[clustered] for column in (positions, velocities, rcs, ages)]
+    point_of = dict(zip(clustered.tolist(), _row_points(*columns)))
+    return [Cluster(det, [point_of[i] for i in m.tolist()]) for det, m in zip(dets, members)]
+
+
 def associate(
     points: Sequence[RadarPoint],
     dets: Sequence[PreliminaryDetection],
@@ -350,43 +481,8 @@ def associate(
     A point may belong to several overlapping frustums; points inside none
     are discarded as clutter. Cluster member order follows input point order.
     """
-    if not dets:
-        return []
-    if not points:
-        return [Cluster(det, []) for det in dets]
-
-    half = 0.5 * np.asarray(pillar_dims, dtype=np.float64).reshape(3)
-    positions = np.stack([p.position for p in points])  # (N, 3)
-    samples = positions[:, None, :] + _SAMPLE_SIGNS[None, :, :] * half  # (N, 9, 3)
-
-    # Componentwise left-to-right arithmetic: bit-identical to the scalar path.
-    ext = camera.extrinsic
-    k = camera.intrinsic
-    sx, sy, sz = samples[..., 0], samples[..., 1], samples[..., 2]
-    cam_x = ext[0, 0] * sx + ext[0, 1] * sy + ext[0, 2] * sz + ext[0, 3]
-    cam_y = ext[1, 0] * sx + ext[1, 1] * sy + ext[1, 2] * sz + ext[1, 3]
-    cam_z = ext[2, 0] * sx + ext[2, 1] * sy + ext[2, 2] * sz + ext[2, 3]
-    in_front = cam_z > MIN_CAMERA_DEPTH
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = (k[0, 0] * cam_x + k[0, 1] * cam_y + k[0, 2] * cam_z) / cam_z
-        v = (k[1, 0] * cam_x + k[1, 1] * cam_y + k[1, 2] * cam_z) / cam_z
-    center_depth = cam_z[:, 0]
-
-    clusters = []
-    for det in dets:
-        frustum = build_frustum(det, camera, expansion)
-        d_min, d_max = frustum.depth_range
-        box = frustum.bbox2d
-        inside = (
-            in_front
-            & (u >= box.x_min)
-            & (u <= box.x_max)
-            & (v >= box.y_min)
-            & (v <= box.y_max)
-        )
-        member = inside.any(axis=1) & (center_depth >= d_min) & (center_depth <= d_max)
-        clusters.append(Cluster(det, [points[i] for i in np.flatnonzero(member)]))
-    return clusters
+    rows = _member_rows(_stacked_positions(points), dets, camera, pillar_dims, expansion)
+    return [Cluster(det, [points[i] for i in r.tolist()]) for det, r in zip(dets, rows)]
 
 
 def associate_naive(
@@ -397,6 +493,7 @@ def associate_naive(
     expansion: float = 1.0,
 ) -> list[Cluster]:
     """Reference association: unbatched per-point, per-detection double loop."""
+    _pillar_half_extents(pillar_dims)  # bad dims fail here too when there are no points
     pillars = [pillar_expand(point, pillar_dims) for point in points]
     clusters = []
     for det in dets:

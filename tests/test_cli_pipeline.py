@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -149,6 +150,27 @@ def test_process_frame_learned_requires_net(tmp_path):
     frames = synth_scene(SynthConfig(seed=5, n_frames=1))
     with pytest.raises(ValueError):
         process_frame(frames[0], PipelineConfig(feature_strategy="learned"))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("min_range", math.nan, "min_range must be a finite number >= 0.0, got nan"),
+        ("max_range", math.nan, "max_range must be a finite number >= 0.0, got nan"),
+        ("min_range", 70.0, "min_range must not exceed max_range, got 70.0 > 60.0"),
+        ("pillar_dims", (math.nan,) * 3, "pillar_dims must be three finite numbers >= 0"),
+        ("pillar_dims", (0.2, -0.2, 1.5), "pillar_dims must be three finite numbers >= 0"),
+        ("expansion", math.inf, "expansion must be a finite number >= 1.0, got inf"),
+        ("max_sweeps", True, "max_sweeps must be an integer >= 1, got True"),
+        ("downsample", 0, "downsample must be an integer >= 1, got 0"),
+        ("top_k", 0, "top_k must be an integer >= 1, got 0"),
+        ("top_k", 2.5, "top_k must be an integer >= 1, got 2.5"),
+        ("score_threshold", math.nan, "score_threshold must be a finite number in [0.0, 1.0]"),
+    ],
+)
+def test_pipeline_config_rejects_meaningless_value(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(**{field: value})
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcdet.errors import InvalidDetection
 from rcdet.geometry import Box3D, project_point
@@ -28,11 +30,13 @@ from rcdet.radar import (
     associate,
     associate_naive,
     build_frustum,
+    cluster_sweeps,
     frustum_contains,
     pillar_expand,
     range_filter,
 )
-from rcdet.scene_io import default_camera
+from rcdet.pipeline import PipelineConfig, process_frame
+from rcdet.scene_io import SceneFrame, default_camera
 
 from conftest import (
     detection_for_box,
@@ -117,6 +121,40 @@ def test_accumulate_matches_sort_truncate_concat_oracle(rng):
         assert got == expected
 
 
+@pytest.mark.parametrize(
+    "stamps,message",
+    [
+        ((1.0, 2.0), "sweep_age must be >= 0, got -1.0"),
+        ((1e308, -1e308), "radar point sweep_age must be finite"),
+    ],
+    ids=["out-of-order", "infinite-span"],
+)
+def test_sweep_age_checked_once_per_sweep(rng, stamps, message):
+    """The texts the point constructor gave for one row, now checked per
+    sweep, through every library entry that ages rows."""
+    sweeps = [_sweep(rng, stamp, 3) for stamp in stamps]
+    det, camera = _detection_at(depth=20.0, yaw=0.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        accumulate_sweeps(sweeps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        process_frame(SceneFrame(0, camera, sweeps, [det]), PipelineConfig())
+    # A sweep with no rows makes no point, so its age is not checked.
+    sweeps[1] = _sweep(rng, stamps[1], 0)
+    assert len(accumulate_sweeps(sweeps)) == 3
+
+
+def test_points_from_columns_are_read_only(rng):
+    sweeps = [_sweep(rng, 10.0, 6), _sweep(rng, 9.5, 6)]
+    det, camera = _detection_at(depth=20.0, yaw=math.pi / 2)
+    sweeps.append(RadarSweep.from_points(9.0, [_point_at(0.0, 20.0)]))
+    clusters = cluster_sweeps(sweeps, [det], camera)
+    assert clusters[0].member_count == 1
+    for point in [*accumulate_sweeps(sweeps), *sweeps[0].points, *clusters[0].members]:
+        for column in (point.position, point.velocity):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+
 # -- range gate ---------------------------------------------------------------
 
 
@@ -178,6 +216,19 @@ def test_pillar_translate_template_oracle(rng):
         template = pillar_expand(_point_at(0.0, 0.0), dims).corners()
         # The z channel of the origin template is offset by the origin point's z = 0.
         assert np.abs(pillar.corners() - (template + point.position)).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.2, math.inf])
+def test_fast_and_naive_association_reject_bad_pillar_dims_alike(bad):
+    det, camera = _detection_at(depth=20.0, yaw=math.pi / 2)
+    points = [_point_at(0.0, 20.0)]
+    dims = (0.2, bad, 1.5)
+    message = "pillar dims must be finite and non-negative"
+    for run in (associate, associate_naive):
+        with pytest.raises(ValueError, match=message):
+            run(points, [det], camera, dims)
+    with pytest.raises(ValueError, match=message):
+        pillar_expand(points[0], dims)
 
 
 # -- frustum construction -----------------------------------------------------
@@ -380,3 +431,64 @@ def test_point_may_join_multiple_clusters():
     clusters = associate([point], [det_a, det_b], camera)
     assert clusters[0].member_count == 1
     assert clusters[1].member_count == 1
+
+
+# -- the frame's front end as one pass -----------------------------------------
+
+
+def _member_sharing(clusters: list[Cluster]):
+    """Each cluster's members as indices of distinct member objects (first
+    seen first), and those objects' rows: equal for two cluster lists with
+    the same rows in the same order, sharing the same objects."""
+    index, rows, members = {}, [], []
+    for cluster in clusters:
+        for point in cluster.members:
+            if id(point) not in index:
+                index[id(point)] = len(rows)
+                rows.append(
+                    (point.position.tobytes(), point.velocity.tobytes(), point.rcs, point.sweep_age)
+                )
+        members.append([index[id(point)] for point in cluster.members])
+    return members, rows
+
+
+@st.composite
+def _front_end_frames(draw):
+    """Frames with no sweeps, empty sweeps, more sweeps than ``max_sweeps``,
+    gates that drop every return, no detections, and a detection twinned at
+    a slightly deeper depth, so that returns lie inside both frustums."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    camera = default_camera()
+    dets = [
+        detection_for_box(rng, camera, random_visible_box(rng, camera))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if dets and draw(st.booleans()):
+        dets.append(replace(dets[0], depth=dets[0].depth + 0.25))
+    sweeps = []
+    for i in range(draw(st.integers(0, 8))):
+        count = draw(st.integers(0, 8))
+        points = random_radar_points(rng, count)
+        for point in points[::2] if dets else ():
+            target = dets[int(rng.integers(len(dets)))].box3d.center
+            point.position = target + rng.uniform(-0.3, 0.3, 3)
+        sweeps.append(RadarSweep.from_points(10.0 - 0.05 * i, points))
+    gates = [(1.0, 60.0), (1.0, 60.0), (0.0, 1e6), (500.0, 600.0)]
+    min_range, max_range = draw(st.sampled_from(gates))
+    cfg = PipelineConfig(
+        max_sweeps=draw(st.integers(1, 6)), min_range=min_range, max_range=max_range
+    )
+    return SceneFrame(0, camera, sweeps, dets), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(_front_end_frames())
+def test_process_frame_clusters_equal_list_stages(case):
+    frame, cfg = case
+    got = process_frame(frame, cfg).clusters
+    points = accumulate_sweeps(frame.radar_sweeps, cfg.max_sweeps)
+    expected = associate(
+        range_filter(points, cfg.min_range, cfg.max_range), frame.detections, frame.camera
+    )
+    assert [c.detection for c in got] == [c.detection for c in expected]
+    assert _member_sharing(got) == _member_sharing(expected)
