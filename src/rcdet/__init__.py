@@ -45,6 +45,7 @@ from .features import (
     cluster_orientation,
     cluster_slope,
     extract_handcrafted,
+    handcrafted_rows,
     rasterize_heatmap,
     slope_to_orientation,
     zero_features,

@@ -11,19 +11,22 @@ through the cluster. Four feature combinations are available:
   complete    max, min, mean, median, var, orientation -> 21 values
 
 Statistic blocks are laid out in the order listed, each over the channels
-(x, y, v_x, v_y). Members are reduced in a canonical lexicographic order so
-the output is exactly invariant under member reordering.
+(x, y, v_x, v_y). Members are reduced in their canonical order
+(``radar.canonical_members``), so the output is exactly invariant under
+member reordering.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateLine, EmptyCluster, MixedChannelCounts
-from .radar import Cluster
+from .radar import Cluster, canonical_members
 
 DEFAULT_POSITION_NORM = 60.0
 DEFAULT_VELOCITY_NORM = 20.0
@@ -31,9 +34,15 @@ DEFAULT_DOWNSAMPLE = 4
 
 _SLOPE_EPS = 1e-12
 
-VARIANTS = ("mean", "mean_ort", "median_ort", "complete")
-
-_VARIANT_LENGTHS = {"mean": 12, "mean_ort": 13, "median_ort": 13, "complete": 21}
+# Each variant's statistic blocks in layout order, one value per channel
+# (x, y, v_x, v_y) each; every variant but "mean" appends the orientation.
+_VARIANT_BLOCKS = {
+    "mean": (np.max, np.min, np.mean),
+    "mean_ort": (np.max, np.min, np.mean),
+    "median_ort": (np.max, np.min, np.median),
+    "complete": (np.max, np.min, np.mean, np.median, np.var),
+}
+VARIANTS = tuple(_VARIANT_BLOCKS)
 
 
 @dataclass
@@ -47,12 +56,16 @@ class HandcraftedConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.position_norm <= 0 or self.velocity_norm <= 0:
-            raise ValueError("normalization constants must be positive")
+        for name in ("position_norm", "velocity_norm"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+            ):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     @property
     def length(self) -> int:
-        return _VARIANT_LENGTHS[self.variant]
+        return 4 * len(_VARIANT_BLOCKS[self.variant]) + (self.variant != "mean")
 
 
 @dataclass(eq=False)
@@ -96,15 +109,28 @@ class FeatureHeatmap:
         return dense
 
 
-def _canonical_rows(cluster: Cluster) -> np.ndarray:
-    """Members as (N, 4) rows (x, y, v_x, v_y), lexicographically sorted.
+def _slope(members: np.ndarray, position_norm: float) -> float:
+    """Least-squares slope through the normalized BEV positions of canonical
+    member rows; raises DegenerateLine when the x spread is below 1e-12."""
+    if not len(members):
+        raise EmptyCluster("cannot fit a line through an empty cluster")
+    x = members[:, 0] / position_norm
+    y = members[:, 1] / position_norm
+    dx = x - x.mean()
+    denom = float(np.sum(dx * dx))
+    if denom < _SLOPE_EPS:
+        raise DegenerateLine("x spread too small for a least-squares slope")
+    return float(np.sum(dx * (y - y.mean()))) / denom
 
-    The sort fixes the reduction order, making every statistic bit-identical
-    under member permutations.
-    """
-    rows = np.concatenate([cluster.positions()[:, :2], cluster.velocities()], axis=1)
-    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0]))
-    return rows[order]
+
+def _orientation(members: np.ndarray, position_norm: float) -> float:
+    """Orientation of the best-fitting line through canonical member rows,
+    applying the degenerate conventions."""
+    try:
+        return slope_to_orientation(_slope(members, position_norm))
+    except DegenerateLine:
+        bev = members[:, :2]
+        return slope_to_orientation(None, distinct_points=2 if (bev != bev[0]).any() else 1)
 
 
 def cluster_slope(cluster: Cluster, position_norm: float = DEFAULT_POSITION_NORM) -> float:
@@ -113,16 +139,7 @@ def cluster_slope(cluster: Cluster, position_norm: float = DEFAULT_POSITION_NORM
     Raises DegenerateLine when the normalized x spread is below 1e-12
     (vertical line or a single point).
     """
-    rows = _canonical_rows(cluster)
-    if rows.shape[0] < 1:
-        raise EmptyCluster("cannot fit a line through an empty cluster")
-    x = rows[:, 0] / position_norm
-    y = rows[:, 1] / position_norm
-    dx = x - x.mean()
-    denom = float(np.sum(dx * dx))
-    if denom < _SLOPE_EPS:
-        raise DegenerateLine("x spread too small for a least-squares slope")
-    return float(np.sum(dx * (y - y.mean()))) / denom
+    return _slope(canonical_members([cluster])[0], position_norm)
 
 
 def slope_to_orientation(slope: float | None, distinct_points: int = 2) -> float:
@@ -140,41 +157,39 @@ def cluster_orientation(
     cluster: Cluster, position_norm: float = DEFAULT_POSITION_NORM
 ) -> float:
     """Orientation of the best-fitting line, applying the degenerate conventions."""
-    try:
-        return slope_to_orientation(cluster_slope(cluster, position_norm))
-    except DegenerateLine:
-        positions = cluster.positions()[:, :2]
-        distinct = len({(float(p[0]), float(p[1])) for p in positions})
-        return slope_to_orientation(None, distinct_points=distinct)
+    return _orientation(canonical_members([cluster])[0], position_norm)
+
+
+def handcrafted_rows(clusters: Sequence[Cluster], cfg: HandcraftedConfig) -> np.ndarray:
+    """Every cluster's features from one pass over the frame's
+    ``canonical_members``, shape (n_clusters, ``cfg.length``); empty clusters
+    are zero rows. Positions are divided by ``cfg.position_norm``, velocities
+    by ``cfg.velocity_norm``, and each statistic reduces a cluster's slice.
+    """
+    rows = np.zeros((len(clusters), cfg.length))
+    members, bounds = canonical_members(clusters)
+    norm = np.array([cfg.position_norm] * 2 + [cfg.velocity_norm] * 2)
+    channels = np.concatenate([members[:, :2], members[:, 3:]], axis=1) / norm
+    statistics = _VARIANT_BLOCKS[cfg.variant]
+    for row, a, b in zip(rows, bounds[:-1], bounds[1:]):
+        if b > a:
+            row[: 4 * len(statistics)] = np.concatenate(
+                [stat(channels[a:b], axis=0) for stat in statistics]
+            )
+            if cfg.variant != "mean":
+                row[-1] = _orientation(members[a:b], cfg.position_norm)
+    return rows
 
 
 def extract_handcrafted(cluster: Cluster, cfg: HandcraftedConfig) -> FeatureVector:
-    """Per-channel statistics of normalized member positions and velocities.
+    """One cluster's row of :func:`handcrafted_rows`.
 
-    Positions are divided by ``cfg.position_norm`` and velocities by
-    ``cfg.velocity_norm``. Raises EmptyCluster for N = 0; the pipeline maps
-    that to an all-zero vector so empty clusters still rasterize uniformly.
+    Raises EmptyCluster for N = 0; the frame pass makes that an all-zero
+    row so empty clusters still rasterize uniformly.
     """
     if cluster.member_count == 0:
         raise EmptyCluster("handcrafted features need at least one member")
-    rows = _canonical_rows(cluster)
-    norm = np.array(
-        [cfg.position_norm, cfg.position_norm, cfg.velocity_norm, cfg.velocity_norm]
-    )
-    channels = rows / norm
-
-    blocks = [channels.max(axis=0), channels.min(axis=0)]
-    if cfg.variant in ("mean", "mean_ort", "complete"):
-        blocks.append(channels.mean(axis=0))
-    if cfg.variant in ("median_ort", "complete"):
-        blocks.append(np.median(channels, axis=0))
-    if cfg.variant == "complete":
-        blocks.append(channels.var(axis=0))
-    values = np.concatenate(blocks)
-    if cfg.variant != "mean":
-        orientation = cluster_orientation(cluster, cfg.position_norm)
-        values = np.append(values, orientation)
-    return FeatureVector(values=values, kind=cfg.variant)
+    return FeatureVector(values=handcrafted_rows([cluster], cfg)[0], kind=cfg.variant)
 
 
 def zero_features(length: int, kind: str = "empty") -> FeatureVector:

@@ -37,7 +37,7 @@ from .features import (
     HandcraftedConfig,
     extract_handcrafted,
 )
-from .radar import Cluster
+from .radar import Cluster, canonical_members
 
 POINT_FEATURE_DIM = 5  # (x, y, v_x, v_y, 1.0)
 DEFAULT_BASE_CELL = 0.1
@@ -504,53 +504,27 @@ def kpconv_weight_grad(
     return (weighted.T @ upstream).reshape(layer.weights.shape)
 
 
-def cluster_to_point_features(
-    cluster: Cluster,
-    position_norm: float = DEFAULT_POSITION_NORM,
-    velocity_norm: float = DEFAULT_VELOCITY_NORM,
-) -> PointFeatures:
+def cluster_to_point_features(cluster: Cluster) -> PointFeatures:
     """Cluster members as a point set in the cluster-local frame.
 
     Positions are re-centered on the cluster centroid (meters); feature rows
-    are (x, y, v_x, v_y, 1.0) with positions and velocities normalized the
-    same way as the handcrafted features. Members are put in a canonical
-    lexicographic order first, so downstream processing is exactly invariant
-    to the input ordering. This is the one-cluster case of :func:`_point_sets`.
+    are (x, y, v_x, v_y, 1.0) with positions and velocities normalized by the
+    handcrafted defaults. Members are in canonical order, so downstream
+    processing is exactly invariant to the input ordering. This is the
+    one-cluster case of :func:`_point_sets`.
     """
-    return _point_sets([cluster], position_norm, velocity_norm)[0]
+    return _point_sets([cluster])[0]
 
 
-def _point_sets(
-    clusters: Sequence[Cluster],
-    position_norm: float = DEFAULT_POSITION_NORM,
-    velocity_norm: float = DEFAULT_VELOCITY_NORM,
-) -> tuple[PointFeatures, np.ndarray]:
+def _point_sets(clusters: Sequence[Cluster]) -> tuple[PointFeatures, np.ndarray]:
     """Every cluster's :func:`cluster_to_point_features`, stacked in cluster
-    order, and the segment bounds: cluster s owns rows
-    ``bounds[s]:bounds[s + 1]``.
-
-    One ``np.lexsort`` keyed by (segment, x, y, z, v_x, v_y) puts each
-    cluster's members in their canonical order; each centroid is the mean of
-    its cluster's contiguous slice.
+    order, and the segment bounds of ``canonical_members``; each centroid is
+    the mean of its cluster's contiguous slice.
     """
-    members = [point for cluster in clusters for point in cluster.members]
-    positions = np.array([p.position for p in members]).reshape(-1, 3)
-    velocities = np.array([p.velocity for p in members]).reshape(-1, 2)
-    counts = [cluster.member_count for cluster in clusters]
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    segments = np.repeat(np.arange(len(clusters)), counts)
-    order = np.lexsort((*velocities.T[::-1], *positions.T[::-1], segments))
-    positions = positions[order]
-    velocities = velocities[order]
-    features = np.column_stack(
-        [
-            positions[:, 0] / position_norm,
-            positions[:, 1] / position_norm,
-            velocities[:, 0] / velocity_norm,
-            velocities[:, 1] / velocity_norm,
-            np.ones(positions.shape[0]),
-        ]
-    )
+    members, bounds = canonical_members(clusters)
+    positions = members[:, :3].copy()
+    norm = np.array([DEFAULT_POSITION_NORM] * 2 + [DEFAULT_VELOCITY_NORM] * 2)
+    features = np.column_stack([members[:, [0, 1, 3, 4]] / norm, np.ones(len(members))])
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b > a:
             positions[a:b] -= positions[a:b].mean(axis=0)

@@ -154,12 +154,18 @@ def _log_clamped(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, PROB_EPS))
 
 
+def _focal_objects(pair: HeatmapPair) -> int:
+    """The object count M of a focal-loss input; raises EmptyBatch for 0."""
+    if pair.num_objects < 1:
+        raise EmptyBatch("focal loss needs at least one object")
+    return pair.num_objects
+
+
 def focal_loss(
     pair: HeatmapPair, alpha: float = FOCAL_ALPHA, beta: float = FOCAL_BETA
 ) -> float:
     """Penalty-reduced focal loss over the class heatmaps, normalized by M."""
-    if pair.num_objects < 1:
-        raise EmptyBatch("focal loss needs at least one object")
+    m = _focal_objects(pair)
     pred = pair.predicted
     target = pair.target
     pos = target == 1.0
@@ -168,15 +174,14 @@ def focal_loss(
     neg_term = np.sum(
         (1.0 - target[neg]) ** beta * pred[neg] ** alpha * _log_clamped(1.0 - pred[neg])
     )
-    return float(-(pos_term + neg_term) / pair.num_objects)
+    return float(-(pos_term + neg_term) / m)
 
 
 def focal_loss_grad(
     pair: HeatmapPair, alpha: float = FOCAL_ALPHA, beta: float = FOCAL_BETA
 ) -> np.ndarray:
     """d focal_loss / d predicted, elementwise (away from the clamp bounds)."""
-    if pair.num_objects < 1:
-        raise EmptyBatch("focal loss needs at least one object")
+    m = _focal_objects(pair)
     pred = np.clip(pair.predicted, PROB_EPS, 1.0 - PROB_EPS)
     target = pair.target
     grad = np.empty_like(pred)
@@ -189,18 +194,21 @@ def focal_loss_grad(
         alpha * pred[neg] ** (alpha - 1.0) * np.log(1.0 - pred[neg])
         - pred[neg] ** alpha / (1.0 - pred[neg])
     )
-    return grad / pair.num_objects
+    return grad / m
+
+
+def _offset_inputs(batch: RegressionBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets_pred, offsets_target, truncated flags, all False if absent)."""
+    pred = _require(batch.offsets_pred, "offsets_pred")
+    truncated = batch.truncated
+    if truncated is None:
+        truncated = np.zeros(pred.shape[0], dtype=bool)
+    return pred, batch.offsets_target, truncated
 
 
 def offset_loss(batch: RegressionBatch) -> float:
     """Center-offset loss: log-scale L1 for truncated objects, plain L1 otherwise."""
-    pred = _require(batch.offsets_pred, "offsets_pred")
-    target = batch.offsets_target
-    truncated = (
-        batch.truncated
-        if batch.truncated is not None
-        else np.zeros(pred.shape[0], dtype=bool)
-    )
+    pred, target, truncated = _offset_inputs(batch)
     per_object = np.abs(pred - target).sum(axis=1)
     per_object = np.where(truncated, np.log1p(per_object), per_object)
     return float(per_object.mean())
@@ -208,13 +216,7 @@ def offset_loss(batch: RegressionBatch) -> float:
 
 def offset_loss_grad(batch: RegressionBatch) -> np.ndarray:
     """d offset_loss / d offsets_pred, shape (M, 2)."""
-    pred = _require(batch.offsets_pred, "offsets_pred")
-    target = batch.offsets_target
-    truncated = (
-        batch.truncated
-        if batch.truncated is not None
-        else np.zeros(pred.shape[0], dtype=bool)
-    )
+    pred, target, truncated = _offset_inputs(batch)
     m = pred.shape[0]
     signs = np.sign(pred - target)
     scale = np.where(truncated, 1.0 / (1.0 + np.abs(pred - target).sum(axis=1)), 1.0)
@@ -228,24 +230,45 @@ _L1_FIELDS = {
 }
 
 
-def l1_regression_loss(kind: str, batch: RegressionBatch) -> float:
-    """Mean over objects of the summed elementwise absolute error."""
+def _l1_inputs(kind: str, batch: RegressionBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The (predicted, target) arrays of an L1 regression ``kind``."""
     if kind not in _L1_FIELDS:
         raise ValueError(f"unknown L1 regression kind {kind!r}")
     pred_name, target_name = _L1_FIELDS[kind]
-    pred = _require(getattr(batch, pred_name), pred_name)
-    target = getattr(batch, target_name)
-    m = pred.shape[0]
-    return float(np.abs(pred - target).sum() / m)
+    return _require(getattr(batch, pred_name), pred_name), getattr(batch, target_name)
+
+
+def l1_regression_loss(kind: str, batch: RegressionBatch) -> float:
+    """Mean over objects of the summed elementwise absolute error."""
+    pred, target = _l1_inputs(kind, batch)
+    return float(np.abs(pred - target).sum() / pred.shape[0])
 
 
 def l1_regression_loss_grad(kind: str, batch: RegressionBatch) -> np.ndarray:
-    if kind not in _L1_FIELDS:
-        raise ValueError(f"unknown L1 regression kind {kind!r}")
-    pred_name, target_name = _L1_FIELDS[kind]
-    pred = _require(getattr(batch, pred_name), pred_name)
-    target = getattr(batch, target_name)
+    pred, target = _l1_inputs(kind, batch)
     return np.sign(pred - target) / pred.shape[0]
+
+
+def _multibin_inputs(
+    bin_confidences: np.ndarray,
+    bin_residuals: np.ndarray,
+    targets: Sequence[OrientationTarget],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked (confidences, residuals, covered-bin flags as floats)."""
+    conf = np.asarray(bin_confidences, dtype=np.float64)
+    residuals = np.asarray(bin_residuals, dtype=np.float64)
+    if conf.shape[0] == 0:
+        raise EmptyBatch("multibin loss needs at least one object")
+    if len(targets) != conf.shape[0]:
+        raise ValueError("target count must match batch size")
+    n_bins = conf.shape[1]
+    if residuals.shape != (conf.shape[0], n_bins, 2):
+        raise ValueError(f"bin_residuals must be (M, {n_bins}, 2), got {residuals.shape}")
+    flags = np.stack([t.flags for t in targets])
+    uncovered = np.flatnonzero(~flags.any(axis=1))
+    if uncovered.size:
+        raise NoCoveredBin(f"object {uncovered[0]} covers no orientation bin")
+    return conf, residuals, flags.astype(np.float64)
 
 
 def multibin_loss(
@@ -260,18 +283,8 @@ def multibin_loss(
     cross-entropy averaged over all bins; the residual term is L1 on the raw
     (cos, sin) outputs averaged over the covered bins only.
     """
-    conf = np.asarray(bin_confidences, dtype=np.float64)
-    residuals = np.asarray(bin_residuals, dtype=np.float64)
-    if conf.shape[0] == 0:
-        raise EmptyBatch("multibin loss needs at least one object")
-    if len(targets) != conf.shape[0]:
-        raise ValueError("target count must match batch size")
-    n_bins = conf.shape[1]
-    if residuals.shape != (conf.shape[0], n_bins, 2):
-        raise ValueError(f"bin_residuals must be (M, {n_bins}, 2), got {residuals.shape}")
-    m = conf.shape[0]
-
-    flags = np.stack([t.flags for t in targets]).astype(np.float64)
+    conf, residuals, flags = _multibin_inputs(bin_confidences, bin_residuals, targets)
+    m, n_bins = conf.shape
     bce = -(flags * _log_clamped(conf) + (1.0 - flags) * _log_clamped(1.0 - conf))
     rotcls = float(bce.sum() / (m * n_bins))
 
@@ -279,8 +292,6 @@ def multibin_loss(
     for k, target in enumerate(targets):
         covered = target.flags
         n_covered = int(covered.sum())
-        if n_covered == 0:
-            raise NoCoveredBin(f"object {k} covers no orientation bin")
         err = np.abs(residuals[k, covered] - target.residuals[covered]).sum()
         rotres += err / n_covered
     rotres = float(rotres / m)
@@ -293,13 +304,9 @@ def multibin_loss_grad(
     targets: Sequence[OrientationTarget],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the summed rotation loss wrt confidences and residuals."""
-    conf = np.asarray(bin_confidences, dtype=np.float64)
-    residuals = np.asarray(bin_residuals, dtype=np.float64)
-    if conf.shape[0] == 0:
-        raise EmptyBatch("multibin loss needs at least one object")
+    conf, residuals, flags = _multibin_inputs(bin_confidences, bin_residuals, targets)
     m, n_bins = conf.shape
     conf_c = np.clip(conf, PROB_EPS, 1.0 - PROB_EPS)
-    flags = np.stack([t.flags for t in targets]).astype(np.float64)
     conf_grad = (-flags / conf_c + (1.0 - flags) / (1.0 - conf_c)) / (m * n_bins)
     res_grad = np.zeros_like(residuals)
     for k, target in enumerate(targets):
@@ -311,6 +318,15 @@ def multibin_loss_grad(
     return conf_grad, res_grad
 
 
+def _depth_inputs(batch: RegressionBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(depth_pred, depth_target, log_sigma_pred), the last of the first's shape."""
+    pred = _require(batch.depth_pred, "depth_pred")
+    log_sigma = _require(batch.log_sigma_pred, "log_sigma_pred")
+    if log_sigma.shape != pred.shape:
+        raise ValueError(f"log_sigma_pred must have shape {pred.shape}, got {log_sigma.shape}")
+    return pred, batch.depth_target, log_sigma
+
+
 def depth_uncertainty_loss(batch: RegressionBatch) -> float:
     """Uncertainty-attenuated depth L1: |d - d_hat| / sigma^2 + log sigma^2.
 
@@ -319,9 +335,7 @@ def depth_uncertainty_loss(batch: RegressionBatch) -> float:
     Can be negative (the log term); for a fixed error e its minimum over
     sigma^2 is attained at sigma^2 = e with value 1 + log e.
     """
-    pred = _require(batch.depth_pred, "depth_pred")
-    target = batch.depth_target
-    log_sigma = _require(batch.log_sigma_pred, "log_sigma_pred")
+    pred, target, log_sigma = _depth_inputs(batch)
     err = np.abs(target - pred)
     per_object = err * np.exp(-2.0 * log_sigma) + 2.0 * log_sigma
     return float(per_object.mean())
@@ -329,9 +343,7 @@ def depth_uncertainty_loss(batch: RegressionBatch) -> float:
 
 def depth_uncertainty_loss_grad(batch: RegressionBatch) -> tuple[np.ndarray, np.ndarray]:
     """Gradients wrt (depth_pred, log_sigma_pred)."""
-    pred = _require(batch.depth_pred, "depth_pred")
-    target = batch.depth_target
-    log_sigma = _require(batch.log_sigma_pred, "log_sigma_pred")
+    pred, target, log_sigma = _depth_inputs(batch)
     m = pred.shape[0]
     inv_var = np.exp(-2.0 * log_sigma)
     depth_grad = np.sign(pred - target) * inv_var / m
@@ -394,31 +406,31 @@ def _giou_and_grad(pred_box: np.ndarray, gt_box: np.ndarray) -> tuple[float, np.
     return giou, d_iou + d_penalty
 
 
-def dim2d_giou_loss(batch: RegressionBatch) -> float:
-    """Mean (1 - GIoU) between boxes rebuilt from predicted and target side
-    distances about each object's representative point."""
+def _dim2d_boxes(batch: RegressionBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The (predicted, target) corner-form boxes of non-negative side distances."""
     sides_pred = _require(batch.sides_pred, "sides_pred")
     sides_target = batch.sides_target
     rep = _require(batch.rep_points, "rep_points")
     if sides_pred.min() < 0 or sides_target.min() < 0:
         raise ValueError("side distances must be non-negative")
-    pred_boxes = _boxes_from_sides(sides_pred, rep)
-    gt_boxes = _boxes_from_sides(sides_target, rep)
+    return _boxes_from_sides(sides_pred, rep), _boxes_from_sides(sides_target, rep)
+
+
+def dim2d_giou_loss(batch: RegressionBatch) -> float:
+    """Mean (1 - GIoU) between boxes rebuilt from predicted and target side
+    distances about each object's representative point."""
+    pred_boxes, gt_boxes = _dim2d_boxes(batch)
     total = 0.0
     for pred_box, gt_box in zip(pred_boxes, gt_boxes):
         giou, _ = _giou_and_grad(pred_box, gt_box)
         total += 1.0 - giou
-    return total / sides_pred.shape[0]
+    return total / len(pred_boxes)
 
 
 def dim2d_giou_loss_grad(batch: RegressionBatch) -> np.ndarray:
     """d dim2d_giou_loss / d sides_pred, shape (M, 4)."""
-    sides_pred = _require(batch.sides_pred, "sides_pred")
-    sides_target = batch.sides_target
-    rep = _require(batch.rep_points, "rep_points")
-    pred_boxes = _boxes_from_sides(sides_pred, rep)
-    gt_boxes = _boxes_from_sides(sides_target, rep)
-    m = sides_pred.shape[0]
+    pred_boxes, gt_boxes = _dim2d_boxes(batch)
+    m = len(pred_boxes)
     grad = np.zeros((m, 4))
     # Chain through the corner coords: x1 = px - left, y1 = py - top,
     # x2 = px + right, y2 = py + bottom.

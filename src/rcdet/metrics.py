@@ -17,6 +17,7 @@ as-is, so published component values reproduce their published composite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +51,33 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         thresholds = tuple(self.distance_thresholds)
-        if not thresholds or any(t <= 0 for t in thresholds):
-            raise ValueError("distance thresholds must be positive")
+        if not thresholds or not all(_finite(t) and t > 0 for t in thresholds):
+            raise ValueError(
+                f"distance_thresholds must be finite positive numbers, got {thresholds!r}"
+            )
         if list(thresholds) != sorted(thresholds):
             raise ValueError("distance thresholds must be ascending")
         self.distance_thresholds = thresholds
+        if not (_finite(self.tp_threshold) and self.tp_threshold > 0):
+            raise ValueError(
+                f"tp_threshold must be a finite positive number, got {self.tp_threshold!r}"
+            )
+        _check_ap_floors(self.min_recall, self.min_precision)
+
+
+def _finite(value) -> bool:
+    """``value`` is a finite real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_ap_floors(min_recall: float, min_precision: float) -> None:
+    """Both floors lie in [0, 1), and at least one point of the 101-point
+    recall grid lies above ``min_recall``."""
+    for name, value in (("min_recall", min_recall), ("min_precision", min_precision)):
+        if not (_finite(value) and 0 <= value < 1):
+            raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
+    if round(100 * min_recall) >= 100:
+        raise ValueError(f"min_recall leaves no recall grid point above it, got {min_recall!r}")
 
 
 @dataclass
@@ -140,6 +163,7 @@ def average_precision(
     """
     if num_gt <= 0:
         raise ValueError("average precision needs at least one ground-truth box")
+    _check_ap_floors(min_recall, min_precision)
     scores = np.asarray(scores, dtype=np.float64)
     tp_flags = np.asarray(tp_flags, dtype=bool)
     if scores.shape != tp_flags.shape:

@@ -29,7 +29,7 @@ from .features import (
     FeatureHeatmap,
     FeatureVector,
     HandcraftedConfig,
-    extract_handcrafted,
+    handcrafted_rows,
     rasterize_heatmap,
 )
 from .kpconv import KPNetworkConfig, learned_rows
@@ -70,6 +70,9 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (_is_number(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        value = self.num_classes
+        if value is not None and not (_is_number(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"num_classes must be None or an integer >= 1, got {value!r}")
         for name, low, high in (
             ("min_range", 0.0, math.inf),
             ("max_range", 0.0, math.inf),
@@ -122,14 +125,11 @@ def feature_rows(
     """The frame's cluster features, shape (n_clusters, ``feature_length``).
 
     The strategy picks the columns: handcrafted first, then learned (one
-    ``learned_rows`` pass over the frame). Empty clusters are zero rows.
+    ``handcrafted_rows``/``learned_rows`` pass each). Empty clusters are zero rows.
     """
     rows = np.zeros((len(clusters), feature_length(cfg, net)))
     if cfg.feature_strategy != "learned":
-        for row, cluster in zip(rows, clusters):
-            if cluster.member_count:
-                handcrafted = extract_handcrafted(cluster, cfg.handcrafted).values
-                row[: len(handcrafted)] = handcrafted
+        rows[:, : cfg.handcrafted.length] = handcrafted_rows(clusters, cfg.handcrafted)
     if cfg.feature_strategy != "handcrafted":
         rows[:, -net.output_dim :] = learned_rows(clusters, net)
     return rows

@@ -56,7 +56,9 @@ class RadarPoint:
         self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
         self.velocity = np.asarray(self.velocity, dtype=np.float64).reshape(2)
         # math.isfinite over plain floats: a fraction of np.isfinite's call
-        # overhead, which every parsed and every accumulated point pays.
+        # overhead, which every point built one at a time pays (synthetic
+        # scenes, bench inputs). Rows of checked sweep columns skip this
+        # constructor through _row_points.
         numbers = (*self.position.tolist(), *self.velocity.tolist(), self.rcs, self.sweep_age)
         if not all(map(math.isfinite, numbers)):
             bad = next(i for i, x in enumerate(numbers) if not math.isfinite(x))
@@ -234,6 +236,21 @@ class Cluster:
         if not self.members:
             return np.zeros((0, 2))
         return np.stack([p.velocity for p in self.members])
+
+
+def canonical_members(clusters: Sequence[Cluster]) -> tuple[np.ndarray, np.ndarray]:
+    """Every cluster's members as C-ordered rows (x, y, z, v_x, v_y), each
+    cluster's sorted lexicographically by all five values, and the segment
+    bounds: cluster s owns rows ``bounds[s]:bounds[s + 1]``. A slice reduced
+    in row order thus has the same bits under any member permutation.
+    """
+    members = [point for cluster in clusters for point in cluster.members]
+    positions = np.array([p.position for p in members]).reshape(-1, 3)
+    rows = np.hstack([positions, np.array([p.velocity for p in members]).reshape(-1, 2)])
+    counts = [cluster.member_count for cluster in clusters]
+    segments = np.repeat(np.arange(len(clusters)), counts)
+    order = np.lexsort((*rows.T[::-1], segments))
+    return rows[order], np.cumsum([0, *counts])
 
 
 def _accumulated_columns(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -10,6 +11,12 @@ import pytest
 from rcdet.geometry import Box3D, CameraModel, project_box_to_bbox2d, project_point, unproject_point
 from rcdet.errors import BehindCamera
 from rcdet.radar import PreliminaryDetection, RadarPoint
+
+
+def pytest_report_header(config) -> str:
+    """The versions that the sha256 pins depend on: numpy's reduction order
+    and memory layout decide the bits of the pinned feature rows."""
+    return f"numpy {np.__version__}, Python {platform.python_version()}"
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -166,6 +166,10 @@ def test_process_frame_learned_requires_net(tmp_path):
         ("top_k", 0, "top_k must be an integer >= 1, got 0"),
         ("top_k", 2.5, "top_k must be an integer >= 1, got 2.5"),
         ("score_threshold", math.nan, "score_threshold must be a finite number in [0.0, 1.0]"),
+        ("num_classes", 1.5, "num_classes must be None or an integer >= 1, got 1.5"),
+        ("num_classes", True, "num_classes must be None or an integer >= 1, got True"),
+        ("num_classes", 0, "num_classes must be None or an integer >= 1, got 0"),
+        ("num_classes", -1, "num_classes must be None or an integer >= 1, got -1"),
     ],
 )
 def test_pipeline_config_rejects_meaningless_value(field, value, message):

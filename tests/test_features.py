@@ -7,11 +7,14 @@ against a per-pixel painter oracle.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcdet.errors import DegenerateLine, EmptyCluster, MixedChannelCounts
 from rcdet.features import (
@@ -20,11 +23,13 @@ from rcdet.features import (
     cluster_orientation,
     cluster_slope,
     extract_handcrafted,
+    handcrafted_rows,
     rasterize_heatmap,
     slope_to_orientation,
     zero_features,
 )
 from rcdet.geometry import Box2D, Box3D
+from rcdet.pipeline import PipelineConfig, feature_rows
 from rcdet.radar import Cluster, PreliminaryDetection, RadarPoint
 
 
@@ -219,6 +224,114 @@ def test_scale_equivariance_exact(rng):
             assert np.array_equal(halved[block * 4 : block * 4 + 2], base[block * 4 : block * 4 + 2] / 2)
             assert np.array_equal(halved[block * 4 + 2 : block * 4 + 4], base[block * 4 + 2 : block * 4 + 4])
         assert halved[-1] == base[-1]
+
+
+# -- the frame pass ----------------------------------------------------------------
+
+_KINDS = ("empty", "single", "repeated", "vertical", "tight", "spread", "large")
+
+
+def _mixed_cluster(rng, kind: str) -> Cluster:
+    """One cluster of ``kind``, every member at z = 0."""
+    if kind == "empty":
+        return _cluster(np.zeros((0, 2)))
+    if kind == "single":
+        return _random_cluster(rng, 1)
+    if kind == "repeated":
+        cluster = _random_cluster(rng, 1)
+        return Cluster(cluster.detection, cluster.members * int(rng.integers(2, 6)))
+    if kind == "vertical":
+        n = int(rng.integers(2, 12))
+        x = np.full(n, rng.uniform(-50, 50))
+        return _cluster(np.column_stack([x, rng.uniform(-50, 50, n)]), rng.uniform(-15, 15, (n, 2)))
+    if kind == "tight":
+        n = int(rng.integers(2, 12))
+        positions = rng.uniform(-50, 50, 2) + rng.uniform(-0.05, 0.05, (n, 2))
+        return _cluster(positions, rng.uniform(-15, 15, (n, 2)))
+    if kind == "spread":
+        cluster = _random_cluster(rng, 40)
+        return Cluster(cluster.detection, cluster.members + cluster.members[:5])
+    return _random_cluster(rng, 300)
+
+
+def _mixed_frame(seed: int, kinds=_KINDS) -> list[Cluster]:
+    rng = np.random.default_rng(seed)
+    return [_mixed_cluster(rng, kind) for kind in kinds]
+
+
+def _handcrafted_frame_rows(clusters, variant: str) -> np.ndarray:
+    cfg = PipelineConfig(handcrafted=HandcraftedConfig(variant=variant))
+    return feature_rows(clusters, cfg, None)
+
+
+# sha256 of the handcrafted feature rows over _mixed_frame(seed) for seeds
+# 0-3, in seed order: every cluster kind (empty, one point, one point
+# repeated, a vertical line, 0.05 m, 40 points with duplicates, 300 points).
+_HANDCRAFTED_ROWS_DIGESTS = {
+    "mean": "df0a08d9b29f2821855755bd5572a3638a1ef76e310c5ce517d7ecc5a46157a4",
+    "mean_ort": "b63cf70b17e7186d5060f74b28dad970c0e9676040091edc7fd884c584516b20",
+    "median_ort": "4a6e8a8d8139d80f48998fb6a38aafc160d2fad883920c059204e7d714c4640e",
+    "complete": "2f671df3a41077b76d0310ac80b0ad3deb62aa35b568e576a74d9dc8e3584409",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_HANDCRAFTED_ROWS_DIGESTS))
+def test_handcrafted_rows_bits_pinned(variant):
+    """The handcrafted columns of a frame keep their bits."""
+    digest = hashlib.sha256()
+    for seed in range(4):
+        digest.update(_handcrafted_frame_rows(_mixed_frame(seed), variant).tobytes())
+    assert digest.hexdigest() == _HANDCRAFTED_ROWS_DIGESTS[variant]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    variant=st.sampled_from(["mean", "mean_ort", "median_ort", "complete"]),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_pass_rows_match_per_cluster_oracle(variant, kinds, seed):
+    """Each row of the frame pass equals its cluster run alone, bit for bit."""
+    cfg = HandcraftedConfig(variant=variant)
+    clusters = _mixed_frame(seed, kinds)
+    rows = handcrafted_rows(clusters, cfg)
+    assert rows.shape == (len(clusters), cfg.length)
+    for cluster, row in zip(clusters, rows):
+        alone = extract_handcrafted(cluster, cfg).values if cluster.member_count else np.zeros(cfg.length)
+        assert row.tobytes() == alone.tobytes()
+
+
+def _z_tie_cluster(rng) -> Cluster:
+    """Members on three BEV spots, each spot shared by several heights and
+    velocities, so the canonical order inside a spot depends on z."""
+    spots = rng.uniform(-50, 50, size=(3, 2))
+    points = [
+        RadarPoint(
+            position=np.array([*spots[int(rng.integers(3))], rng.uniform(-1.0, 2.0)]),
+            velocity=rng.uniform(-15, 15, size=2),
+        )
+        for _ in range(int(rng.integers(8, 40)))
+    ]
+    return Cluster(_cluster(np.zeros((0, 2))).detection, points)
+
+
+@pytest.mark.parametrize("variant", ["mean", "mean_ort", "median_ort", "complete"])
+def test_z_ties_keep_exact_permutation_invariance(rng, variant):
+    cfg = HandcraftedConfig(variant=variant)
+    for _ in range(30):
+        cluster = _z_tie_cluster(rng)
+        base = extract_handcrafted(cluster, cfg).values
+        perm = rng.permutation(cluster.member_count)
+        shuffled = Cluster(cluster.detection, [cluster.members[i] for i in perm])
+        assert extract_handcrafted(shuffled, cfg).values.tobytes() == base.tobytes()
+        assert handcrafted_rows([shuffled, cluster], cfg).tobytes() == np.stack([base, base]).tobytes()
+
+
+@pytest.mark.parametrize("field", ["position_norm", "velocity_norm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, 0.0, -1.0])
+def test_handcrafted_config_rejects_meaningless_norm(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number > 0, got {value!r}"):
+        HandcraftedConfig(**{field: value})
 
 
 # -- rasterization ----------------------------------------------------------------

@@ -522,3 +522,54 @@ def test_total_loss_weighted_sum_oracle(rng):
         parts = rng.uniform(-2, 5, size=8)
         expected = parts[:6].sum() + 0.1 * parts[6] + 0.5 * parts[7]
         assert abs(total_loss(*parts) - expected) < 1e-12
+
+
+# -- value and gradient check the same inputs -------------------------------------
+
+
+def _uncovered_target() -> OrientationTarget:
+    target = OrientationTarget(yaw=0.3)
+    target.flags[:] = False
+    return target
+
+
+_CONF = np.full((2, 4), 0.5)
+_RESIDUALS = np.zeros((2, 4, 2))
+_SIDES = np.ones((1, 4))
+_REP = np.array([[10.0, 10.0]])
+
+# (loss name, arguments, expected error) for inputs the value rejects.
+_BAD_INPUTS = {
+    "multibin-fewer-targets": ("multibin", (_CONF, _RESIDUALS, [OrientationTarget(yaw=0.3)]), ValueError),
+    "multibin-residual-shape": (
+        "multibin", (_CONF, np.zeros((2, 3, 2)), [OrientationTarget(yaw=0.3)] * 2), ValueError
+    ),
+    "multibin-uncovered-bin": ("multibin", (_CONF, _RESIDUALS, [OrientationTarget(yaw=0.3), _uncovered_target()]), NoCoveredBin),
+    "multibin-empty": ("multibin", (np.zeros((0, 4)), np.zeros((0, 4, 2)), []), EmptyBatch),
+    "dim2d-negative-pred": ("dim2d", (RegressionBatch(sides_pred=-_SIDES, sides_target=_SIDES, rep_points=_REP),), ValueError),
+    "dim2d-negative-target": ("dim2d", (RegressionBatch(sides_pred=_SIDES, sides_target=-_SIDES, rep_points=_REP),), ValueError),
+    "offset-empty": ("offset", (RegressionBatch(offsets_pred=np.zeros((0, 2)), offsets_target=np.zeros((0, 2))),), EmptyBatch),
+    "l1-unknown-kind": ("l1", ("speed", RegressionBatch()), ValueError),
+    "depth-missing-sigma": ("depth", (RegressionBatch(depth_pred=np.ones(2), depth_target=np.ones(2)),), ValueError),
+    "depth-sigma-shape": (
+        "depth",
+        (RegressionBatch(depth_pred=np.ones(3), depth_target=np.ones(3), log_sigma_pred=np.zeros((3, 3))),),
+        ValueError,
+    ),
+}
+
+_LOSSES = {
+    "multibin": (multibin_loss, multibin_loss_grad),
+    "dim2d": (dim2d_giou_loss, dim2d_giou_loss_grad),
+    "offset": (offset_loss, offset_loss_grad),
+    "l1": (l1_regression_loss, l1_regression_loss_grad),
+    "depth": (depth_uncertainty_loss, depth_uncertainty_loss_grad),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+@pytest.mark.parametrize("which", [0, 1], ids=["value", "gradient"])
+def test_value_and_gradient_reject_the_same_input(case, which):
+    name, args, error = _BAD_INPUTS[case]
+    with pytest.raises(error):
+        _LOSSES[name][which](*args)

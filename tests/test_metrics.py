@@ -4,6 +4,7 @@ TP errors, and the composite score including the published-components anchor."""
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -361,3 +362,39 @@ def test_evaluate_class_filter():
     dets = [[_det(0, 10, 0.9), _det(5, 20, 0.8, class_id=1)]]
     result = evaluate(dets, gts, EvalConfig(class_ids=(0,)))
     assert set(result.ap) == {(0, t) for t in (0.5, 1.0, 2.0, 4.0)}
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("distance_thresholds", (0.5, math.nan), "distance_thresholds must be finite positive numbers"),
+        ("distance_thresholds", (0.5, math.inf), "distance_thresholds must be finite positive numbers"),
+        ("distance_thresholds", (True, 2.0), "distance_thresholds must be finite positive numbers"),
+        ("distance_thresholds", (), "distance_thresholds must be finite positive numbers"),
+        ("tp_threshold", math.nan, "tp_threshold must be a finite positive number, got nan"),
+        ("tp_threshold", True, "tp_threshold must be a finite positive number, got True"),
+        ("tp_threshold", 0.0, "tp_threshold must be a finite positive number, got 0.0"),
+        ("min_recall", 1.0, "min_recall must be a number in [0, 1), got 1.0"),
+        ("min_recall", -0.1, "min_recall must be a number in [0, 1), got -0.1"),
+        ("min_recall", math.nan, "min_recall must be a number in [0, 1), got nan"),
+        ("min_recall", 0.999, "min_recall leaves no recall grid point above it, got 0.999"),
+        ("min_precision", 1.0, "min_precision must be a number in [0, 1), got 1.0"),
+        ("min_precision", False, "min_precision must be a number in [0, 1), got False"),
+    ],
+)
+def test_eval_config_rejects_meaningless_value(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EvalConfig(**{field: value})
+
+
+def test_extreme_floors_still_score_a_perfect_detector():
+    # 0.99 and 0.994 leave one recall grid point, recall 1.0, above the floor.
+    for min_recall in (0.0, 0.99, 0.994):
+        cfg = EvalConfig(min_recall=min_recall, min_precision=0.99)
+        result = evaluate([[_det(0, 10, 0.9)]], [[_gt(0, 10)]], cfg)
+        assert result.mean_ap == 1.0
+
+
+def test_average_precision_checks_its_floors():
+    with pytest.raises(ValueError, match=re.escape("min_precision must be a number in [0, 1)")):
+        average_precision(np.array([0.5]), np.array([True]), 1, min_precision=1.0)
