@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .bench import bench_association, format_bench
-from .errors import RcdetError
+from .errors import RcdetError, check_number
 from .geometry import box3d_corners
 from .kpconv import build_network, load_network, save_network
 from .metrics import evaluate, format_report, report_key_values
@@ -32,20 +31,19 @@ from .scene_io import (
 )
 
 
-def _bounded(convert, low: float, high: float = math.inf):
-    """An argparse type: ``convert(text)``, finite and within [low, high]."""
+def _bounded(convert, **rule):
+    """An argparse type: ``convert(text)``, then :func:`check_number` with
+    ``rule``. Named after ``convert``, so argparse reports text ``convert``
+    rejects as, e.g., "invalid int value: '2.5'"."""
 
     def parse(text: str):
+        value = convert(text)
         try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
-        if not (math.isfinite(value) and low <= value <= high):
-            kind = "an integer" if convert is int else "a finite number"
-            bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"must be {kind} {bounds}, got {text}")
-        return value
+            return check_number("", value, integer=convert is int, **rule)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
+    parse.__name__ = convert.__name__
     return parse
 
 
@@ -69,19 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="network size for learned/hybrid features",
     )
     run_p.add_argument("--net-weights", help="load network weights from a checkpoint")
-    run_p.add_argument("--net-seed", type=int, default=0)
+    run_p.add_argument("--net-seed", type=_bounded(int, low=0), default=0)
     run_p.add_argument(
         "--save-net-weights", help="write the network checkpoint used for this run"
     )
     run_p.add_argument(
-        "--expansion", type=_bounded(float, 1), default=1.0, help="frustum expansion, >= 1"
+        "--expansion", type=_bounded(float, low=1), default=1.0, help="frustum expansion, >= 1"
     )
     run_p.add_argument(
-        "--threshold", type=_bounded(float, 0, 1), default=0.0,
+        "--threshold", type=_bounded(float, low=0, high=1), default=0.0,
         help="confidence cutoff in [0, 1]",
     )
-    run_p.add_argument("--top-k", type=_bounded(int, 1), default=100)
-    run_p.add_argument("--workers", type=_bounded(int, 1), default=1)
+    run_p.add_argument("--top-k", type=_bounded(int, low=1), default=100)
+    run_p.add_argument("--workers", type=_bounded(int, low=1), default=1)
     run_p.add_argument(
         "--dump-bev", help="also write clusters and box footprints as BEV coordinates"
     )
@@ -96,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument("--out", required=True, help="output scene file")
 
     bench_p = sub.add_parser("bench", help="benchmark the association paths")
-    bench_p.add_argument("--points", type=int, default=1000)
-    bench_p.add_argument("--dets", type=int, default=100)
-    bench_p.add_argument("--iters", type=int, default=5)
-    bench_p.add_argument("--seed", type=int, default=0)
+    bench_p.add_argument("--points", type=_bounded(int, low=1), default=1000)
+    bench_p.add_argument("--dets", type=_bounded(int, low=1), default=100)
+    bench_p.add_argument("--iters", type=_bounded(int, low=1), default=5)
+    bench_p.add_argument("--seed", type=_bounded(int, low=0), default=0)
 
     return parser
 

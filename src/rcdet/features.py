@@ -19,13 +19,12 @@ member reordering.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateLine, EmptyCluster, MixedChannelCounts
+from .errors import DegenerateLine, EmptyCluster, MixedChannelCounts, check_number
 from .radar import Cluster, canonical_members
 
 DEFAULT_POSITION_NORM = 60.0
@@ -56,12 +55,8 @@ class HandcraftedConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        for name in ("position_norm", "velocity_norm"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
-            ):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        check_number("position_norm", self.position_norm, above=0)
+        check_number("velocity_norm", self.velocity_norm, above=0)
 
     @property
     def length(self) -> int:

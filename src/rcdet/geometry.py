@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateBox
+from .errors import BehindCamera, DegenerateBox, check_finite
 
 MIN_CAMERA_DEPTH = 1e-6
 
@@ -95,6 +95,9 @@ class CameraModel:
         )
 
 
+_BOX3D_FIELDS = ("center",) * 3 + ("dims",) * 3 + ("velocity",) * 2 + ("yaw",)
+
+
 @dataclass(eq=False)
 class Box3D:
     """Oriented 3D box: center (m, ego), dims (width, length, height), yaw, BEV velocity.
@@ -111,6 +114,8 @@ class Box3D:
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
         self.dims = np.asarray(self.dims, dtype=np.float64).reshape(3)
         self.velocity = np.asarray(self.velocity, dtype=np.float64).reshape(2)
+        values = (*self.center.tolist(), *self.dims.tolist(), *self.velocity.tolist(), self.yaw)
+        check_finite("box", _BOX3D_FIELDS, values)
         if not np.all(self.dims > 0):
             raise ValueError(f"box dims must be positive, got {self.dims}")
         self.yaw = wrap_angle(self.yaw)
@@ -126,6 +131,8 @@ class Box2D:
     y_max: float
 
     def __post_init__(self) -> None:
+        values = (self.x_min, self.y_min, self.x_max, self.y_max)
+        check_finite("2D box", ("x_min", "y_min", "x_max", "y_max"), values)
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise ValueError(
                 f"box min corner must not exceed max corner: "

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, SchemaVersionMismatch
+from .errors import DimensionMismatch, ParseError, SchemaVersionMismatch, check_number
 from .features import (
     DEFAULT_POSITION_NORM,
     DEFAULT_VELOCITY_NORM,
@@ -75,21 +75,6 @@ class PointFeatures:
         return self.positions.shape[0]
 
 
-def _finite_positive(value: float) -> bool:
-    return value > 0 and math.isfinite(value)
-
-
-def _check_finite_positive(name: str, value: float) -> None:
-    if not _finite_positive(value):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _check_cap(cap: int | None) -> None:
-    """A neighbor cap is None (no cap) or an int of at least 1, not a bool."""
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
-        raise ValueError(f"neighbor cap must be None or an int >= 1, got {cap!r}")
-
-
 @dataclass(eq=False)
 class KPConvLayerConfig:
     """One kernel-point convolution layer: geometry, weights, stride flag."""
@@ -116,8 +101,8 @@ class KPConvLayerConfig:
             raise ValueError("weights must be finite")
         if not np.all(np.isfinite(self.kernel_points)):
             raise ValueError("kernel points must be finite")
-        if not (_finite_positive(self.radius) and _finite_positive(self.influence_sigma)):
-            raise ValueError("radius and influence_sigma must be finite and positive")
+        check_number("radius", self.radius, above=0)
+        check_number("influence_sigma", self.influence_sigma, above=0)
         norms = np.linalg.norm(self.kernel_points, axis=1)
         if norms.max() > self.radius * (1.0 + 1e-9):
             raise ValueError("kernel points must lie within the layer radius")
@@ -147,9 +132,8 @@ class KPNetworkConfig:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        if not _finite_positive(self.base_cell_size):
-            raise ValueError("base_cell_size must be finite and positive")
-        _check_cap(self.neighbor_cap)
+        check_number("base_cell_size", self.base_cell_size, above=0)
+        check_number("neighbor_cap", self.neighbor_cap, integer=True, optional=True, low=1)
         if self.layers[0].in_channels != POINT_FEATURE_DIM:
             raise ValueError(
                 f"first layer takes {self.layers[0].in_channels} input channels, "
@@ -263,7 +247,7 @@ def _grid_cells(
     ``np.lexsort`` orders the points by key; a cell starts wherever a key
     differs from the one before it.
     """
-    _check_finite_positive("cell size", cell)
+    check_number("cell size", cell, above=0)
     keys = [segments, *(np.floor(positions[:, k] / cell).astype(np.int64) for k in range(3))]
     order = np.lexsort(keys[::-1])
     starts = np.zeros(order.size, dtype=bool)
@@ -369,8 +353,8 @@ def radius_neighbors(
     exactly reproducible by a scalar oracle. Queries are processed in blocks
     of ``_QUERY_BLOCK`` so the distance table stays block x N_s.
     """
-    _check_finite_positive("radius", radius)
-    _check_cap(cap)
+    check_number("radius", radius, above=0)
+    check_number("neighbor_cap", cap, integer=True, optional=True, low=1)
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
     support = np.asarray(support, dtype=np.float64).reshape(-1, 3)
     table, lengths = _segment_neighbors(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBox, EmptyBatch, NoCoveredBin
+from .errors import DegenerateBox, EmptyBatch, NoCoveredBin, check_number
 from .geometry import wrap_angle
 
 PROB_EPS = 1e-7
@@ -51,6 +51,7 @@ class HeatmapPair:
         for name, arr in (("predicted", self.predicted), ("target", self.target)):
             if arr.min() < 0.0 or arr.max() > 1.0:
                 raise ValueError(f"{name} heatmap values must lie in [0, 1]")
+        check_number("num_objects", self.num_objects, integer=True, low=0)
 
 
 @dataclass(eq=False)
@@ -123,6 +124,12 @@ class RegressionBatch:
                 setattr(self, name, np.asarray(value, dtype=np.float64))
         if self.truncated is not None:
             self.truncated = np.asarray(self.truncated, dtype=bool)
+            rows = None if self.offsets_pred is None else self.offsets_pred.shape[:1]
+            if self.truncated.shape != rows:
+                raise ValueError(
+                    f"truncated must have shape (M,) for the M rows of offsets_pred, "
+                    f"got {self.truncated.shape}"
+                )
         for pred, target in (
             (self.offsets_pred, self.offsets_target),
             (self.velocity_pred, self.velocity_target),

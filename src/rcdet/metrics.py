@@ -17,13 +17,12 @@ as-is, so published component values reproduce their published composite.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decoder import DetectionBox3D
-from .errors import EmptyGroundTruth
+from .errors import EmptyGroundTruth, check_number
 from .geometry import Box3D, aligned_iou3d, wrap_angle
 
 DEFAULT_DISTANCE_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -51,31 +50,24 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         thresholds = tuple(self.distance_thresholds)
-        if not thresholds or not all(_finite(t) and t > 0 for t in thresholds):
-            raise ValueError(
-                f"distance_thresholds must be finite positive numbers, got {thresholds!r}"
-            )
+        if not thresholds:
+            raise ValueError("distance_thresholds must hold at least one threshold, got ()")
+        for i, t in enumerate(thresholds):
+            check_number(f"distance_thresholds[{i}]", t, above=0)
         if list(thresholds) != sorted(thresholds):
             raise ValueError("distance thresholds must be ascending")
         self.distance_thresholds = thresholds
-        if not (_finite(self.tp_threshold) and self.tp_threshold > 0):
-            raise ValueError(
-                f"tp_threshold must be a finite positive number, got {self.tp_threshold!r}"
-            )
+        check_number("tp_threshold", self.tp_threshold, above=0)
         _check_ap_floors(self.min_recall, self.min_precision)
-
-
-def _finite(value) -> bool:
-    """``value`` is a finite real number and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        for i, c in enumerate(self.class_ids or ()):
+            check_number(f"class_ids[{i}]", c, integer=True, low=0)
 
 
 def _check_ap_floors(min_recall: float, min_precision: float) -> None:
     """Both floors lie in [0, 1), and at least one point of the 101-point
     recall grid lies above ``min_recall``."""
-    for name, value in (("min_recall", min_recall), ("min_precision", min_precision)):
-        if not (_finite(value) and 0 <= value < 1):
-            raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
+    check_number("min_recall", min_recall, low=0, below=1)
+    check_number("min_precision", min_precision, low=0, below=1)
     if round(100 * min_recall) >= 100:
         raise ValueError(f"min_recall leaves no recall grid point above it, got {min_recall!r}")
 

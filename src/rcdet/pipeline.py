@@ -10,8 +10,6 @@ always ordered by frame id regardless of completion order.
 
 from __future__ import annotations
 
-import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -24,7 +22,7 @@ from .decoder import (
     decode_detections,
     topk_peaks,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_number
 from .features import (
     FeatureHeatmap,
     FeatureVector,
@@ -67,38 +65,21 @@ class PipelineConfig:
                 f"expected one of {FEATURE_STRATEGIES}"
             )
         for name in ("max_sweeps", "downsample", "top_k"):
-            value = getattr(self, name)
-            if not (_is_number(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        value = self.num_classes
-        if value is not None and not (_is_number(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"num_classes must be None or an integer >= 1, got {value!r}")
-        for name, low, high in (
-            ("min_range", 0.0, math.inf),
-            ("max_range", 0.0, math.inf),
-            ("expansion", 1.0, math.inf),
-            ("score_threshold", 0.0, 1.0),
-        ):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and low <= value <= high):
-                bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-                raise ValueError(f"{name} must be a finite number {bounds}, got {value!r}")
+            check_number(name, getattr(self, name), integer=True, low=1)
+        check_number("num_classes", self.num_classes, integer=True, optional=True, low=1)
+        check_number("min_range", self.min_range, low=0.0)
+        check_number("max_range", self.max_range, low=0.0)
+        check_number("expansion", self.expansion, low=1.0)
+        check_number("score_threshold", self.score_threshold, low=0.0, high=1.0)
         if self.min_range > self.max_range:
             raise ValueError(
                 f"min_range must not exceed max_range, got {self.min_range} > {self.max_range}"
             )
         dims = self.pillar_dims
-        if not (
-            np.ndim(dims) == 1
-            and len(dims) == 3
-            and all(_is_number(d) and math.isfinite(d) and d >= 0 for d in dims)
-        ):
-            raise ValueError(f"pillar_dims must be three finite numbers >= 0, got {dims!r}")
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """``value`` is an instance of ``kind`` and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+        if not (np.ndim(dims) == 1 and len(dims) == 3):
+            raise ValueError(f"pillar_dims must be three numbers, got {dims!r}")
+        for i, d in enumerate(dims):
+            check_number(f"pillar_dims[{i}]", d, low=0.0)
 
 
 @dataclass(eq=False)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDetection
+from .errors import InvalidDetection, check_finite
 from .geometry import MIN_CAMERA_DEPTH, Box2D, Box3D, CameraModel
 
 DEFAULT_PILLAR_DIMS = (0.2, 0.2, 1.5)
@@ -37,6 +37,9 @@ DEFAULT_MIN_RANGE = 1.0
 DEFAULT_MAX_RANGE = 60.0
 DEFAULT_MAX_SWEEPS = 6
 DEPTH_GATE_FLOOR = 0.5
+
+
+_POINT_FIELDS = ("position",) * 3 + ("velocity",) * 2 + ("rcs", "sweep_age")
 
 
 @dataclass(eq=False)
@@ -55,15 +58,11 @@ class RadarPoint:
     def __post_init__(self) -> None:
         self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
         self.velocity = np.asarray(self.velocity, dtype=np.float64).reshape(2)
-        # math.isfinite over plain floats: a fraction of np.isfinite's call
-        # overhead, which every point built one at a time pays (synthetic
-        # scenes, bench inputs). Rows of checked sweep columns skip this
-        # constructor through _row_points.
-        numbers = (*self.position.tolist(), *self.velocity.tolist(), self.rcs, self.sweep_age)
-        if not all(map(math.isfinite, numbers)):
-            bad = next(i for i, x in enumerate(numbers) if not math.isfinite(x))
-            name = ("position",) * 3 + ("velocity",) * 2 + ("rcs", "sweep_age")
-            raise ValueError(f"radar point {name[bad]} must be finite")
+        # Every point built one at a time pays this check (synthetic scenes,
+        # bench inputs); rows of checked sweep columns skip this constructor
+        # through _row_points.
+        values = (*self.position.tolist(), *self.velocity.tolist(), self.rcs, self.sweep_age)
+        check_finite("radar point", _POINT_FIELDS, values)
         if self.sweep_age < 0:
             raise ValueError(f"sweep_age must be >= 0, got {self.sweep_age}")
 
@@ -195,6 +194,7 @@ class PreliminaryDetection:
         self.projected_center = np.asarray(
             self.projected_center, dtype=np.float64
         ).reshape(2)
+        check_finite("detection", ("depth", "log_sigma"), (self.depth, self.log_sigma))
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.depth <= 0:

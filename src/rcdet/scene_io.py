@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .decoder import DetectionBox3D
-from .errors import BehindCamera, ParseError, SchemaVersionMismatch
+from .errors import BehindCamera, ParseError, SchemaVersionMismatch, check_number
 from .geometry import (
     Box2D,
     Box3D,
@@ -79,10 +79,14 @@ class SceneFrame:
     ground_truth: list[GroundTruth] | None = None
 
 
-_NON_NEGATIVE_SYNTH_FIELDS = (
-    "seed", "n_frames", "objects_min", "points_per_object_min", "clutter_density",
-    "position_noise", "velocity_noise", "depth_noise", "bbox_jitter", "max_speed",
-)
+# check_number bounds of the numeric SynthConfig fields; the rest are >= 0.
+_SYNTH_BOUNDS = {
+    "n_classes": {"low": 1, "high": len(_CLASS_DIMS)},
+    "n_sweeps": {"low": 1},
+    "log_sigma": {},
+    "focal": {"above": 0},
+    "downsample": {"low": 1},
+}
 
 
 @dataclass
@@ -111,47 +115,21 @@ class SynthConfig:
     def __post_init__(self) -> None:
         # Under postponed annotations a field's type is its annotation text.
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_integer(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not _is_finite_number(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type in ("int", "float"):
+                rule = _SYNTH_BOUNDS.get(f.name, {"low": 0})
+                check_number(f.name, getattr(self, f.name), integer=f.type == "int", **rule)
         size = self.image_size
-        if not (
-            isinstance(size, (list, tuple))
-            and len(size) == 2
-            and all(_is_integer(side) and 1 <= side <= MAX_IMAGE_SIDE for side in size)
-        ):
+        if not (isinstance(size, (list, tuple)) and len(size) == 2):
             raise ValueError(
                 f"image_size must be two integers in [1, {MAX_IMAGE_SIDE}], got {size!r}"
             )
+        for side in size:
+            check_number("image_size", side, integer=True, low=1, high=MAX_IMAGE_SIDE)
         self.image_size = tuple(size)
-        for name in _NON_NEGATIVE_SYNTH_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.n_sweeps < 1:
-            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
-        if self.focal <= 0:
-            raise ValueError(f"focal must be > 0, got {self.focal!r}")
         if self.objects_max < self.objects_min:
             raise ValueError("objects_max must be >= objects_min")
         if self.points_per_object_max < self.points_per_object_min:
             raise ValueError("points_per_object_max must be >= points_per_object_min")
-        if self.n_classes < 1 or self.n_classes > len(_CLASS_DIMS):
-            raise ValueError(f"n_classes must be in [1, {len(_CLASS_DIMS)}]")
-        if self.downsample < 1:
-            raise ValueError(f"downsample must be >= 1, got {self.downsample}")
-
-
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value: Any) -> bool:
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 def default_camera(

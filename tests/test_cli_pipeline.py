@@ -158,8 +158,8 @@ def test_process_frame_learned_requires_net(tmp_path):
         ("min_range", math.nan, "min_range must be a finite number >= 0.0, got nan"),
         ("max_range", math.nan, "max_range must be a finite number >= 0.0, got nan"),
         ("min_range", 70.0, "min_range must not exceed max_range, got 70.0 > 60.0"),
-        ("pillar_dims", (math.nan,) * 3, "pillar_dims must be three finite numbers >= 0"),
-        ("pillar_dims", (0.2, -0.2, 1.5), "pillar_dims must be three finite numbers >= 0"),
+        ("pillar_dims", (math.nan,) * 3, "pillar_dims[0] must be a finite number >= 0.0, got nan"),
+        ("pillar_dims", (0.2, -0.2, 1.5), "pillar_dims[1] must be a finite number >= 0.0, got -0.2"),
         ("expansion", math.inf, "expansion must be a finite number >= 1.0, got inf"),
         ("max_sweeps", True, "max_sweeps must be an integer >= 1, got True"),
         ("downsample", 0, "downsample must be an integer >= 1, got 0"),
@@ -278,10 +278,10 @@ _BAD_CHECKPOINTS = [
     ("trailing-bytes", lambda data: data + b"\0", "1 byte(s) after the last layer"),
     ("truncated-in-weights", lambda data: data[:-100], "truncated checkpoint"),
     ("variant-not-utf8", lambda data: data[:12] + b"\xff\xfe" + data[14:], "variant name is not UTF-8"),
-    ("nan-base-cell", _put(_BASE_CELL, math.nan), "base_cell_size must be finite and positive"),
-    ("nan-radius", _put(_RADIUS, math.nan), "layer 0: radius and influence_sigma must be finite"),
-    ("inf-radius", _put(_RADIUS, math.inf), "layer 0: radius and influence_sigma must be finite"),
-    ("nan-sigma", _put(_RADIUS + 8, math.nan), "layer 0: radius and influence_sigma must be finite"),
+    ("nan-base-cell", _put(_BASE_CELL, math.nan), "base_cell_size must be a finite number > 0, got nan"),
+    ("nan-radius", _put(_RADIUS, math.nan), "layer 0: radius must be a finite number > 0, got nan"),
+    ("inf-radius", _put(_RADIUS, math.inf), "layer 0: radius must be a finite number > 0, got inf"),
+    ("nan-sigma", _put(_RADIUS + 8, math.nan), "layer 0: influence_sigma must be a finite number > 0, got nan"),
     ("nan-kernel-point", _put(_KERNEL_POINTS + 24, math.nan), "layer 0: kernel points must be finite"),
     ("inf-weight", _put(_KERNEL_POINTS + 8 * 24, math.inf), "layer 0: weights must be finite"),
     ("first-layer-not-5-channels", _first_layer_takes_four_channels, "first layer takes 4 input channels"),
@@ -729,6 +729,24 @@ def test_cli_run_rejects_meaningless_option(tmp_path, capsys, option, value):
     assert exc.value.code == 2
     assert f"argument {option}: must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bench", "--points", "0"], "argument --points: must be an integer >= 1, got 0"),
+        (["bench", "--dets", "-3"], "argument --dets: must be an integer >= 1, got -3"),
+        (["bench", "--iters", "0"], "argument --iters: must be an integer >= 1, got 0"),
+        (["bench", "--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
+        (["run", "--scenes", "s", "--out", "d", "--net-seed", "-1"], "argument --net-seed: must be an integer >= 0, got -1"),
+    ],
+    ids=["points", "dets", "iters", "seed", "net-seed"],
+)
+def test_cli_rejects_meaningless_integer_option(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_run_accepts_option_bounds(tmp_path):

@@ -442,9 +442,9 @@ def test_build_network_bits_pinned(variant):
 @pytest.mark.parametrize("cap", [0, -1, True, 2.5, "4"])
 def test_neighbor_cap_must_be_none_or_positive_int(cap):
     layers = build_network("lite", seed=0).layers
-    with pytest.raises(ValueError, match="neighbor cap"):
+    with pytest.raises(ValueError, match="neighbor_cap"):
         KPNetworkConfig(layers=layers, neighbor_cap=cap)
-    with pytest.raises(ValueError, match="neighbor cap"):
+    with pytest.raises(ValueError, match="neighbor_cap"):
         radius_neighbors(np.zeros((1, 3)), np.zeros((2, 3)), 1.0, cap)
 
 

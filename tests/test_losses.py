@@ -4,6 +4,7 @@ gradient checks, and direct-formula oracles."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,39 @@ def test_focal_empty_batch():
     pair = HeatmapPair(predicted=np.zeros((1, 2, 2)), target=np.zeros((1, 2, 2)), num_objects=0)
     with pytest.raises(EmptyBatch):
         focal_loss(pair)
+
+
+_PIXEL = np.zeros((1, 1, 1))
+_OFFSETS = np.zeros((3, 2))
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: HeatmapPair(_PIXEL, _PIXEL, True), "num_objects must be an integer >= 0, got True"),
+        (lambda: HeatmapPair(_PIXEL, _PIXEL, 1.5), "num_objects must be an integer >= 0, got 1.5"),
+        (lambda: HeatmapPair(_PIXEL, _PIXEL, 0.5), "num_objects must be an integer >= 0, got 0.5"),
+        (lambda: HeatmapPair(_PIXEL, _PIXEL, -1), "num_objects must be an integer >= 0, got -1"),
+        (lambda: HeatmapPair(_PIXEL, _PIXEL, None), "num_objects must be an integer >= 0, got None"),
+        (
+            lambda: RegressionBatch(offsets_pred=_OFFSETS, offsets_target=_OFFSETS, truncated=[True]),
+            "truncated must have shape (M,) for the M rows of offsets_pred, got (1,)",
+        ),
+        (
+            lambda: RegressionBatch(offsets_pred=_OFFSETS, offsets_target=_OFFSETS, truncated=[[True]] * 3),
+            "truncated must have shape (M,) for the M rows of offsets_pred, got (3, 1)",
+        ),
+        (
+            lambda: RegressionBatch(truncated=[True, False, True]),
+            "truncated must have shape (M,) for the M rows of offsets_pred, got (3,)",
+        ),
+    ],
+    ids=["count-bool", "count-1.5", "count-0.5", "count-negative", "count-none",
+         "truncated-one-flag", "truncated-column", "truncated-without-offsets"],
+)
+def test_loss_records_reject_meaningless_fields(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_focal_gradient_finite_differences(rng):

@@ -367,19 +367,19 @@ def test_evaluate_class_filter():
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("distance_thresholds", (0.5, math.nan), "distance_thresholds must be finite positive numbers"),
-        ("distance_thresholds", (0.5, math.inf), "distance_thresholds must be finite positive numbers"),
-        ("distance_thresholds", (True, 2.0), "distance_thresholds must be finite positive numbers"),
-        ("distance_thresholds", (), "distance_thresholds must be finite positive numbers"),
-        ("tp_threshold", math.nan, "tp_threshold must be a finite positive number, got nan"),
-        ("tp_threshold", True, "tp_threshold must be a finite positive number, got True"),
-        ("tp_threshold", 0.0, "tp_threshold must be a finite positive number, got 0.0"),
-        ("min_recall", 1.0, "min_recall must be a number in [0, 1), got 1.0"),
-        ("min_recall", -0.1, "min_recall must be a number in [0, 1), got -0.1"),
-        ("min_recall", math.nan, "min_recall must be a number in [0, 1), got nan"),
+        ("distance_thresholds", (0.5, math.nan), "distance_thresholds[1] must be a finite number > 0, got nan"),
+        ("distance_thresholds", (0.5, math.inf), "distance_thresholds[1] must be a finite number > 0, got inf"),
+        ("distance_thresholds", (True, 2.0), "distance_thresholds[0] must be a finite number > 0, got True"),
+        ("distance_thresholds", (), "distance_thresholds must hold at least one threshold, got ()"),
+        ("tp_threshold", math.nan, "tp_threshold must be a finite number > 0, got nan"),
+        ("tp_threshold", True, "tp_threshold must be a finite number > 0, got True"),
+        ("tp_threshold", 0.0, "tp_threshold must be a finite number > 0, got 0.0"),
+        ("min_recall", 1.0, "min_recall must be a finite number in [0, 1), got 1.0"),
+        ("min_recall", -0.1, "min_recall must be a finite number in [0, 1), got -0.1"),
+        ("min_recall", math.nan, "min_recall must be a finite number in [0, 1), got nan"),
         ("min_recall", 0.999, "min_recall leaves no recall grid point above it, got 0.999"),
-        ("min_precision", 1.0, "min_precision must be a number in [0, 1), got 1.0"),
-        ("min_precision", False, "min_precision must be a number in [0, 1), got False"),
+        ("min_precision", 1.0, "min_precision must be a finite number in [0, 1), got 1.0"),
+        ("min_precision", False, "min_precision must be a finite number in [0, 1), got False"),
     ],
 )
 def test_eval_config_rejects_meaningless_value(field, value, message):
@@ -396,5 +396,5 @@ def test_extreme_floors_still_score_a_perfect_detector():
 
 
 def test_average_precision_checks_its_floors():
-    with pytest.raises(ValueError, match=re.escape("min_precision must be a number in [0, 1)")):
+    with pytest.raises(ValueError, match=re.escape("min_precision must be a finite number in [0, 1)")):
         average_precision(np.array([0.5]), np.array([True]), 1, min_precision=1.0)
