@@ -278,11 +278,21 @@ def aligned_iou3d(dims_a: np.ndarray, dims_b: np.ndarray) -> float:
     With centers and orientation shared, the intersection is the product of
     the per-axis minima. This is the scale-error IoU used by the evaluation
     metrics; no polygon clipping is involved.
+
+    Volumes are products of plain floats, which give the bits of ``prod``
+    and overflow to inf without a warning. When the union is past float64's
+    range, every volume is divided by the intersection one axis at a time
+    instead: each factor is then >= 1, and the IoU is finite and in [0, 1].
     """
-    da = np.asarray(dims_a, dtype=np.float64)
-    db = np.asarray(dims_b, dtype=np.float64)
-    if not (np.all(da > 0) and np.all(db > 0)):
-        raise ValueError("box dims must be positive")
-    inter = float(np.minimum(da, db).prod())
-    union = float(da.prod()) + float(db.prod()) - inter
-    return inter / union
+    a = np.asarray(dims_a, dtype=np.float64).tolist()
+    b = np.asarray(dims_b, dtype=np.float64).tolist()
+    if not (np.shape(a) == np.shape(b) == (3,) and all(0 < x < math.inf for x in a + b)):
+        raise ValueError("box dims must be three positive finite numbers each")
+    low = list(map(min, a, b))
+    inter = math.prod(low)
+    union = math.prod(a) + math.prod(b) - inter
+    if math.isfinite(union):
+        return inter / union
+    ratio_a = math.prod(x / m for x, m in zip(a, low))
+    ratio_b = math.prod(x / m for x, m in zip(b, low))
+    return 1.0 / (ratio_a + ratio_b - 1.0)

@@ -54,6 +54,15 @@ _CHECKPOINT_MAGIC = b"RCKP"
 _CHECKPOINT_VERSION = 1
 
 
+def _point_rows(name: str, values) -> np.ndarray:
+    """``values`` as a float64 (N, 3) array; any other shape raises
+    ``DimensionMismatch`` naming ``name`` instead of being reshaped."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise DimensionMismatch(f"{name} must have shape (N, 3), got {array.shape}")
+    return array
+
+
 @dataclass(eq=False)
 class PointFeatures:
     """A point set with per-point feature rows: positions (N, 3), features (N, C)."""
@@ -62,7 +71,7 @@ class PointFeatures:
     features: np.ndarray
 
     def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
+        self.positions = _point_rows("positions", self.positions)
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] != self.positions.shape[0]:
             raise DimensionMismatch(
@@ -355,8 +364,8 @@ def radius_neighbors(
     """
     check_number("radius", radius, above=0)
     check_number("neighbor_cap", cap, integer=True, optional=True, low=1)
-    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    support = np.asarray(support, dtype=np.float64).reshape(-1, 3)
+    queries = _point_rows("queries", queries)
+    support = _point_rows("support", support)
     table, lengths = _segment_neighbors(
         queries,
         np.zeros(queries.shape[0], dtype=np.intp),
@@ -378,35 +387,57 @@ def _neighborhood(
     flattened to (N_q, K * in).
 
     ``table`` (N_q, M) lists each query's support indices, padded with
-    ``support.count``: the index of one extra support row of zero features,
-    so a padded slot adds an exact zero and never reads a real point.
+    ``support.count``, the index of one extra support row of zero features.
+    The influence is computed only at the real entries
+    (:func:`_influence_table`); a padded slot is an exact zero times that
+    zero row, so it adds an exact zero and never reads a real point.
     """
     if support.features.shape[1] != layer.in_channels:
         raise DimensionMismatch(
             f"support features have {support.features.shape[1]} channels, "
             f"layer expects {layer.in_channels}"
         )
-    columns = np.zeros((3, support.count + 1))
-    columns[:, :-1] = support.positions.T
-    influence = _influence(
-        layer, [np.take(columns[k], table) - query_positions[:, k, None] for k in range(3)]
-    )
+    influence = _influence_table(layer, query_positions, support.positions, table)
     features = np.vstack([support.features, np.zeros((1, layer.in_channels))])
-    weighted = influence.transpose(0, 2, 1) @ features[table]  # (N_q, K, in)
+    weighted = influence.transpose(1, 0, 2) @ np.take(features, table, axis=0)  # (N_q, K, in)
     return weighted.reshape(table.shape[0], -1)
+
+
+def _influence_table(
+    layer: KPConvLayerConfig,
+    query_positions: np.ndarray,
+    positions: np.ndarray,
+    table: np.ndarray,
+) -> np.ndarray:
+    """Each kernel point's influence at each slot of ``table``, shape
+    (K, N_q, M). Only the real entries, those below ``len(positions)``, are
+    computed (:func:`_influence` over their flat coordinate planes) and
+    scattered into zeros; a padded slot stays an exact zero."""
+    real = table < len(positions)
+    flat = np.flatnonzero(real)
+    neighbors = np.take(table, flat)
+    counts = np.count_nonzero(real, axis=1)
+    rel = [
+        np.take(positions[:, k], neighbors) - np.repeat(query_positions[:, k], counts)
+        for k in range(3)
+    ]
+    influence = np.zeros((layer.kernel_point_count, table.size))
+    influence[:, flat] = _influence(layer, rel)
+    return influence.reshape(layer.kernel_point_count, *table.shape)
 
 
 def _influence(layer: KPConvLayerConfig, rel: Sequence[np.ndarray]) -> np.ndarray:
     """Each kernel point's linear influence on neighbors at relative
-    positions ``rel``, the x, y and z planes (N_q, M), shape (N_q, M, K).
+    positions ``rel``, the flat x, y and z planes (P,), shape (K, P).
 
-    The distance to kernel point k is sqrt((dx² + dy²) + dz²) over (N_q, M, K)
-    planes, one coordinate at a time."""
-    dist = np.subtract(rel[0][:, :, None], layer.kernel_points[:, 0])
+    The distance to kernel point k is sqrt((dx² + dy²) + dz²), one
+    coordinate at a time over (K, P) planes, kernel point outermost."""
+    points = layer.kernel_points
+    dist = np.subtract(rel[0], points[:, 0, None])
     dist *= dist
     square = np.empty_like(dist)
     for k in (1, 2):
-        np.subtract(rel[k][:, :, None], layer.kernel_points[:, k], out=square)
+        np.subtract(rel[k], points[:, k, None], out=square)
         square *= square
         dist += square
     np.sqrt(dist, out=dist)
@@ -421,16 +452,26 @@ def _listed_neighborhood(
     support: PointFeatures,
     neighbors: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """:func:`_neighborhood` of per-query neighbor lists."""
-    query_positions = np.asarray(query_positions, dtype=np.float64).reshape(-1, 3)
+    """:func:`_neighborhood` of per-query neighbor lists: one 1-D array of
+    integer indices in [0, ``support.count``) per query. An empty list may
+    have any dtype; anything else is rejected rather than cast or taken as
+    padding."""
+    query_positions = _point_rows("query_positions", query_positions)
     n_q = query_positions.shape[0]
     if len(neighbors) != n_q:
         raise DimensionMismatch("one neighbor list per query is required")
-    lengths = np.fromiter(map(len, neighbors), dtype=np.intp, count=n_q)
+    lists = [np.asarray(row) for row in neighbors]
+    if any(row.ndim != 1 or (row.size and row.dtype.kind not in "iu") for row in lists):
+        raise ValueError("each neighbors entry must be a 1-D array of integer indices")
+    flat = np.concatenate([np.zeros(0, np.intp), *(row.astype(np.intp) for row in lists)])
+    if flat.size and not (flat.min() >= 0 and flat.max() < support.count):
+        raise DimensionMismatch(
+            f"neighbors indices must lie in [0, {support.count}), "
+            f"got {flat.min()}..{flat.max()}"
+        )
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=n_q)
     table = np.full((n_q, lengths.max(initial=0)), support.count, dtype=np.intp)
-    table[np.arange(table.shape[1]) < lengths[:, None]] = np.concatenate(
-        [np.zeros(0, dtype=np.intp), *neighbors]
-    )
+    table[np.arange(table.shape[1]) < lengths[:, None]] = flat
     return _neighborhood(layer, query_positions, support, table)
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDetection, check_finite
+from .errors import InvalidDetection, check_finite, check_number
 from .geometry import MIN_CAMERA_DEPTH, Box2D, Box3D, CameraModel
 
 DEFAULT_PILLAR_DIMS = (0.2, 0.2, 1.5)
@@ -263,8 +263,7 @@ def _accumulated_columns(
     constructor uses for one row; a sweep with no rows makes no point, so
     its age is not checked.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    check_number("max_sweeps", max_sweeps, integer=True, low=1)
     kept = [sweep for sweep in sweeps[:max_sweeps] if len(sweep.rcs)]
     if not kept:
         return np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0), np.zeros(0)
@@ -287,10 +286,12 @@ def _in_range(positions: np.ndarray, min_range: float, max_range: float) -> np.n
     """The rows whose BEV range lies in [min_range, max_range], as a mask.
 
     ``sqrt(x*x + y*y)`` is correctly rounded in numpy as in ``math``, so a
-    row's verdict is the scalar formula's.
+    row's verdict is the scalar formula's. A square past float64's range is
+    inf, as in ``math``, and so out of range, without a warning.
     """
     x, y = positions[:, 0], positions[:, 1]
-    rng = np.sqrt(x * x + y * y)
+    with np.errstate(over="ignore"):
+        rng = np.sqrt(x * x + y * y)
     return (min_range <= rng) & (rng <= max_range)
 
 
@@ -346,8 +347,11 @@ def build_frustum(
     delta = expansion * 0.5 * (|l cos theta| + |w sin theta|), floored at
     0.5 m. The near plane is clamped to stay positive.
     """
-    if expansion < 1.0:
-        raise ValueError(f"expansion must be >= 1, got {expansion}")
+    return _frustum(det, camera, check_number("expansion", expansion, low=1.0))
+
+
+def _frustum(det: PreliminaryDetection, camera: CameraModel, expansion: float) -> FrustumROI:
+    """:func:`build_frustum` of a checked ``expansion``."""
     cam_pos = camera.center_in_ego()
     ray_x = float(det.box3d.center[0]) - float(cam_pos[0])
     ray_y = float(det.box3d.center[1]) - float(cam_pos[1])
@@ -420,6 +424,7 @@ def _member_rows(
     box-tests only the rows whose center depth passes its gate.
     """
     half = _pillar_half_extents(pillar_dims)
+    check_number("expansion", expansion, low=1.0)
     if not (len(dets) and len(positions)):
         return [np.zeros(0, dtype=np.intp) for _ in dets]
     # One contiguous (N, 9) plane per coordinate: row + sample offset.
@@ -440,7 +445,7 @@ def _member_rows(
 
     rows = []
     for det in dets:
-        frustum = build_frustum(det, camera, expansion)
+        frustum = _frustum(det, camera, expansion)
         d_min, d_max = frustum.depth_range
         box = frustum.bbox2d
         gated = np.flatnonzero((center_depth >= d_min) & (center_depth <= d_max))
@@ -510,11 +515,13 @@ def associate_naive(
     expansion: float = 1.0,
 ) -> list[Cluster]:
     """Reference association: unbatched per-point, per-detection double loop."""
-    _pillar_half_extents(pillar_dims)  # bad dims fail here too when there are no points
+    # Bad settings fail here too when there are no points or no detections.
+    _pillar_half_extents(pillar_dims)
+    check_number("expansion", expansion, low=1.0)
     pillars = [pillar_expand(point, pillar_dims) for point in points]
     clusters = []
     for det in dets:
-        frustum = build_frustum(det, camera, expansion)
+        frustum = _frustum(det, camera, expansion)
         members = [
             pillar.source for pillar in pillars if frustum_contains(frustum, pillar)
         ]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcdet import pipeline
+from rcdet import pipeline, radar
 from rcdet.bench import bench_association, format_bench, random_association_inputs
 from rcdet.cli import main
 from rcdet.errors import ResultMismatch
@@ -175,6 +175,59 @@ def test_process_frame_learned_requires_net(tmp_path):
 def test_pipeline_config_rejects_meaningless_value(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         PipelineConfig(**{field: value})
+
+
+_FRAME = synth_scene(SynthConfig(seed=5, n_frames=1))[0]
+_EXPANSION_NAN = "expansion must be a finite number >= 1.0, got nan"
+
+
+def _radar_entry(name: str, points: bool = True, dets: bool = True):
+    """A call of ``radar.<name>`` on the seed-5 frame, with or without its
+    points and detections; the setting under test is passed at call time."""
+    frame = _FRAME
+    pts = radar.accumulate_sweeps(frame.radar_sweeps) if points else []
+    ds = frame.detections if dets else []
+    return {
+        "build_frustum": lambda **kw: radar.build_frustum(frame.detections[0], frame.camera, **kw),
+        "associate": lambda **kw: radar.associate(pts, ds, frame.camera, **kw),
+        "associate_naive": lambda **kw: radar.associate_naive(pts, ds, frame.camera, **kw),
+        "cluster_sweeps": lambda **kw: radar.cluster_sweeps(frame.radar_sweeps, ds, frame.camera, **kw),
+        "accumulate_sweeps": lambda **kw: radar.accumulate_sweeps(frame.radar_sweeps if points else [], **kw),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "entry,setting,message",
+    [
+        (_radar_entry("build_frustum"), {"expansion": math.nan}, _EXPANSION_NAN),
+        (_radar_entry("build_frustum"), {"expansion": 0.5}, "expansion must be a finite number >= 1.0, got 0.5"),
+        (_radar_entry("associate"), {"expansion": math.nan}, _EXPANSION_NAN),
+        (_radar_entry("associate", points=False), {"expansion": math.nan}, _EXPANSION_NAN),
+        (_radar_entry("associate", dets=False), {"expansion": math.nan}, _EXPANSION_NAN),
+        (_radar_entry("associate_naive", dets=False), {"expansion": math.nan}, _EXPANSION_NAN),
+        (_radar_entry("cluster_sweeps"), {"expansion": math.nan}, _EXPANSION_NAN),
+        (_radar_entry("accumulate_sweeps"), {"max_sweeps": 2.5}, "max_sweeps must be an integer >= 1, got 2.5"),
+        (_radar_entry("accumulate_sweeps"), {"max_sweeps": 0}, "max_sweeps must be an integer >= 1, got 0"),
+        (_radar_entry("accumulate_sweeps", points=False), {"max_sweeps": True}, "max_sweeps must be an integer >= 1, got True"),
+        (_radar_entry("cluster_sweeps"), {"max_sweeps": 2.5}, "max_sweeps must be an integer >= 1, got 2.5"),
+    ],
+)
+def test_radar_entries_reject_meaningless_setting(entry, setting, message):
+    """The library entries check ``expansion`` and ``max_sweeps`` with the
+    rule and text ``PipelineConfig`` uses, with or without points and
+    detections."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(**setting)
+
+
+def test_frame_front_end_checks_expansion_once_per_call(monkeypatch):
+    """``cluster_sweeps`` checks ``expansion`` once, not once per detection."""
+    names = []
+    check = radar.check_number
+    monkeypatch.setattr(radar, "check_number", lambda name, *a, **k: names.append(name) or check(name, *a, **k))
+    radar.cluster_sweeps(_FRAME.radar_sweeps, _FRAME.detections, _FRAME.camera)
+    assert len(_FRAME.detections) > 1
+    assert sorted(names) == ["expansion", "max_sweeps"]
 
 
 @pytest.mark.parametrize(
@@ -693,6 +746,33 @@ def test_cli_survives_any_one_field_mutation(mutation_inputs, data):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(args)
         assert (code, err.getvalue().count("\n")) in ((0, 0), (1, 1)), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "target,path,value",
+    [
+        # A box whose volume overflows: the scale error's IoU cannot overflow.
+        ("dets", ("boxes", 0, "box", "dims", 0), 8.185385208973377e306),
+        # A return whose squared range overflows: inf is out of range.
+        ("scenes", ("radar_sweeps", 0, "points", 0, "position", 0), 1.3407807929942597e154),
+    ],
+)
+def test_cli_survives_value_past_float64(mutation_inputs, target, path, value):
+    """Values a field-mutation search found: `run` and `eval` exit 0 with no
+    warning, and no NaN reaches the report."""
+    root, scenes, dets, files = mutation_inputs
+    target = {"dets": dets, "scenes": scenes}[target]
+    for name, (head, record, _) in files.items():
+        body = json.loads(json.dumps(record))
+        if name == target:
+            _set_at(path, value)(body)
+        Path(name).write_text(head + "\n" + json.dumps(body) + "\n")
+    report = root / "report.txt"
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        assert main(["run", "--scenes", scenes, "--out", str(root / "out.jsonl")]) == 0
+        assert main(["eval", "--dets", dets, "--gt", scenes, "--report", str(report)]) == 0
+    assert "nan" not in report.read_text().lower()
 
 
 @pytest.mark.parametrize("field", ["score", "class_id"])

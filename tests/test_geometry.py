@@ -264,6 +264,42 @@ def test_aligned_iou3d_symmetry_and_uniqueness(rng):
             assert aligned_iou3d(a, b) < 1.0
 
 
+def test_aligned_iou3d_keeps_the_product_formula_bits(rng):
+    """Ordinary boxes get the bits of numpy's prod formula, which the pinned
+    evaluation reports were made with."""
+    for _ in range(500):
+        a = rng.uniform(0.05, 30.0, 3) * np.exp(rng.normal(0.0, 2.0, 3))
+        b = rng.uniform(0.05, 30.0, 3) * np.exp(rng.normal(0.0, 2.0, 3))
+        inter = float(np.minimum(a, b).prod())
+        expected = inter / (float(a.prod()) + float(b.prod()) - inter)
+        assert aligned_iou3d(a, b) == expected
+
+
+@pytest.mark.parametrize(
+    "dims_a,dims_b,expected",
+    [
+        ([1e200] * 3, [1e200] * 3, 1.0),
+        ([8.185385208973377e306, 4.0, 1.5], [2.0, 4.0, 1.5], 0.0),
+        ([1e308, 2.0, 2.0], [1e308, 1.0, 2.0], 0.5),
+        ([1.7e308, 1.7e308, 1e-300], [1e-300, 1.7e308, 1.7e308], 0.0),
+    ],
+)
+def test_aligned_iou3d_volumes_past_float64(dims_a, dims_b, expected):
+    """Volumes past float64's range give a finite IoU with no warning, not NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iou = aligned_iou3d(np.array(dims_a), np.array(dims_b))
+    assert iou == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dims_a", [[1.0, 0.0, 1.0], [1.0, math.inf, 1.0], [1.0, math.nan, 1.0], [1.0, 1.0]]
+)
+def test_aligned_iou3d_rejects_meaningless_dims(dims_a):
+    with pytest.raises(ValueError, match="box dims must be three positive finite numbers"):
+        aligned_iou3d(np.array(dims_a), np.array([1.0, 1.0, 1.0]))
+
+
 # -- GIoU --------------------------------------------------------------------
 
 

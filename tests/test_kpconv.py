@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -367,6 +368,117 @@ def test_forward_dimension_mismatch(rng):
     support = PointFeatures(positions=np.zeros((2, 3)), features=np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         kpconv_forward(layer, np.zeros((1, 3)), support, [np.array([0])])
+
+
+_SUPPORT = PointFeatures(positions=np.zeros((2, 3)), features=np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: radius_neighbors(np.zeros((3, 2)), np.zeros((4, 3)), 1.0), DimensionMismatch, "queries must have shape (N, 3), got (3, 2)"),
+        (lambda: radius_neighbors(np.zeros(3), np.zeros((4, 3)), 1.0), DimensionMismatch, "queries must have shape (N, 3), got (3,)"),
+        (lambda: radius_neighbors(np.zeros((1, 3)), np.zeros(6), 1.0), DimensionMismatch, "support must have shape (N, 3), got (6,)"),
+        (lambda: PointFeatures(positions=np.zeros((2, 6)), features=np.zeros((4, 5))), DimensionMismatch, "positions must have shape (N, 3), got (2, 6)"),
+        (lambda: kpconv_forward(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros(3), _SUPPORT, [[0]]), DimensionMismatch, "query_positions must have shape (N, 3), got (3,)"),
+        (lambda: kpconv_forward(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros((1, 3)), _SUPPORT, [[-1]]), DimensionMismatch, "neighbors indices must lie in [0, 2), got -1..-1"),
+        (lambda: kpconv_forward(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros((1, 3)), _SUPPORT, [[0, 2]]), DimensionMismatch, "neighbors indices must lie in [0, 2), got 0..2"),
+        (lambda: kpconv_forward(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros((1, 3)), _SUPPORT, [[3]]), DimensionMismatch, "neighbors indices must lie in [0, 2), got 3..3"),
+        (lambda: kpconv_forward(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros((1, 3)), _SUPPORT, [[0.0]]), ValueError, "each neighbors entry must be a 1-D array of integer indices"),
+        (lambda: kpconv_forward(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros((1, 3)), _SUPPORT, [[True]]), ValueError, "each neighbors entry must be a 1-D array of integer indices"),
+        (lambda: kpconv_forward(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros((1, 3)), _SUPPORT, [[[0]]]), ValueError, "each neighbors entry must be a 1-D array of integer indices"),
+        (lambda: kpconv_weight_grad(_identity_layer([[0.0] * 3], 1.0, 0.5), np.zeros((1, 3)), _SUPPORT, [[2]], np.zeros((1, 3))), DimensionMismatch, "neighbors indices must lie in [0, 2), got 2..2"),
+    ],
+)
+def test_public_entries_reject_malformed_input(call, error, message):
+    """Shapes are required, not reshaped, and a neighbor index outside the
+    support is an error, never padding or a raw IndexError."""
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_forward_accepts_empty_neighbor_lists_of_any_dtype():
+    layer = _identity_layer([[0.0] * 3], 1.0, 0.5)
+    out = kpconv_forward(layer, np.zeros((2, 3)), _SUPPORT, [[], np.array([1], dtype=np.uint8)])
+    assert np.array_equal(out, [[0.0] * 3, [1.0] * 3])
+
+
+# -- influence at the real neighbor pairs ---------------------------------------
+
+
+def _influence_oracle(layer, queries, positions, table):
+    """Scalar ``math`` influence of every kernel point at every slot of
+    ``table``; a slot holding ``len(positions)`` is padding and gets 0."""
+    out = np.zeros((layer.kernel_point_count, *table.shape))
+    for (q, m), s in np.ndenumerate(table):
+        if s == len(positions):
+            continue
+        rel = [float(positions[s, c]) - float(queries[q, c]) for c in range(3)]
+        for k, point in enumerate(layer.kernel_points.tolist()):
+            dx, dy, dz = (r - p for r, p in zip(rel, point))
+            out[k, q, m] = max(0.0, 1.0 - math.sqrt((dx * dx + dy * dy) + dz * dz) / layer.influence_sigma)
+    return out
+
+
+def _table(rng, lengths, n_s):
+    """Each row: ``length`` distinct support indices, then padding ``n_s``."""
+    table = np.full((len(lengths), max(lengths, default=0)), n_s, dtype=np.intp)
+    for row, n in zip(table, lengths):
+        row[:n] = rng.permutation(n_s)[:n]
+    return table
+
+
+@pytest.mark.parametrize(
+    "n_s,lengths",
+    [
+        (9, [3, 0, 9, 1, 0, 5]),  # empty rows between real ones
+        (6, [0, 4, 0]),
+        (1, [1]),
+        (5, [0, 0, 0]),  # width 0
+        (0, [0, 0]),  # no support at all
+        (0, []),  # no queries
+    ],
+)
+def test_influence_table_matches_scalar_oracle(rng, n_s, lengths):
+    """Every real entry has the bits of the scalar formula and every padded
+    slot is exactly 0. Points, queries and kernel points lie close together,
+    so most influences are nonzero."""
+    layer = _random_layer(rng, 6, 2, 2, radius=0.5)
+    positions = rng.uniform(-0.2, 0.2, (n_s, 3))
+    queries = rng.uniform(-0.2, 0.2, (len(lengths), 3))
+    table = _table(rng, lengths, n_s)
+    got = kpconv._influence_table(layer, queries, positions, table)
+    assert got.tobytes() == _influence_oracle(layer, queries, positions, table).tobytes()
+    assert got.shape == (6, len(lengths), max(lengths, default=0))
+    assert np.count_nonzero(got) >= 0.8 * 6 * np.count_nonzero(table < n_s)
+
+
+def test_influence_table_all_padding_is_zero(rng):
+    layer = _random_layer(rng, 6, 2, 2)
+    table = np.full((4, 7), 3, dtype=np.intp)
+    got = kpconv._influence_table(layer, rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (3, 3)), table)
+    assert got.shape == (6, 4, 7) and not got.any()
+
+
+def test_frame_pass_computes_influence_only_at_real_pairs(monkeypatch):
+    """Per layer, ``_influence`` gets exactly the neighbor search's pairs,
+    the sum of its row lengths, and returns one (K, P) plane per kernel
+    point: padded slots are never computed."""
+    searches = []
+    search = kpconv._segment_neighbors
+    monkeypatch.setattr(kpconv, "_segment_neighbors", lambda *a: searches.append(search(*a)) or searches[-1])
+    influence = kpconv._influence
+    influences = _counting(monkeypatch, "_influence")
+    net = build_network("lite", seed=0)
+    learned_rows(_mixed_frame(5, _KINDS), net)
+    assert len(influences) == len(searches) == len(net.layers)
+    padded = 0
+    for (layer, rel), (table, lengths) in zip(influences, searches):
+        pairs = int(lengths.sum())
+        assert [plane.shape for plane in rel] == [(pairs,)] * 3
+        assert influence(layer, rel).shape == (layer.kernel_point_count, pairs)
+        padded += table.size - pairs
+    assert padded > 0  # the frame does pad its tables
 
 
 def test_weight_gradient_matches_finite_differences(rng):
