@@ -22,6 +22,11 @@ import numpy as np
 from .errors import BehindCamera, DegenerateBox, check_finite
 
 MIN_CAMERA_DEPTH = 1e-6
+# Smallest focal length, in pixels. A real camera's is far larger (the
+# pinhole field of view is 2·atan(side / 2f), near 180 degrees at 1 pixel),
+# and dividing a finite pixel offset by at least 1 keeps an unprojected ray
+# finite.
+MIN_FOCAL = 1.0
 
 _ORTHONORMAL_TOL = 1e-9
 
@@ -54,10 +59,18 @@ class CameraModel:
             raise ValueError(f"intrinsic must be 3x3, got {self.intrinsic.shape}")
         if self.extrinsic.shape != (4, 4):
             raise ValueError(f"extrinsic must be 4x4, got {self.extrinsic.shape}")
-        if self.intrinsic[0, 0] <= 0 or self.intrinsic[1, 1] <= 0:
-            raise ValueError("intrinsic focal entries must be positive")
-        if self.intrinsic[2, 0] != 0 or self.intrinsic[2, 1] != 0:
-            raise ValueError("intrinsic bottom-left 2x1 block must be zero")
+        focal = self.intrinsic[0, 0], self.intrinsic[1, 1]
+        if not all(f >= MIN_FOCAL for f in focal):
+            raise ValueError(
+                f"intrinsic focal entries must be >= {MIN_FOCAL} pixel, "
+                f"got {list(map(float, focal))}"
+            )
+        # project_point divides by the camera depth, which is the image
+        # plane's third coordinate only for this bottom row.
+        if self.intrinsic[2].tolist() != [0.0, 0.0, 1.0]:
+            raise ValueError(
+                f"intrinsic bottom row must be [0, 0, 1], got {self.intrinsic[2].tolist()}"
+            )
         rot = self.extrinsic[:3, :3]
         # Entries of an orthonormal block lie in [-1, 1]; testing that first
         # keeps the product below from overflowing (and a NaN from passing).

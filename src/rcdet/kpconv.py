@@ -7,10 +7,19 @@ convolution layers. Layers after the first are strided: query locations come
 from grid subsampling with a cell size that doubles per layer, so the point
 count shrinks while the channel count grows. Global average pooling over the
 surviving points yields one feature row per cluster. All clusters of a frame
-go through the stack in one pass (``learned_rows``). Each layer's weight
-product runs over the whole frame in blocks of exactly ``_ROW_BLOCK`` rows
-(``_contract``), so a row's bits depend only on that row: a cluster gets the
-same row in any frame as alone.
+go through the stack in one pass (``learned_rows``).
+
+Each layer's weight product (``_contract``) runs over the whole frame as one
+of two products, picked by the layer's weight shape alone. A narrow layer
+(in × out below ``_SPARSE_MIN_WEIGHTS``: every ``lite`` layer, ``large``
+layers 0-1) multiplies all rows by the stacked (K·in, out) kernel in blocks
+of exactly ``_ROW_BLOCK`` rows. A wide layer multiplies each kernel point's
+(in, out) block only by the rows that kernel point reaches, in blocks of
+exactly ``_KERNEL_ROW_BLOCK`` rows: a query reaches one or two of the 15
+``large`` kernel points, and its other per-kernel-point inputs are exact
+zeros. Either way every BLAS call of a layer has one shape, and a row's
+result depends only on that row's own values, summed in a fixed order, so a
+cluster gets the same row in any frame as alone.
 
 Kernel weights are drawn once from a seeded generator and frozen; the module
 provides forward evaluation and the analytic weight gradient (for
@@ -44,11 +53,21 @@ DEFAULT_BASE_CELL = 0.1
 DEFAULT_NEIGHBOR_CAP = 26
 RADIUS_PER_CELL = 2.5
 _QUERY_BLOCK = 256  # queries per distance table in radius_neighbors
-# Rows per weight product in _contract. BLAS picks its kernel by the row
-# count, so one fixed count keeps a row's bits independent of the others;
-# 8 falls onto a slow small-matrix path, 64 re-reads less but computes more
-# padding on the few-query deep layers.
+# Rows per weight product of a narrow layer in _contract. BLAS picks its
+# kernel by the row count, so one fixed count keeps a row's bits independent
+# of the others; 8 falls onto a slow small-matrix path, 64 re-reads less but
+# computes more padding on the few-query deep layers.
 _ROW_BLOCK = 32
+# A layer is wide when its per-kernel-point block (in × out) has at least
+# this many entries. Timed per layer on frames of the benchmark workloads,
+# the kernel-point product took half the time or less on large 128×256 and
+# up, and 3-8 times as long on every lite layer and on large 5×64; on large
+# 64×128, which stays dense, it saved about 0.06 of 0.28 ms a frame.
+_SPARSE_MIN_WEIGHTS = 2**14
+# Rows per kernel-point product of a wide layer. A kernel point reaches few
+# rows (about two on the last large layer), so the blocks are small; 8 and 16
+# timed within noise of each other.
+_KERNEL_ROW_BLOCK = 8
 
 _CHECKPOINT_MAGIC = b"RCKP"
 _CHECKPOINT_VERSION = 1
@@ -478,19 +497,43 @@ def _listed_neighborhood(
 def _contract(weighted: np.ndarray, layer: KPConvLayerConfig) -> np.ndarray:
     """The weight product (N_q, K*in) @ (K*in, out) of a layer, shape (N_q, out).
 
-    The rows are zero-padded to a multiple of ``_ROW_BLOCK`` and each block
-    of exactly ``_ROW_BLOCK`` rows is one BLAS call. Every call of a layer
-    thus has the same shape and the same kernel, so a row's bits do not
-    depend on how many rows share the product or where the row sits in it.
+    A layer whose per-kernel-point block W_k has fewer than
+    ``_SPARSE_MIN_WEIGHTS`` entries (in × out) multiplies all of ``weighted``
+    by the stacked kernel in blocks of ``_ROW_BLOCK`` rows. A wider layer
+    works one kernel point at a time: a query reaches only a few of the K
+    kernel points, and the other (row, k) blocks of ``weighted`` are exact
+    zeros. Kernel point k multiplies only its active rows, those whose
+    (row, k) block has a nonzero entry, by W_k in blocks of
+    ``_KERNEL_ROW_BLOCK`` rows, and each row sums its products over its
+    active kernel points in ascending k, starting from zero.
+
+    Every BLAS call of a layer has the same shape and kernel, and a row's
+    sum runs over its own blocks only, so a row's bits do not depend on how
+    many rows share the product or where the row sits in it.
     """
-    kernel = layer.weights.reshape(-1, layer.out_channels)
-    n = weighted.shape[0]
-    padded = np.zeros((-(-n // _ROW_BLOCK) * _ROW_BLOCK, kernel.shape[0]))
-    padded[:n] = weighted
+    k, c_in, c_out = layer.weights.shape
+    if c_in * c_out < _SPARSE_MIN_WEIGHTS:
+        return _row_blocks(weighted, layer.weights.reshape(-1, c_out), _ROW_BLOCK)
+    blocks = weighted.reshape(-1, k, c_in)
+    active = blocks.any(axis=2)
+    out = np.zeros((blocks.shape[0], c_out))
+    for point, kernel in enumerate(layer.weights):
+        rows = np.flatnonzero(active[:, point])
+        if rows.size:
+            out[rows] += _row_blocks(blocks[rows, point], kernel, _KERNEL_ROW_BLOCK)
+    return out
+
+
+def _row_blocks(rows: np.ndarray, kernel: np.ndarray, block: int) -> np.ndarray:
+    """``rows @ kernel``, with the rows zero-padded to a multiple of
+    ``block`` and each block of exactly ``block`` rows one BLAS call."""
+    n = rows.shape[0]
+    padded = np.zeros((-(-n // block) * block, rows.shape[1]))
+    padded[:n] = rows
     out = np.empty((padded.shape[0], kernel.shape[1]))
-    for start in range(0, n, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        np.matmul(padded[block], kernel, out=out[block])
+    for start in range(0, n, block):
+        part = slice(start, start + block)
+        np.matmul(padded[part], kernel, out=out[part])
     return out[:n]
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .decoder import DetectionBox3D
 from .errors import BehindCamera, ParseError, SchemaVersionMismatch, check_number
 from .geometry import (
+    MIN_FOCAL,
     Box2D,
     Box3D,
     CameraModel,
@@ -84,7 +85,7 @@ _SYNTH_BOUNDS = {
     "n_classes": {"low": 1, "high": len(_CLASS_DIMS)},
     "n_sweeps": {"low": 1},
     "log_sigma": {},
-    "focal": {"above": 0},
+    "focal": {"low": MIN_FOCAL},
     "downsample": {"low": 1},
 }
 

@@ -15,8 +15,15 @@ from rcdet.radar import PreliminaryDetection, RadarPoint
 
 def pytest_report_header(config) -> str:
     """The versions that the sha256 pins depend on: numpy's reduction order
-    and memory layout decide the bits of the pinned feature rows."""
-    return f"numpy {np.__version__}, Python {platform.python_version()}"
+    and memory layout, and the BLAS kernels of the KPConv weight products
+    (fixed (32, K·in) blocks on narrow layers, (8, in) blocks per kernel
+    point on wide ones), decide the bits of the pinned feature rows."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip()
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}, Python {platform.python_version()}"
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -637,6 +637,18 @@ _WRONG_TYPES = [
         ("sweep_age", "0.5", "a number"),
         ("sweep_age", -0.5, ">= 0"),
     ]
+] + [
+    (kind, ("camera", "intrinsic", row, column), value, f"bad camera record: intrinsic {what}")
+    for kind in ("scenes", "gt")
+    for row, column, value, what in [
+        (0, 0, 5e-324, "focal entries must be >= 1.0 pixel"),
+        (1, 1, 0.5, "focal entries must be >= 1.0 pixel"),
+        (2, 2, 5e-324, "bottom row must be [0, 0, 1]"),
+        (2, 2, -5e-324, "bottom row must be [0, 0, 1]"),
+        (2, 2, 1.797e308, "bottom row must be [0, 0, 1]"),
+        (2, 2, -1.797e308, "bottom row must be [0, 0, 1]"),
+        (2, 2, 2.0, "bottom row must be [0, 0, 1]"),
+    ]
 ]
 
 
@@ -647,8 +659,9 @@ _WRONG_TYPES = [
 )
 def test_cli_rejects_wrong_json_type(tmp_path, capsys, kind, path, value, message):
     """A field of the wrong JSON type, a fraction or boolean where an integer
-    belongs, or an id or image size out of range: exit 1, one error line
-    naming the line and the field, no traceback."""
+    belongs, an id or image size out of range, or a camera intrinsic that
+    projection cannot invert: exit 1, one error line naming the line and the
+    field, no traceback."""
     assert _run_or_eval_edited(tmp_path, kind, _set_at(path, value)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and message in err
@@ -894,6 +907,7 @@ _BAD_SYNTH_CONFIGS = [
     ({"max_speed": -3}, "max_speed"),
     ({"focal": -5.0}, "focal"),
     ({"focal": 0.0}, "focal"),
+    ({"focal": 0.5}, "focal"),
 ]
 
 

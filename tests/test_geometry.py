@@ -79,10 +79,11 @@ def test_camera_validation():
     bad_rot[0, 0] = 1.5
     with pytest.raises(ValueError):
         CameraModel(intrinsic=np.eye(3), extrinsic=bad_rot, image_size=(4, 4))
-    bad_k = np.eye(3)
-    bad_k[2, 0] = 0.1
-    with pytest.raises(ValueError):
-        CameraModel(intrinsic=bad_k, extrinsic=np.eye(4), image_size=(4, 4))
+    for index, value in [((2, 0), 0.1), ((2, 2), 2.0), ((0, 0), 0.999), ((1, 1), math.nan)]:
+        bad_k = np.eye(3)
+        bad_k[index] = value
+        with pytest.raises(ValueError, match="intrinsic"):
+            CameraModel(intrinsic=bad_k, extrinsic=np.eye(4), image_size=(4, 4))
 
 
 @pytest.mark.parametrize("entry", [1e300, -1e300, math.nan])

@@ -514,6 +514,43 @@ def test_weight_gradient_matches_finite_differences(rng):
             assert abs(grad[idx] - fd) / scale < 1e-4
 
 
+def test_weight_gradient_matches_finite_differences_on_a_wide_layer(rng):
+    """The gradient against the forward pass of a layer on the kernel-point
+    product: along random directions, and at single weights of kernel points
+    that some query reaches and of ones that none does (gradient 0)."""
+    layer = _random_layer(rng, 6, 128, 128)
+    assert _is_wide(layer)
+    # Points and queries sit near the origin: the central kernel point
+    # reaches them, the outer ones, near the 1.5 radius, lie beyond sigma.
+    support = PointFeatures(
+        positions=rng.uniform(-0.1, 0.1, (30, 3)), features=rng.uniform(-2, 2, (30, 128))
+    )
+    queries = rng.uniform(-0.1, 0.1, (10, 3))
+    neighbors = radius_neighbors(queries, support.positions, layer.radius)
+    upstream = rng.normal(size=(10, 128))
+    grad = kpconv_weight_grad(layer, queries, support, neighbors, upstream)
+
+    def loss(weights):
+        moved = KPConvLayerConfig(
+            kernel_points=layer.kernel_points, weights=weights,
+            radius=layer.radius, influence_sigma=layer.influence_sigma, strided=False,
+        )
+        return np.sum(kpconv_forward(moved, queries, support, neighbors) * upstream)
+
+    step = 1e-5
+    reached = np.abs(grad).max(axis=(1, 2)) > 0
+    assert reached.any() and not reached.all()
+    directions = [rng.normal(size=layer.weights.shape) for _ in range(3)]
+    for point in range(layer.kernel_point_count):
+        direction = np.zeros(layer.weights.shape)
+        direction[(point, *rng.integers(128, size=2))] = 1.0
+        directions.append(direction)
+    for direction in directions:
+        fd = (loss(layer.weights + step * direction) - loss(layer.weights - step * direction)) / (2 * step)
+        analytic = np.sum(grad * direction)
+        assert abs(analytic - fd) <= 1e-6 * max(abs(analytic), abs(fd), 1.0)
+
+
 # -- network construction and extraction -----------------------------------------
 
 
@@ -674,7 +711,7 @@ def test_frame_pass_rows_match_per_cluster_oracle(networks, variant, kinds, with
 # 6 m with duplicates, 300 points) in each frame.
 _LEARNED_ROWS_DIGESTS = {
     "lite": "50bba73ad53323a7f157a26ddfd679df1178df8d180478d1d2c0023847596ddf",
-    "large": "cfeb968cba48d286596fbf5fb523ea64a88ed571f90b82045cbebced458fbf62",
+    "large": "fa50037ff23ca48abb573b1f1d70857b3f861222f0e866f3b7646dc9284b01c9",
 }
 
 
@@ -722,31 +759,111 @@ def test_frame_pass_searches_neighbors_once_per_layer(monkeypatch, rng):
 
 
 _BLOCK = kpconv._ROW_BLOCK
+_KERNEL_BLOCK = kpconv._KERNEL_ROW_BLOCK
 _LAYERS = [(variant, i) for variant, n in (("lite", 4), ("large", 5)) for i in range(n)]
+
+
+def _is_wide(layer: KPConvLayerConfig) -> bool:
+    return layer.in_channels * layer.out_channels >= kpconv._SPARSE_MIN_WEIGHTS
+
+
+def test_contract_threshold_splits_the_named_networks(networks):
+    """Every lite layer and large layers 0-1 keep the dense product; large
+    layers 2-4 take the kernel-point product, so ``_LAYERS`` covers both."""
+    assert [i for i, layer in enumerate(networks["lite"].layers) if _is_wide(layer)] == []
+    assert [i for i, layer in enumerate(networks["large"].layers) if _is_wide(layer)] == [2, 3, 4]
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     variant_layer=st.sampled_from(_LAYERS),
-    n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    n=st.sampled_from(
+        [1, _KERNEL_BLOCK - 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1, 2 * _KERNEL_BLOCK + 1,
+         _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 6 * _BLOCK + 1]
+    ),
     before=st.integers(0, 2 * _BLOCK),
     after=st.integers(0, _BLOCK),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_contract_row_bits_independent_of_other_rows(networks, variant_layer, n, before, after, seed):
     """A row of the weight product has the same bytes alone, among its own
-    rows, and at any offset inside a larger frame."""
+    rows, and at any offset inside a larger frame. As in a frame, a row
+    reaches few kernel points: 85 % of its per-kernel-point blocks are whole
+    zeros, and single entries of the others are zero too."""
     variant, i = variant_layer
     layer = networks[variant].layers[i]
     rng = np.random.default_rng(seed)
-    frame = rng.normal(size=(before + n + after, layer.kernel_point_count * layer.in_channels))
-    frame[rng.random(frame.shape) < 0.5] = 0.0  # influence is often exactly zero
+    frame = rng.normal(size=(before + n + after, layer.kernel_point_count, layer.in_channels))
+    frame[rng.random(frame.shape[:2]) < 0.85] = 0.0
+    frame[rng.random(frame.shape) < 0.2] = 0.0
+    frame = frame.reshape(len(frame), -1)
     rows = frame[before : before + n]
     out = kpconv._contract(rows, layer)
     np.testing.assert_allclose(out, rows @ layer.weights.reshape(-1, layer.out_channels), rtol=1e-12, atol=1e-12)
     assert out.tobytes() == kpconv._contract(frame, layer)[before : before + n].tobytes()
     j = int(rng.integers(n))
     assert out[j].tobytes() == kpconv._contract(rows[j : j + 1], layer)[0].tobytes()
+
+
+def _dense_contract(weighted, layer):
+    """The weight product as one float64 matmul over every kernel point."""
+    return weighted @ layer.weights.reshape(-1, layer.out_channels)
+
+
+def test_learned_rows_within_tolerance_of_dense_product(networks, monkeypatch):
+    """The kernel-point product of the wide layers moves the large rows by
+    rounding only: on the frames the bits are pinned on, each row differs
+    from the dense product's row by at most 1e-12 times that row's largest
+    magnitude."""
+    net = networks["large"]
+    frames = [_mixed_frame(seed, _KINDS) for seed in range(4)]
+    rows = [learned_rows(clusters, net) for clusters in frames]
+    monkeypatch.setattr(kpconv, "_contract", _dense_contract)
+    for clusters, got in zip(frames, rows):
+        want = learned_rows(clusters, net)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
+
+
+def test_wide_layers_multiply_only_active_rows(networks, monkeypatch):
+    """Kernel point k of a wide layer multiplies exactly ceil(a_k / B) blocks
+    of B rows, a_k being the rows whose k block has a nonzero entry, and no
+    block at all when a_k is 0; a narrow layer multiplies ceil(N_q / 32)
+    blocks of 32 rows. No other product runs."""
+    net = networks["large"]
+    products = _counting(monkeypatch, "_contract")
+    calls = []
+    matmul = np.matmul
+
+    def counted(a, b, **kwargs):
+        calls.append((a.shape, b))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    learned_rows(_mixed_frame(5, _KINDS), net)
+    monkeypatch.undo()
+
+    def against(kernel):
+        """The row-block shapes multiplied by ``kernel``."""
+        return [a for a, b in calls if b.shape == kernel.shape and b.ctypes.data == kernel.ctypes.data]
+
+    expected, reached = 0, []
+    for weighted, layer in products:
+        k, c_in, c_out = layer.weights.shape
+        if not _is_wide(layer):
+            blocks = [(_BLOCK, k * c_in)] * -(-len(weighted) // _BLOCK)
+            assert against(layer.weights.reshape(-1, c_out)) == blocks
+            expected += len(blocks)
+            continue
+        active = np.count_nonzero(weighted.reshape(-1, k, c_in).any(axis=2), axis=0)
+        reached += active.tolist()
+        for kernel, a_k in zip(layer.weights, active):
+            blocks = [(_KERNEL_BLOCK, c_in)] * -(-a_k // _KERNEL_BLOCK)
+            assert against(kernel) == blocks
+            expected += len(blocks)
+    assert len(calls) == expected
+    # The frame has kernel points that reach no row and ones that fill more
+    # than one block.
+    assert min(reached) == 0 and max(reached) > _KERNEL_BLOCK
 
 
 def test_learned_rows_empty_frame_and_empty_clusters(rng):

@@ -23,7 +23,7 @@ from rcdet.scene_io import synth_scene  # noqa: E402
 
 _FRAME_DIGESTS = {
     "lite-2w": "20322e9170ac2b95c6b048c8a7dab75302ce7de12fc73a3e1d5488f10d72f622",
-    "hybrid-large": "bc7735c0c9e444b4f16dc1fea99efde1dee7c344926039e10b903fac1586703c",
+    "hybrid-large": "27f9ccb9a4d9b0490ca0bd9993e298e948675ea9ac19a9cafa84a35a45af91eb",
 }
 
 
