@@ -120,7 +120,7 @@ def _dump_bev(path: str, results: list[FrameResult]) -> None:
             clusters = [
                 {
                     "detection_index": i,
-                    "points_bev": [p.position[:2].tolist() for p in cluster.members],
+                    "points_bev": cluster.positions()[:, :2].tolist(),
                 }
                 for i, cluster in enumerate(result.clusters)
             ]

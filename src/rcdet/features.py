@@ -223,8 +223,17 @@ def rasterize_heatmap(
     grid_w, grid_h = width // downsample, height // downsample
     owner = np.full((grid_h, grid_w), -1, dtype=np.int32)
 
+    # The pixel centres are sorted, so the pixels whose centre lies inside a
+    # box, edges included, are one slice per axis: from the first centre at
+    # or past the min edge ("left") to the last centre at or before the max
+    # edge ("right").
+    boxes = [cluster.detection.bbox2d for cluster, _ in clusters_with_features]
     centers_u = (np.arange(grid_w) + 0.5) * downsample
     centers_v = (np.arange(grid_h) + 0.5) * downsample
+    c0 = np.searchsorted(centers_u, [box.x_min for box in boxes], "left").tolist()
+    c1 = np.searchsorted(centers_u, [box.x_max for box in boxes], "right").tolist()
+    r0 = np.searchsorted(centers_v, [box.y_min for box in boxes], "left").tolist()
+    r1 = np.searchsorted(centers_v, [box.y_max for box in boxes], "right").tolist()
 
     # Painter's algorithm: draw farthest detections first so nearer ones
     # overwrite them; the sort is stable, so equal depths keep input order.
@@ -233,10 +242,8 @@ def rasterize_heatmap(
         key=lambda i: -clusters_with_features[i][0].detection.depth,
     )
     for idx in order:
-        box = clusters_with_features[idx][0].detection.bbox2d
+        box = boxes[idx]
         if not (0 <= box.x_min and box.x_max <= width and 0 <= box.y_min and box.y_max <= height):
             raise ValueError(f"detection bbox {box} exceeds image bounds {image_size}")
-        cols = np.flatnonzero((centers_u >= box.x_min) & (centers_u <= box.x_max))
-        rowsel = np.flatnonzero((centers_v >= box.y_min) & (centers_v <= box.y_max))
-        owner[np.ix_(rowsel, cols)] = idx
+        owner[r0[idx] : r1[idx], c0[idx] : c1[idx]] = idx
     return FeatureHeatmap(owner=owner, rows=rows, downsample=downsample)

@@ -15,15 +15,16 @@ both therefore evaluate the projection with the same fixed left-to-right
 component arithmetic.
 
 ``cluster_sweeps`` runs a frame's whole front end (accumulate, range gate,
-associate) on the sweeps' columns and builds a :class:`RadarPoint` only for
-a clustered return, one object shared by every cluster it joins.
-``accumulate_sweeps``, ``range_filter`` and ``associate`` are the same
-kernels with point lists at their edges.
+associate) on the sweeps' columns. Its clusters share one member store, the
+clustered rows' columns, and each holds its members as row indices into it;
+it builds no :class:`RadarPoint`. ``accumulate_sweeps``, ``range_filter``
+and ``associate`` are the same kernels with point lists at their edges.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -215,27 +216,101 @@ class FrustumROI:
             raise ValueError(f"depth range must satisfy 0 < d_min < d_max, got {self.depth_range}")
 
 
-@dataclass(eq=False)
-class Cluster:
-    """A preliminary detection together with its associated radar points."""
+# Held while a store builds its points; building is pure Python under the
+# GIL, so one lock for every store costs no parallelism.
+_POINTS_LOCK = threading.Lock()
 
-    detection: PreliminaryDetection
-    members: list[RadarPoint]
+
+class _MemberStore:
+    """Clustered rows as read-only columns: ``table`` (n, 5) holds each row's
+    (x, y, z, v_x, v_y), ``rcs`` and ``ages`` (n,) the rest.
+
+    ``points()`` is the rows as :class:`RadarPoint` objects: the ones given,
+    or else built from the columns on first call, once, under a lock, so
+    every caller and every cluster indexing a row gets the same object.
+    """
+
+    def __init__(
+        self,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        rcs: np.ndarray,
+        ages: np.ndarray,
+        points: list[RadarPoint] | None = None,
+    ) -> None:
+        self.table = np.hstack([positions.reshape(-1, 3), velocities.reshape(-1, 2)])
+        self.rcs, self.ages = rcs, ages
+        for column in (self.table, rcs, ages):
+            column.flags.writeable = False
+        self._points = points
+
+    @classmethod
+    def of_points(cls, points: Sequence[RadarPoint]) -> _MemberStore:
+        """The store whose rows are ``points``, which it keeps as its objects."""
+        points = list(points)
+        return cls(
+            _stacked_positions(points),
+            np.array([p.velocity for p in points], dtype=np.float64),
+            np.array([p.rcs for p in points], dtype=np.float64),
+            np.array([p.sweep_age for p in points], dtype=np.float64),
+            points,
+        )
+
+    def points(self) -> list[RadarPoint]:
+        if self._points is None:
+            with _POINTS_LOCK:
+                if self._points is None:
+                    table = self.table
+                    self._points = _row_points(table[:, :3], table[:, 3:], self.rcs, self.ages)
+        return self._points
+
+
+class Cluster:
+    """A preliminary detection together with its associated radar points.
+
+    The members are row indices into a member store (``_MemberStore``).
+    ``Cluster(detection, points)`` stacks ``points`` into a store of its own
+    and keeps those objects; the clusters of ``cluster_sweeps`` share their
+    frame's store. ``members`` gives the rows as a tuple of
+    :class:`RadarPoint` objects, ``positions()`` and ``velocities()`` as
+    arrays read from the columns.
+
+    The store copies the members' values when the cluster is built, and
+    every feature reads that copy: changing a point afterwards does not
+    change the cluster, and ``members`` is a tuple, so it cannot grow.
+    """
+
+    def __init__(self, detection: PreliminaryDetection, members: Sequence[RadarPoint]) -> None:
+        self.detection = detection
+        self._store = _MemberStore.of_points(members)
+        self._rows = np.arange(len(self._store.rcs))
+
+    @classmethod
+    def _of_rows(
+        cls, detection: PreliminaryDetection, store: _MemberStore, rows: np.ndarray
+    ) -> Cluster:
+        cluster = object.__new__(cls)
+        cluster.detection = detection
+        cluster._store = store
+        cluster._rows = rows
+        return cluster
+
+    @property
+    def members(self) -> tuple[RadarPoint, ...]:
+        """The members as the store's shared objects, in row order."""
+        points = self._store.points()
+        return tuple(points[i] for i in self._rows.tolist())
 
     @property
     def member_count(self) -> int:
-        return len(self.members)
+        return len(self._rows)
 
     def positions(self) -> np.ndarray:
-        """Member positions stacked as (N, 3); empty clusters give (0, 3)."""
-        if not self.members:
-            return np.zeros((0, 3))
-        return np.stack([p.position for p in self.members])
+        """Member positions as a new (N, 3) array; empty clusters give (0, 3)."""
+        return self._store.table[self._rows, :3]
 
     def velocities(self) -> np.ndarray:
-        if not self.members:
-            return np.zeros((0, 2))
-        return np.stack([p.velocity for p in self.members])
+        return self._store.table[self._rows, 3:]
 
 
 def canonical_members(clusters: Sequence[Cluster]) -> tuple[np.ndarray, np.ndarray]:
@@ -244,9 +319,8 @@ def canonical_members(clusters: Sequence[Cluster]) -> tuple[np.ndarray, np.ndarr
     bounds: cluster s owns rows ``bounds[s]:bounds[s + 1]``. A slice reduced
     in row order thus has the same bits under any member permutation.
     """
-    members = [point for cluster in clusters for point in cluster.members]
-    positions = np.array([p.position for p in members]).reshape(-1, 3)
-    rows = np.hstack([positions, np.array([p.velocity for p in members]).reshape(-1, 2)])
+    gathered = [cluster._store.table[cluster._rows] for cluster in clusters]
+    rows = np.concatenate(gathered or [np.zeros((0, 5))])
     counts = [cluster.member_count for cluster in clusters]
     segments = np.repeat(np.arange(len(clusters)), counts)
     order = np.lexsort((*rows.T[::-1], segments))
@@ -475,20 +549,20 @@ def cluster_sweeps(
     ``associate(range_filter(accumulate_sweeps(...)))``, with the same
     clusters and members.
 
-    Only clustered rows become :class:`RadarPoint` objects, one per row,
-    shared by every cluster the row joins.
+    The clusters share one member store holding only the clustered rows;
+    each indexes its members there, in row order.
     """
     positions, velocities, rcs, ages = _accumulated_columns(sweeps, max_sweeps)
     gated = np.flatnonzero(_in_range(positions, min_range, max_range))
     rows = _member_rows(positions[gated], dets, camera, pillar_dims, expansion)
-    members = [gated[r] for r in rows]
-    clustered = np.zeros(len(positions), dtype=bool)
-    for m in members:
-        clustered[m] = True
-    clustered = np.flatnonzero(clustered)
-    columns = [column[clustered] for column in (positions, velocities, rcs, ages)]
-    point_of = dict(zip(clustered.tolist(), _row_points(*columns)))
-    return [Cluster(det, [point_of[i] for i in m.tolist()]) for det, m in zip(dets, members)]
+    clustered = np.zeros(len(gated), dtype=bool)
+    for r in rows:
+        clustered[r] = True
+    # A gated row's index into the store, where its row is clustered.
+    store_row = np.cumsum(clustered) - 1
+    kept = gated[clustered]
+    store = _MemberStore(positions[kept], velocities[kept], rcs[kept], ages[kept])
+    return [Cluster._of_rows(det, store, store_row[r]) for det, r in zip(dets, rows)]
 
 
 def associate(
@@ -503,8 +577,9 @@ def associate(
     A point may belong to several overlapping frustums; points inside none
     are discarded as clutter. Cluster member order follows input point order.
     """
-    rows = _member_rows(_stacked_positions(points), dets, camera, pillar_dims, expansion)
-    return [Cluster(det, [points[i] for i in r.tolist()]) for det, r in zip(dets, rows)]
+    store = _MemberStore.of_points(points)
+    rows = _member_rows(store.table[:, :3], dets, camera, pillar_dims, expansion)
+    return [Cluster._of_rows(det, store, r) for det, r in zip(dets, rows)]
 
 
 def associate_naive(

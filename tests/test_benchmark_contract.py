@@ -20,6 +20,7 @@ import perfbench.harness  # noqa: E402  (imports every rcdet name the benchmark 
 from perfbench.tracing import Tracer, traced_process_frame  # noqa: E402
 from rcdet.kpconv import build_network  # noqa: E402
 from rcdet.pipeline import PipelineConfig, process_frame  # noqa: E402
+from rcdet.radar import accumulate_sweeps, associate, associate_naive, range_filter  # noqa: E402
 from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 from rcdet.scene_io import SynthConfig, save_scenes, synth_scene  # noqa: E402
 
@@ -77,3 +78,29 @@ def test_scene_files_match_pinned_digests(tmp_path, name):
         save_scenes(path, frames[i * workload.n_frames : (i + 1) * workload.n_frames])
         digests.append(perfbench.harness.sha256_file(path))
     assert digests == perfbench.harness.load_digests()[name]["scene_sha256"]
+
+
+@pytest.mark.parametrize("name", ["lite-2w", "hybrid-large"])
+def test_membership_checks_hold_on_the_gated_workloads(name):
+    """The benchmark's two membership checks, compared by member identity as
+    it compares them, on the workload's seed-0 frames: ``associate`` equals
+    ``associate_naive``, and the clustered points of ``process_frame``'s
+    clusters equal the traced replay's ``radar.points_clustered``."""
+    workload = WORKLOADS[name]
+    frames = synth_scene(workload.synth_config(DEFAULT_SEED, workload.n_frames))
+    cfg, net = workload.pipeline_config(), workload.network()
+    tracer = Tracer()
+    for frame in frames:
+        points = accumulate_sweeps(frame.radar_sweeps, cfg.max_sweeps)
+        gated = range_filter(points, cfg.min_range, cfg.max_range)
+        args = (gated, frame.detections, frame.camera, cfg.pillar_dims, cfg.expansion)
+        fast, naive = associate(*args), associate_naive(*args)
+        assert [[id(p) for p in c.members] for c in fast] == [
+            [id(p) for p in c.members] for c in naive
+        ]
+        clusters = process_frame(frame, cfg, net).clusters
+        before = tracer.counts["radar.points_clustered"]
+        traced_process_frame(frame, cfg, net, tracer)
+        clustered = len({id(p) for c in clusters for p in c.members})
+        assert clustered == tracer.counts["radar.points_clustered"] - before
+    assert tracer.counts["radar.points_clustered"] > 0

@@ -27,7 +27,13 @@ from rcdet.features import extract_handcrafted
 from rcdet.kpconv import build_network, extract_hybrid, extract_learned, save_network
 from rcdet.metrics import evaluate
 from rcdet.pipeline import PipelineConfig, feature_length, process_frame, run_scenes
-from rcdet.scene_io import SynthConfig, load_detections, save_scenes, synth_scene
+from rcdet.scene_io import (
+    SynthConfig,
+    load_detections,
+    load_scenes,
+    save_scenes,
+    synth_scene,
+)
 
 
 def _write_scene(tmp_path, **kwargs) -> str:
@@ -373,6 +379,28 @@ def test_cli_dump_bev(tmp_path):
         assert {"frame_id", "boxes", "clusters"} <= set(record)
         for box in record["boxes"]:
             assert len(box["footprint"]) == 4
+
+
+def test_cli_dump_bev_reads_positions_not_members(tmp_path, monkeypatch):
+    """`run --dump-bev` builds no RadarPoint, and its file has the bytes of
+    one whose cluster points are written through each cluster's `members`."""
+    scenes = _write_scene(tmp_path, seed=6, n_frames=3, objects_min=2, objects_max=3)
+    built = []
+    row_points = radar._row_points
+    monkeypatch.setattr(radar, "_row_points", lambda *cols: built.append(1) or row_points(*cols))
+    bev = tmp_path / "bev.jsonl"
+    out = str(tmp_path / "dets.jsonl")
+    assert main(["run", "--scenes", scenes, "--out", out, "--dump-bev", str(bev)]) == 0
+    assert built == []
+    results = run_scenes(load_scenes(scenes), PipelineConfig())
+    lines = bev.read_text().splitlines(keepends=True)
+    assert len(lines) == len(results)
+    for line, result in zip(lines, results):
+        record = json.loads(line)
+        for entry, cluster in zip(record["clusters"], result.clusters, strict=True):
+            entry["points_bev"] = [p.position[:2].tolist() for p in cluster.members]
+        assert line == json.dumps(record) + "\n"
+    assert any(c.member_count for result in results for c in result.clusters)
 
 
 def test_cli_unknown_flag_exits_2():
@@ -786,6 +814,59 @@ def test_cli_survives_value_past_float64(mutation_inputs, target, path, value):
         assert main(["run", "--scenes", scenes, "--out", str(root / "out.jsonl")]) == 0
         assert main(["eval", "--dets", dets, "--gt", scenes, "--report", str(report)]) == 0
     assert "nan" not in report.read_text().lower()
+
+
+# Zeros, a negative, the subnormal extremes, and magnitudes around the
+# square root and the top of float64's range.
+_SWEEP_VALUES = [0, -0.0, -1, 5e-324, -5e-324, 1e-300, 1.34e154, 1e300, 1.797e308, -1.797e308]
+
+
+def _leaf(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+@pytest.mark.parametrize("value", _SWEEP_VALUES, ids=repr)
+@pytest.mark.parametrize("target", ["scenes", "dets"])
+def test_cli_survives_each_numeric_leaf_at_each_extreme(mutation_inputs, target, value):
+    """Every numeric leaf of the mutation test's scene or detections record,
+    set to ``value``: `run` and `eval` exit 0 with nothing on stderr, or 1
+    with one error line, raise nothing (warnings included), and write no
+    NaN into the report. The deterministic twin of the Hypothesis test."""
+    root, scenes, dets, files = mutation_inputs
+    target = {"dets": dets, "scenes": scenes}[target]
+    header, record, paths = files[target]
+    report = root / "report.txt"
+    runs = (
+        ["run", "--scenes", scenes, "--out", str(root / "out.jsonl")],
+        ["eval", "--dets", dets, "--gt", scenes, "--report", str(report)],
+    )
+    leaves = [path for path in paths if type(_leaf(record, path)) in (int, float)]
+    assert leaves
+    failures = []
+    for path in leaves:
+        payload = json.loads(json.dumps(record))
+        _set_at(path, value)(payload)
+        for name, (head, original, _) in files.items():
+            body = payload if name == target else original
+            Path(name).write_text(head + "\n" + json.dumps(body) + "\n")
+        for args in runs:
+            report.unlink(missing_ok=True)
+            err = io.StringIO()
+            try:
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = main(args)
+            except Exception as exc:  # noqa: BLE001 - every escape is a failing case
+                failures.append((args[0], path, repr(exc)))
+                continue
+            if (code, err.getvalue().count("\n")) not in ((0, 0), (1, 1)):
+                failures.append((args[0], path, code, err.getvalue()))
+            elif args[0] == "eval" and code == 0 and "nan" in report.read_text().lower():
+                failures.append((args[0], path, "NaN in the report"))
+    assert failures == []
 
 
 @pytest.mark.parametrize("field", ["score", "class_id"])

@@ -457,6 +457,62 @@ def test_rasterize_owner_matches_painter_oracle_winner(rng):
         assert np.array_equal(heatmap.rows, np.array([fv.values for _, fv in entries]))
 
 
+def _assert_owner_matches_painter_oracle(boxes_and_depths):
+    entries = [
+        (_cluster_with_bbox(Box2D(*box), depth), FeatureVector(values=[i + 1.0]))
+        for i, (box, depth) in enumerate(boxes_and_depths)
+    ]
+    heatmap = rasterize_heatmap(entries, image_size=(40, 24), downsample=4)
+    assert np.array_equal(heatmap.owner, _painter_oracle(entries, (40, 24), 4)[0] - 1)
+    return heatmap.owner
+
+
+# Feature pixel centres lie at 2, 6, 10, ... on both axes of the 40 x 24 image.
+_EDGE_CASE_BOXES = {
+    "edges-on-centres": [((2.0, 6.0, 10.0, 14.0), 10.0), ((10.0, 2.0, 38.0, 22.0), 20.0)],
+    "one-pixel": [
+        ((6.0, 10.0, 6.0, 10.0), 10.0),
+        ((13.0, 17.0, 15.0, 19.0), 10.0),
+        ((3.0, 3.0, 5.0, 5.0), 5.0),  # holds no centre
+    ],
+    "full-image": [
+        ((0.0, 0.0, 40.0, 24.0), 20.0),
+        ((0.0, 0.0, 40.0, 24.0), 20.0),
+        ((2.0, 2.0, 38.0, 22.0), 30.0),
+    ],
+    "equal-depth-overlaps": [
+        ((0.0, 0.0, 24.0, 16.0), 10.0),
+        ((12.0, 8.0, 40.0, 24.0), 10.0),
+        ((6.0, 6.0, 30.0, 18.0), 10.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASE_BOXES))
+def test_rasterize_edge_cases_match_painter_oracle(case):
+    owner = _assert_owner_matches_painter_oracle(_EDGE_CASE_BOXES[case])
+    if case == "edges-on-centres":
+        # Both edges are inclusive: the nearer first box holds columns 0-2 and
+        # rows 1-3, column 2 included; the second box starts at column 2.
+        assert (owner[1:4, 0:3] == 0).all() and owner[0, 2] == 1 and owner[4, 2] == 1
+    if case == "one-pixel":
+        assert (owner == 0).sum() == 1 and (owner == 1).sum() == 1 and (owner == 2).sum() == 0
+    if case == "full-image":
+        assert (owner[[0, -1], :] == 1).all() and (owner[:, [0, -1]] == 1).all()
+
+
+def test_rasterize_grid_aligned_boxes_match_painter_oracle(rng):
+    """Box edges drawn from the pixel centres and the pixel borders, so that
+    most edges meet a centre exactly."""
+    for _ in range(50):
+        boxes = []
+        for _ in range(int(rng.integers(1, 6))):
+            x = np.sort(rng.integers(0, 21, 2)) * 2.0
+            y = np.sort(rng.integers(0, 13, 2)) * 2.0
+            boxes.append(((x[0], y[0], x[1], y[1]), float(rng.choice([5.0, 10.0, 10.0]))))
+        _assert_owner_matches_painter_oracle(boxes)
+
+
 def test_rasterize_zero_feature_winner_owns_its_pixels():
     near = _cluster_with_bbox(Box2D(0.0, 0.0, 24.0, 16.0), depth=10.0)
     far = _cluster_with_bbox(Box2D(12.0, 8.0, 40.0, 24.0), depth=20.0)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcdet import radar
 from rcdet.errors import InvalidDetection
 from rcdet.geometry import Box3D, project_point
 from rcdet.radar import (
@@ -30,11 +34,13 @@ from rcdet.radar import (
     associate,
     associate_naive,
     build_frustum,
+    canonical_members,
     cluster_sweeps,
     frustum_contains,
     pillar_expand,
     range_filter,
 )
+from rcdet.kpconv import build_network
 from rcdet.pipeline import PipelineConfig, process_frame
 from rcdet.scene_io import SceneFrame, default_camera
 
@@ -364,8 +370,21 @@ def test_associate_single_point_in_frustum():
     point = _point_at(0.0, 20.0)
     clusters = associate([point], [det], camera)
     assert len(clusters) == 1
-    assert clusters[0].members == [point]
+    assert clusters[0].members == (point,)
     assert clusters[0].member_count == 1
+
+
+def test_cluster_members_are_fixed_when_built():
+    """``members`` is a tuple, so it cannot grow; the store copied the
+    values, so changing a point afterwards leaves the cluster's rows."""
+    det, _ = _detection_at(depth=20.0, yaw=math.pi / 2)
+    point = _point_at(0.0, 20.0)
+    cluster = Cluster(det, [point])
+    with pytest.raises(AttributeError):
+        cluster.members.append(point)
+    point.position = np.array([1.0, 2.0, 3.0])
+    assert cluster.members == (point,)
+    assert cluster.positions().tolist() == [[0.0, 20.0, 0.0]]
 
 
 def test_associate_point_on_camera_plane_is_silent():
@@ -492,3 +511,136 @@ def test_process_frame_clusters_equal_list_stages(case):
     )
     assert [c.detection for c in got] == [c.detection for c in expected]
     assert _member_sharing(got) == _member_sharing(expected)
+
+
+# -- members as row indices into the frame's member store ----------------------
+
+
+def _list_stage_clusters(frame: SceneFrame, cfg: PipelineConfig) -> list[Cluster]:
+    points = accumulate_sweeps(frame.radar_sweeps, cfg.max_sweeps)
+    gated = range_filter(points, cfg.min_range, cfg.max_range)
+    return associate(gated, frame.detections, frame.camera, cfg.pillar_dims, cfg.expansion)
+
+
+def _twinned_frame(seed: int) -> SceneFrame:
+    """Three detections, the first twinned 0.25 m deeper, and three sweeps
+    with every other return placed near a detection's centre, so that some
+    rows join two clusters."""
+    rng = np.random.default_rng(seed)
+    camera = default_camera()
+    dets = [
+        detection_for_box(rng, camera, random_visible_box(rng, camera)) for _ in range(3)
+    ]
+    dets.append(replace(dets[0], depth=dets[0].depth + 0.25))
+    sweeps = []
+    for i in range(3):
+        points = random_radar_points(rng, 40)
+        for point in points[::2]:
+            target = dets[int(rng.integers(len(dets)))].box3d.center
+            point.position = target + rng.uniform(-0.3, 0.3, 3)
+        sweeps.append(RadarSweep.from_points(10.0 - 0.05 * i, points))
+    return SceneFrame(0, camera, sweeps, dets)
+
+
+def _count_built_points(monkeypatch, delay: float = 0.0) -> list[int]:
+    """Route every ``radar._row_points`` call through a counter: the returned
+    list gets the number of points each call builds. ``delay`` holds each
+    call open that many seconds, so that a second reader arrives mid-build."""
+    built = []
+    row_points = radar._row_points
+
+    def counting(*columns):
+        time.sleep(delay)
+        points = row_points(*columns)
+        built.append(len(points))
+        return points
+
+    monkeypatch.setattr(radar, "_row_points", counting)
+    return built
+
+
+@pytest.mark.parametrize("strategy", ["handcrafted", "hybrid"])
+def test_process_frame_builds_no_radar_point(monkeypatch, strategy):
+    """``process_frame`` builds no point; the first ``members`` access builds
+    one per clustered row, shared by every cluster holding the row; a second
+    access builds nothing and gives the same objects."""
+    frame = _twinned_frame(0)
+    cfg = PipelineConfig(feature_strategy=strategy)
+    net = build_network("lite", seed=0) if strategy == "hybrid" else None
+    expected = _list_stage_clusters(frame, cfg)
+    clustered = {id(p) for c in expected for p in c.members}
+    built = _count_built_points(monkeypatch)
+    clusters = process_frame(frame, cfg, net).clusters
+    assert built == []
+    first = [c.members for c in clusters]
+    assert built == [len(clustered)]
+    assert {id(p) for p in first[0]} & {id(p) for p in first[3]}, "the twins share no row"
+    assert _member_sharing(clusters) == _member_sharing(expected)
+    second = [c.members for c in clusters]
+    assert built == [len(clustered)]
+    assert [[id(p) for p in m] for m in second] == [[id(p) for p in m] for m in first]
+
+
+def test_members_of_a_frame_are_the_same_objects_in_every_thread(monkeypatch):
+    """Four threads, more than this suite's usual two cores, read one frame's
+    members at once, with the build held open and a short switch interval:
+    one build, and every thread gets the same objects."""
+    clusters = process_frame(_twinned_frame(1), PipelineConfig()).clusters
+    built = _count_built_points(monkeypatch, delay=0.05)
+    barrier = threading.Barrier(4)
+    seen = {}
+
+    def read(name):
+        barrier.wait()
+        seen[name] = [[id(p) for p in c.members] for c in clusters]
+
+    threads = [threading.Thread(target=read, args=(name,)) for name in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 1
+    assert sorted(seen) == [0, 1, 2, 3]
+    assert seen[0] == seen[1] == seen[2] == seen[3]
+    assert sum(map(len, seen[0])) > 0
+
+
+def _stacked_canonical_members(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray]:
+    """``canonical_members`` by stacking member objects: the oracle for the
+    gather from the member store."""
+    members = [point for cluster in clusters for point in cluster.members]
+    positions = np.array([p.position for p in members]).reshape(-1, 3)
+    rows = np.hstack([positions, np.array([p.velocity for p in members]).reshape(-1, 2)])
+    counts = [len(cluster.members) for cluster in clusters]
+    segments = np.repeat(np.arange(len(clusters)), counts)
+    order = np.lexsort((*rows.T[::-1], segments))
+    return rows[order], np.cumsum([0, *counts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_front_end_frames(), st.integers(0, 2**32 - 1))
+def test_canonical_members_equals_object_stacking(case, seed):
+    """Front-end clusters, ``Cluster(det, points)`` with duplicated and
+    shuffled members, and a mix of both kinds in one list."""
+    frame, cfg = case
+    rng = np.random.default_rng(seed)
+    front = process_frame(frame, cfg).clusters
+    expected = _list_stage_clusters(frame, cfg)
+    edge = []
+    for cluster in expected:
+        members = cluster.members
+        twice = [members[i] for i in rng.integers(0, len(members), len(members) // 2)]
+        mixed = [*members, *twice]
+        edge.append(Cluster(cluster.detection, [mixed[i] for i in rng.permutation(len(mixed))]))
+    for got, want in ((front, expected), (edge, edge), (edge + front, edge + expected)):
+        rows, bounds = canonical_members(got)
+        want_rows, want_bounds = _stacked_canonical_members(want)
+        assert rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+        assert bounds.tolist() == want_bounds.tolist()
