@@ -61,7 +61,6 @@ class RegressionMaps:
 
     cells: dict[tuple[int, int], PreliminaryDetection] = field(default_factory=dict)
     downsample: int = 4
-    bin_centers: np.ndarray = field(default_factory=lambda: DEFAULT_BIN_CENTERS.copy())
 
 
 def encode_depth(depth: float) -> float:
@@ -92,18 +91,14 @@ def confidence(p_k: float, log_sigma: float) -> tuple[float, float]:
     return p_dep, p_dep * p_k
 
 
-def decode_orientation(
-    bin_confidences: np.ndarray,
-    bin_residuals: np.ndarray,
-    bin_centers: np.ndarray = DEFAULT_BIN_CENTERS,
-) -> float:
-    """Yaw from multi-bin outputs: argmax-confidence bin center plus its
-    atan2(sin, cos) residual, wrapped to (-pi, pi]."""
+def decode_orientation(bin_confidences: np.ndarray, bin_residuals: np.ndarray) -> float:
+    """Yaw from multi-bin outputs over ``DEFAULT_BIN_CENTERS``: argmax-confidence
+    bin center plus its atan2(sin, cos) residual, wrapped to (-pi, pi]."""
     conf = np.asarray(bin_confidences, dtype=np.float64).reshape(-1)
     residuals = np.asarray(bin_residuals, dtype=np.float64).reshape(conf.shape[0], 2)
     best = int(np.argmax(conf))
     return wrap_angle(
-        float(bin_centers[best]) + math.atan2(residuals[best, 1], residuals[best, 0])
+        float(DEFAULT_BIN_CENTERS[best]) + math.atan2(residuals[best, 1], residuals[best, 0])
     )
 
 
@@ -142,7 +137,6 @@ def build_maps_from_detections(
     image_size: tuple[int, int],
     num_classes: int,
     downsample: int = 4,
-    bin_centers: np.ndarray = DEFAULT_BIN_CENTERS,
 ) -> tuple[dict[tuple[int, int, int], float], RegressionMaps]:
     """Plant detection records into a class score map and regression slots.
 
@@ -160,9 +154,7 @@ def build_maps_from_detections(
         )
     grid_w, grid_h = width // downsample, height // downsample
     scores: dict[tuple[int, int, int], float] = {}
-    maps = RegressionMaps(
-        downsample=downsample, bin_centers=np.asarray(bin_centers, dtype=np.float64)
-    )
+    maps = RegressionMaps(downsample=downsample)
     for det in dets:
         if not 0 <= det.class_id < num_classes:
             raise ValueError(f"class_id {det.class_id} outside [0, {num_classes})")
@@ -204,10 +196,8 @@ def decode_detections(
         pixel = np.array([(col + (u / ds - col)) * ds, (row + (v / ds - row)) * ds])
         depth = decode_depth(encode_depth(det.depth))
         center = unproject_point(camera, pixel, depth)
-        target = OrientationTarget(yaw=det.box3d.yaw, bin_centers=maps.bin_centers)
-        yaw = decode_orientation(
-            target.flags.astype(np.float64), target.residuals, maps.bin_centers
-        )
+        target = OrientationTarget(yaw=det.box3d.yaw)
+        yaw = decode_orientation(target.flags.astype(np.float64), target.residuals)
         box = Box3D(
             center=center,
             dims=det.box3d.dims.copy(),

@@ -14,11 +14,17 @@ implement the identical contract and must produce bit-identical clusters;
 both therefore evaluate the projection with the same fixed left-to-right
 component arithmetic.
 
+Every set of radar returns is one row table: a read-only float64 array of
+shape (n, 7) whose columns are x, y, z, v_x, v_y, rcs and sweep age. A
+sweep, a frame's accumulated rows and a member store each hold one.
+``_point_table`` turns :class:`RadarPoint` objects into a table and
+``_row_points`` turns a table into points.
+
 ``cluster_sweeps`` runs a frame's whole front end (accumulate, range gate,
-associate) on the sweeps' columns. Its clusters share one member store, the
-clustered rows' columns, and each holds its members as row indices into it;
-it builds no :class:`RadarPoint`. ``accumulate_sweeps``, ``range_filter``
-and ``associate`` are the same kernels with point lists at their edges.
+associate) on the sweeps' tables. Its clusters share one member store, the
+clustered rows, and each holds its members as row indices into it; it
+builds no :class:`RadarPoint`. ``accumulate_sweeps``, ``range_filter`` and
+``associate`` are the same kernels with point lists at their edges.
 """
 
 from __future__ import annotations
@@ -70,14 +76,15 @@ class RadarPoint:
 
 @dataclass(eq=False)
 class RadarSweep:
-    """A timestamped radar sweep as float64 columns, one row per return.
+    """A timestamped radar sweep as one row table, one row per return.
 
     ``positions`` (N, 3) are already registered to the current ego frame;
     ``velocities`` (N, 2), ``rcs`` (N,) and ``sweep_ages`` (N,) follow
-    :class:`RadarPoint`'s fields. The columns are the only storage: ``points``
-    builds :class:`RadarPoint` objects from them on each access. Each column
-    is the sweep's own read-only copy, so a point's ``position`` and
-    ``velocity``, which are views of a row, cannot change the sweep.
+    :class:`RadarPoint`'s fields. The given columns are copied into
+    ``table`` (N, 7), the only storage, and the four attributes are its
+    read-only views; ``points`` builds :class:`RadarPoint` objects from it on
+    each access. So a point's ``position`` and ``velocity``, and the caller's
+    arrays, cannot change the sweep.
     """
 
     timestamp: float
@@ -91,50 +98,60 @@ class RadarSweep:
         if not math.isfinite(self.timestamp):
             raise ValueError("radar sweep timestamp must be finite")
         n = len(self.positions)
-        for name, shape in (
-            ("positions", (n, 3)), ("velocities", (n, 2)), ("rcs", (n,)), ("sweep_ages", (n,))
+        table = np.empty((n, 7))
+        for name, shape, into in (
+            ("positions", (n, 3), slice(0, 3)), ("velocities", (n, 2), slice(3, 5)),
+            ("rcs", (n,), 5), ("sweep_ages", (n,), 6),
         ):
-            column = np.array(getattr(self, name), dtype=np.float64)
+            column = np.asarray(getattr(self, name), dtype=np.float64)
             if column.shape != shape:
                 raise ValueError(f"radar sweep {name} must have shape {shape}, got {column.shape}")
             if not np.isfinite(column).all():
                 raise ValueError(f"radar sweep {name} must be finite")
-            column.flags.writeable = False
-            setattr(self, name, column)
-        if (self.sweep_ages < 0).any():
+            table[:, into] = column
+        if (table[:, 6] < 0).any():
             raise ValueError("radar sweep sweep_ages must be >= 0")
+        # Frozen before the views are taken: a view keeps the flag it was
+        # made with.
+        table.flags.writeable = False
+        self.table = table
+        self.positions, self.velocities = table[:, :3], table[:, 3:5]
+        self.rcs, self.sweep_ages = table[:, 5], table[:, 6]
 
     @classmethod
     def from_points(cls, timestamp: float, points: Sequence[RadarPoint]) -> RadarSweep:
         """The sweep whose rows are ``points``, in order."""
-        return cls(
-            timestamp,
-            positions=np.array([p.position for p in points]).reshape(-1, 3),
-            velocities=np.array([p.velocity for p in points]).reshape(-1, 2),
-            rcs=[p.rcs for p in points],
-            sweep_ages=[p.sweep_age for p in points],
-        )
+        table = _point_table(points)
+        return cls(timestamp, table[:, :3], table[:, 3:5], table[:, 5], table[:, 6])
 
     @property
     def points(self) -> list[RadarPoint]:
         """The rows as new :class:`RadarPoint` objects, in order."""
-        return _row_points(self.positions, self.velocities, self.rcs, self.sweep_ages)
+        return _row_points(self.table)
 
 
-def _row_points(
-    positions: np.ndarray, velocities: np.ndarray, rcs: np.ndarray, ages: np.ndarray
-) -> list[RadarPoint]:
-    """One :class:`RadarPoint` per row of already-checked columns.
+def _point_table(points: Sequence[RadarPoint]) -> np.ndarray:
+    """The row table of ``points``, one row per point, in order."""
+    return np.column_stack([
+        np.reshape([p.position for p in points], (-1, 3)),
+        np.reshape([p.velocity for p in points], (-1, 2)),
+        [p.rcs for p in points],
+        [p.sweep_age for p in points],
+    ])
+
+
+def _row_points(table: np.ndarray) -> list[RadarPoint]:
+    """One :class:`RadarPoint` per row of an already-checked row table.
 
     The points skip ``__post_init__``: their ``position`` and ``velocity``
-    are row views, and ``rcs``/``sweep_age`` plain floats, exactly what the
-    checked constructor would have stored. Those two columns are made
-    read-only, as the sweep's own are, so no point can change another.
+    are views of the row, and ``rcs``/``sweep_age`` plain floats, exactly
+    what the checked constructor would have stored. The table is made
+    read-only first, so no point can change another or the table.
     """
-    positions.flags.writeable = velocities.flags.writeable = False
+    table.flags.writeable = False
     new = object.__new__
     out = []
-    for position, velocity, r, age in zip(positions, velocities, rcs.tolist(), ages.tolist()):
+    for position, velocity, (r, age) in zip(table[:, :3], table[:, 3:5], table[:, 5:].tolist()):
         point = new(RadarPoint)
         point.position = position
         point.velocity = velocity
@@ -222,46 +239,29 @@ _POINTS_LOCK = threading.Lock()
 
 
 class _MemberStore:
-    """Clustered rows as read-only columns: ``table`` (n, 5) holds each row's
-    (x, y, z, v_x, v_y), ``rcs`` and ``ages`` (n,) the rest.
+    """Clustered rows as one read-only row ``table`` (n, 7).
 
     ``points()`` is the rows as :class:`RadarPoint` objects: the ones given,
-    or else built from the columns on first call, once, under a lock, so
+    or else built from the table on first call, once, under a lock, so
     every caller and every cluster indexing a row gets the same object.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        rcs: np.ndarray,
-        ages: np.ndarray,
-        points: list[RadarPoint] | None = None,
-    ) -> None:
-        self.table = np.hstack([positions.reshape(-1, 3), velocities.reshape(-1, 2)])
-        self.rcs, self.ages = rcs, ages
-        for column in (self.table, rcs, ages):
-            column.flags.writeable = False
+    def __init__(self, table: np.ndarray, points: list[RadarPoint] | None = None) -> None:
+        table.flags.writeable = False
+        self.table = table
         self._points = points
 
     @classmethod
     def of_points(cls, points: Sequence[RadarPoint]) -> _MemberStore:
         """The store whose rows are ``points``, which it keeps as its objects."""
         points = list(points)
-        return cls(
-            _stacked_positions(points),
-            np.array([p.velocity for p in points], dtype=np.float64),
-            np.array([p.rcs for p in points], dtype=np.float64),
-            np.array([p.sweep_age for p in points], dtype=np.float64),
-            points,
-        )
+        return cls(_point_table(points), points)
 
     def points(self) -> list[RadarPoint]:
         if self._points is None:
             with _POINTS_LOCK:
                 if self._points is None:
-                    table = self.table
-                    self._points = _row_points(table[:, :3], table[:, 3:], self.rcs, self.ages)
+                    self._points = _row_points(self.table)
         return self._points
 
 
@@ -269,11 +269,11 @@ class Cluster:
     """A preliminary detection together with its associated radar points.
 
     The members are row indices into a member store (``_MemberStore``).
-    ``Cluster(detection, points)`` stacks ``points`` into a store of its own
+    ``Cluster(detection, points)`` turns ``points`` into a store of its own
     and keeps those objects; the clusters of ``cluster_sweeps`` share their
     frame's store. ``members`` gives the rows as a tuple of
     :class:`RadarPoint` objects, ``positions()`` and ``velocities()`` as
-    arrays read from the columns.
+    arrays gathered from the store's table.
 
     The store copies the members' values when the cluster is built, and
     every feature reads that copy: changing a point afterwards does not
@@ -283,7 +283,7 @@ class Cluster:
     def __init__(self, detection: PreliminaryDetection, members: Sequence[RadarPoint]) -> None:
         self.detection = detection
         self._store = _MemberStore.of_points(members)
-        self._rows = np.arange(len(self._store.rcs))
+        self._rows = np.arange(len(self._store.table))
 
     @classmethod
     def _of_rows(
@@ -310,16 +310,17 @@ class Cluster:
         return self._store.table[self._rows, :3]
 
     def velocities(self) -> np.ndarray:
-        return self._store.table[self._rows, 3:]
+        return self._store.table[self._rows, 3:5]
 
 
 def canonical_members(clusters: Sequence[Cluster]) -> tuple[np.ndarray, np.ndarray]:
-    """Every cluster's members as C-ordered rows (x, y, z, v_x, v_y), each
-    cluster's sorted lexicographically by all five values, and the segment
-    bounds: cluster s owns rows ``bounds[s]:bounds[s + 1]``. A slice reduced
-    in row order thus has the same bits under any member permutation.
+    """Every cluster's members as C-ordered rows (x, y, z, v_x, v_y), the
+    first five columns of its store's table, each cluster's sorted
+    lexicographically by all five values, and the segment bounds: cluster s
+    owns rows ``bounds[s]:bounds[s + 1]``. A slice reduced in row order thus
+    has the same bits under any member permutation.
     """
-    gathered = [cluster._store.table[cluster._rows] for cluster in clusters]
+    gathered = [cluster._store.table[cluster._rows, :5] for cluster in clusters]
     rows = np.concatenate(gathered or [np.zeros((0, 5))])
     counts = [cluster.member_count for cluster in clusters]
     segments = np.repeat(np.arange(len(clusters)), counts)
@@ -327,20 +328,18 @@ def canonical_members(clusters: Sequence[Cluster]) -> tuple[np.ndarray, np.ndarr
     return rows[order], np.cumsum([0, *counts])
 
 
-def _accumulated_columns(
-    sweeps: Sequence[RadarSweep], max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the newest ``max_sweeps`` sweeps as new columns
-    (positions, velocities, rcs, ages), each row aged by its sweep.
+def _accumulated_table(sweeps: Sequence[RadarSweep], max_sweeps: int) -> np.ndarray:
+    """The rows of the newest ``max_sweeps`` sweeps as a new row table, each
+    row aged by its sweep.
 
     A sweep's age is checked once, for the sweep, with the texts the point
     constructor uses for one row; a sweep with no rows makes no point, so
     its age is not checked.
     """
     check_number("max_sweeps", max_sweeps, integer=True, low=1)
-    kept = [sweep for sweep in sweeps[:max_sweeps] if len(sweep.rcs)]
+    kept = [sweep for sweep in sweeps[:max_sweeps] if len(sweep.table)]
     if not kept:
-        return np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0), np.zeros(0)
+        return np.zeros((0, 7))
     newest = sweeps[0].timestamp
     ages = [newest - sweep.timestamp for sweep in kept]
     for age in ages:
@@ -348,22 +347,20 @@ def _accumulated_columns(
             raise ValueError("radar point sweep_age must be finite")
         if age < 0:
             raise ValueError(f"sweep_age must be >= 0, got {age}")
-    return (
-        np.concatenate([sweep.positions for sweep in kept]),
-        np.concatenate([sweep.velocities for sweep in kept]),
-        np.concatenate([sweep.rcs for sweep in kept]),
-        np.repeat(ages, [len(sweep.rcs) for sweep in kept]),
-    )
+    table = np.concatenate([sweep.table for sweep in kept])
+    table[:, 6] = np.repeat(ages, [len(sweep.table) for sweep in kept])
+    return table
 
 
-def _in_range(positions: np.ndarray, min_range: float, max_range: float) -> np.ndarray:
-    """The rows whose BEV range lies in [min_range, max_range], as a mask.
+def _in_range(table: np.ndarray, min_range: float, max_range: float) -> np.ndarray:
+    """The rows of a row table whose BEV range lies in [min_range,
+    max_range], as a mask.
 
     ``sqrt(x*x + y*y)`` is correctly rounded in numpy as in ``math``, so a
     row's verdict is the scalar formula's. A square past float64's range is
     inf, as in ``math``, and so out of range, without a warning.
     """
-    x, y = positions[:, 0], positions[:, 1]
+    x, y = table[:, 0], table[:, 1]
     with np.errstate(over="ignore"):
         rng = np.sqrt(x * x + y * y)
     return (min_range <= rng) & (rng <= max_range)
@@ -380,11 +377,7 @@ def accumulate_sweeps(
     sweep holds; positions are assumed pre-registered to the current ego
     frame by the data producer. Fewer sweeps than the cap is fine.
     """
-    return _row_points(*_accumulated_columns(sweeps, max_sweeps))
-
-
-def _stacked_positions(points: Sequence[RadarPoint]) -> np.ndarray:
-    return np.array([p.position for p in points], dtype=np.float64).reshape(-1, 3)
+    return _row_points(_accumulated_table(sweeps, max_sweeps))
 
 
 def range_filter(
@@ -393,7 +386,7 @@ def range_filter(
     max_range: float = DEFAULT_MAX_RANGE,
 ) -> list[RadarPoint]:
     """Keep points whose BEV range lies in [min_range, max_range] (inclusive)."""
-    keep = _in_range(_stacked_positions(points), min_range, max_range)
+    keep = _in_range(_point_table(points), min_range, max_range)
     return [points[i] for i in np.flatnonzero(keep).tolist()]
 
 
@@ -486,24 +479,24 @@ _SAMPLE_SIGNS = np.vstack([np.zeros((1, 3)), _CORNER_SIGNS])
 
 
 def _member_rows(
-    positions: np.ndarray,
+    table: np.ndarray,
     dets: Sequence[PreliminaryDetection],
     camera: CameraModel,
     pillar_dims: Sequence[float],
     expansion: float,
 ) -> list[np.ndarray]:
-    """Each detection's member rows of ``positions`` (N, 3), in row order.
+    """Each detection's member rows of a row ``table``, in row order.
 
     The 9 pillar samples of every row are projected once; a detection then
     box-tests only the rows whose center depth passes its gate.
     """
     half = _pillar_half_extents(pillar_dims)
     check_number("expansion", expansion, low=1.0)
-    if not (len(dets) and len(positions)):
+    if not (len(dets) and len(table)):
         return [np.zeros(0, dtype=np.intp) for _ in dets]
     # One contiguous (N, 9) plane per coordinate: row + sample offset.
     offsets = (_SAMPLE_SIGNS * half).T
-    sx, sy, sz = (positions[:, c, None] + offsets[c] for c in range(3))
+    sx, sy, sz = (table[:, c, None] + offsets[c] for c in range(3))
 
     # Componentwise left-to-right arithmetic: bit-identical to the scalar path.
     ext = camera.extrinsic
@@ -545,23 +538,22 @@ def cluster_sweeps(
     pillar_dims: Sequence[float] = DEFAULT_PILLAR_DIMS,
     expansion: float = 1.0,
 ) -> list[Cluster]:
-    """A frame's radar front end in one pass over its sweep columns:
+    """A frame's radar front end in one pass over its sweep tables:
     ``associate(range_filter(accumulate_sweeps(...)))``, with the same
     clusters and members.
 
     The clusters share one member store holding only the clustered rows;
     each indexes its members there, in row order.
     """
-    positions, velocities, rcs, ages = _accumulated_columns(sweeps, max_sweeps)
-    gated = np.flatnonzero(_in_range(positions, min_range, max_range))
-    rows = _member_rows(positions[gated], dets, camera, pillar_dims, expansion)
+    table = _accumulated_table(sweeps, max_sweeps)
+    gated = table[_in_range(table, min_range, max_range)]
+    rows = _member_rows(gated, dets, camera, pillar_dims, expansion)
     clustered = np.zeros(len(gated), dtype=bool)
     for r in rows:
         clustered[r] = True
     # A gated row's index into the store, where its row is clustered.
     store_row = np.cumsum(clustered) - 1
-    kept = gated[clustered]
-    store = _MemberStore(positions[kept], velocities[kept], rcs[kept], ages[kept])
+    store = _MemberStore(gated[clustered])
     return [Cluster._of_rows(det, store, store_row[r]) for det, r in zip(dets, rows)]
 
 
@@ -578,7 +570,7 @@ def associate(
     are discarded as clutter. Cluster member order follows input point order.
     """
     store = _MemberStore.of_points(points)
-    rows = _member_rows(store.table[:, :3], dets, camera, pillar_dims, expansion)
+    rows = _member_rows(store.table, dets, camera, pillar_dims, expansion)
     return [Cluster._of_rows(det, store, r) for det, r in zip(dets, rows)]
 
 

@@ -310,13 +310,8 @@ def _sweep_to_json(sweep: RadarSweep) -> dict:
     return {
         "timestamp": sweep.timestamp,
         "points": [
-            {"position": position, "velocity": velocity, "rcs": rcs, "sweep_age": age}
-            for position, velocity, rcs, age in zip(
-                sweep.positions.tolist(),
-                sweep.velocities.tolist(),
-                sweep.rcs.tolist(),
-                sweep.sweep_ages.tolist(),
-            )
+            {"position": row[:3], "velocity": row[3:5], "rcs": row[5], "sweep_age": row[6]}
+            for row in sweep.table.tolist()
         ],
     }
 

@@ -18,6 +18,7 @@ sys.path.insert(0, ROOT)
 
 import perfbench.harness  # noqa: E402  (imports every rcdet name the benchmark uses)
 from perfbench.tracing import Tracer, traced_process_frame  # noqa: E402
+from rcdet.cli import main  # noqa: E402
 from rcdet.kpconv import build_network  # noqa: E402
 from rcdet.pipeline import PipelineConfig, process_frame  # noqa: E402
 from rcdet.radar import accumulate_sweeps, associate, associate_naive, range_filter  # noqa: E402
@@ -66,18 +67,48 @@ def test_traced_replay_matches_process_frame(strategy):
     assert tracer.counts["decoder.kept"] == kept
 
 
-@pytest.mark.parametrize("name", ["lite-2w", "hybrid-large"])
-def test_scene_files_match_pinned_digests(tmp_path, name):
-    """The benchmark's scene files at its default seed, written as it writes
-    them: one file of ``n_frames`` frames per clip."""
-    workload = WORKLOADS[name]
-    frames = synth_scene(workload.synth_config(DEFAULT_SEED, workload.n_frames))
-    digests = []
-    for i in range(workload.clips):
-        path = str(tmp_path / f"scene{i}.jsonl")
-        save_scenes(path, frames[i * workload.n_frames : (i + 1) * workload.n_frames])
-        digests.append(perfbench.harness.sha256_file(path))
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    """A workload's scene files at the benchmark's default seed, written as
+    it writes them: one file of ``n_frames`` frames per clip. Each workload
+    is written once per module."""
+    written = {}
+
+    def files(name: str) -> list[str]:
+        if name not in written:
+            workload, folder = WORKLOADS[name], tmp_path_factory.mktemp(name)
+            n = workload.n_frames
+            frames = synth_scene(workload.synth_config(DEFAULT_SEED, n))
+            written[name] = [str(folder / f"scene{i}.jsonl") for i in range(workload.clips)]
+            for i, path in enumerate(written[name]):
+                save_scenes(path, frames[i * n : (i + 1) * n])
+        return written[name]
+
+    return files
+
+
+@pytest.mark.parametrize("name", ["lite-2w", "hybrid-large", "dense-handcrafted"])
+def test_scene_files_match_pinned_digests(scene_files, name):
+    digests = [perfbench.harness.sha256_file(path) for path in scene_files(name)]
     assert digests == perfbench.harness.load_digests()[name]["scene_sha256"]
+
+
+@pytest.mark.parametrize("name", ["lite-2w", "hybrid-large", "dense-handcrafted"])
+def test_cli_outputs_match_pinned_digests(scene_files, tmp_path, name):
+    """`rcdet run` with the workload's own arguments, then `rcdet eval`, on
+    every seed-0 scene file: the detections and report files have the bytes
+    whose sha256 the benchmark pins."""
+    workload = WORKLOADS[name]
+    sha256 = perfbench.harness.sha256_file
+    got = {"detections_sha256": [], "report_sha256": []}
+    for scene in scene_files(name):
+        dets, report = str(tmp_path / "dets.jsonl"), str(tmp_path / "report.txt")
+        assert main(workload.run_args(scene, dets)) == 0
+        assert main(["eval", "--dets", dets, "--gt", scene, "--report", report]) == 0
+        got["detections_sha256"].append(sha256(dets))
+        got["report_sha256"].append(sha256(report))
+    pinned = perfbench.harness.load_digests()[name]
+    assert got == {key: pinned[key] for key in got}
 
 
 @pytest.mark.parametrize("name", ["lite-2w", "hybrid-large"])

@@ -161,6 +161,50 @@ def test_points_from_columns_are_read_only(rng):
                 column[0] = 1.0
 
 
+def test_sweep_columns_are_its_own_read_only_copy(rng):
+    """A sweep copies the given columns into its ``table``; the table and its
+    four column views refuse writes, and changing the caller's arrays leaves
+    the sweep as it was. The rows behind ``accumulate_sweeps``' points and the
+    table ``cluster.positions()`` gathers from are as closed."""
+    given = dict(
+        positions=rng.normal(size=(5, 3)), velocities=rng.normal(size=(5, 2)),
+        rcs=rng.normal(size=5), sweep_ages=rng.uniform(0.0, 1.0, 5),
+    )
+    sweep = RadarSweep(10.0, **given)
+    table = sweep.table.copy()
+    assert table.shape == (5, 7)
+    for name, column in given.items():
+        view = getattr(sweep, name)
+        assert np.shares_memory(view, sweep.table)
+        assert view.tobytes() == column.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+        column[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        sweep.table[0, 0] = 1.0
+    assert sweep.table.tobytes() == table.tobytes()
+
+    for point in accumulate_sweeps([sweep]):
+        for column in (point.position, point.velocity):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+    assert sweep.table.tobytes() == table.tobytes()
+
+    det, camera = _detection_at(depth=20.0, yaw=math.pi / 2)
+    points = [_point_at(0.0, 20.0)]
+    clusters = [
+        cluster_sweeps([RadarSweep.from_points(9.0, points)], [det], camera)[0],
+        Cluster(det, points),
+    ]
+    for cluster in clusters:
+        expected = cluster.positions().tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cluster._store.table[0, 0] = 1.0
+        cluster.positions()[0, 0] = 1.0
+        points[0].position[0] = 3.0
+        assert cluster.positions().tobytes() == expected
+
+
 # -- range gate ---------------------------------------------------------------
 
 
