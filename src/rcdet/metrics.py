@@ -106,6 +106,42 @@ def _bev_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
+def _candidates(
+    dets: list[DetectionBox3D], gts: list[GroundTruth], limit: float = math.inf
+) -> list[list[tuple[int, float]]]:
+    """Per detection, the (index, BEV center distance) of each ground truth
+    of its class that lies within ``limit``, in ground-truth order."""
+    return [
+        [
+            (gi, dist)
+            for gi, gt in enumerate(gts)
+            if gt.class_id == det.class_id
+            and (dist := _bev_distance(det.box.center, gt.box.center)) <= limit
+        ]
+        for det in dets
+    ]
+
+
+def _greedy_matches(
+    candidates: list[list[tuple[int, float]]], threshold: float
+) -> list[tuple[int, int, float]]:
+    """Each detection in turn claims the nearest unclaimed candidate within
+    ``threshold`` (the first of equals); (det_index, gt_index, distance)."""
+    taken: set[int] = set()
+    matches = []
+    for di, row in enumerate(candidates):
+        best_gi = -1
+        best_dist = math.inf
+        for gi, dist in row:
+            if dist <= threshold and dist < best_dist and gi not in taken:
+                best_gi = gi
+                best_dist = dist
+        if best_gi >= 0:
+            taken.add(best_gi)
+            matches.append((di, best_gi, best_dist))
+    return matches
+
+
 def match_detections(
     dets: list[DetectionBox3D], gts: list[GroundTruth], threshold: float
 ) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
@@ -117,24 +153,10 @@ def match_detections(
     indices, unmatched ground-truth indices) with matches as
     (det_index, gt_index, distance) triples.
     """
-    taken: set[int] = set()
-    matches = []
-    unmatched_dets = []
-    for di, det in enumerate(dets):
-        best_gi = -1
-        best_dist = math.inf
-        for gi, gt in enumerate(gts):
-            if gi in taken or gt.class_id != det.class_id:
-                continue
-            dist = _bev_distance(det.box.center, gt.box.center)
-            if dist <= threshold and dist < best_dist:
-                best_gi = gi
-                best_dist = dist
-        if best_gi >= 0:
-            taken.add(best_gi)
-            matches.append((di, best_gi, best_dist))
-        else:
-            unmatched_dets.append(di)
+    matches = _greedy_matches(_candidates(dets, gts), threshold)
+    matched = {di for di, _, _ in matches}
+    taken = {gi for _, gi, _ in matches}
+    unmatched_dets = [di for di in range(len(dets)) if di not in matched]
     unmatched_gts = [gi for gi in range(len(gts)) if gi not in taken]
     return matches, unmatched_dets, unmatched_gts
 
@@ -244,6 +266,7 @@ def evaluate(
             raise EmptyGroundTruth("no ground truth for any configured class")
 
     sorted_dets = [sorted(dets, key=lambda d: -d.score) for dets in dets_per_frame]
+    limit = max(*cfg.distance_thresholds, cfg.tp_threshold)
 
     ap: dict[tuple[int, float], float] = {}
     per_class_errors: list[tuple[TPErrors, bool]] = []
@@ -254,15 +277,18 @@ def evaluate(
         frame_gts = [
             [g for g in gts if g.class_id == class_id] for gts in gts_per_frame
         ]
+        # A frame's distances serve every threshold: a pair beyond the
+        # largest matches at none.
+        frame_candidates = [
+            _candidates(dets, gts, limit) for dets, gts in zip(frame_dets, frame_gts)
+        ]
         for threshold in cfg.distance_thresholds:
             scores: list[float] = []
             flags: list[bool] = []
-            for dets, gts in zip(frame_dets, frame_gts):
-                matches, unmatched, _ = match_detections(dets, gts, threshold)
-                matched_idx = {di for di, _, _ in matches}
-                for di, det in enumerate(dets):
-                    scores.append(det.score)
-                    flags.append(di in matched_idx)
+            for dets, candidates in zip(frame_dets, frame_candidates):
+                matched = {di for di, _, _ in _greedy_matches(candidates, threshold)}
+                scores.extend(det.score for det in dets)
+                flags.extend(di in matched for di in range(len(dets)))
             ap[(class_id, threshold)] = average_precision(
                 np.array(scores),
                 np.array(flags, dtype=bool),
@@ -271,8 +297,8 @@ def evaluate(
                 cfg.min_precision,
             )
         pairs = []
-        for dets, gts in zip(frame_dets, frame_gts):
-            matches, _, _ = match_detections(dets, gts, cfg.tp_threshold)
+        for dets, gts, candidates in zip(frame_dets, frame_gts, frame_candidates):
+            matches = _greedy_matches(candidates, cfg.tp_threshold)
             pairs.extend((dets[di], gts[gi]) for di, gi, _ in matches)
         per_class_errors.append((tp_errors(pairs), bool(pairs)))
 

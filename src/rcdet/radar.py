@@ -30,6 +30,7 @@ builds no :class:`RadarPoint`. ``accumulate_sweeps``, ``range_filter`` and
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -74,6 +75,16 @@ class RadarPoint:
             raise ValueError(f"sweep_age must be >= 0, got {self.sweep_age}")
 
 
+# Each column of a sweep's row table: (attribute, shape after the row count,
+# the table columns it fills), in the order its checks run.
+_SWEEP_COLUMNS = (
+    ("positions", (3,), slice(0, 3)),
+    ("velocities", (2,), slice(3, 5)),
+    ("rcs", (), 5),
+    ("sweep_ages", (), 6),
+)
+
+
 @dataclass(eq=False)
 class RadarSweep:
     """A timestamped radar sweep as one row table, one row per return.
@@ -85,6 +96,11 @@ class RadarSweep:
     read-only views; ``points`` builds :class:`RadarPoint` objects from it on
     each access. So a point's ``position`` and ``velocity``, and the caller's
     arrays, cannot change the sweep.
+
+    The timestamp must be a real number (not a bool) and each column an
+    array of real numbers of its shape; then one pass checks that the whole
+    table is finite and names the first column, in the order above, that is
+    not. A sweep pickles as its timestamp and ``table``.
     """
 
     timestamp: float
@@ -94,21 +110,38 @@ class RadarSweep:
     sweep_ages: np.ndarray
 
     def __post_init__(self) -> None:
-        self.timestamp = float(self.timestamp)
+        stamp = self.timestamp
+        if isinstance(stamp, bool) or not isinstance(stamp, numbers.Real):
+            raise ValueError(f"radar sweep timestamp must be a number, got {stamp!r}")
+        try:
+            self.timestamp = float(stamp)
+        except OverflowError:  # an integer beyond float64
+            self.timestamp = math.inf
         if not math.isfinite(self.timestamp):
             raise ValueError("radar sweep timestamp must be finite")
-        n = len(self.positions)
+        try:
+            n = len(self.positions)
+        except TypeError:  # a scalar or None
+            raise ValueError("radar sweep positions must be an array of numbers") from None
         table = np.empty((n, 7))
-        for name, shape, into in (
-            ("positions", (n, 3), slice(0, 3)), ("velocities", (n, 2), slice(3, 5)),
-            ("rcs", (n,), 5), ("sweep_ages", (n,), 6),
-        ):
-            column = np.asarray(getattr(self, name), dtype=np.float64)
-            if column.shape != shape:
-                raise ValueError(f"radar sweep {name} must have shape {shape}, got {column.shape}")
-            if not np.isfinite(column).all():
-                raise ValueError(f"radar sweep {name} must be finite")
+        for name, shape, into in _SWEEP_COLUMNS:
+            try:
+                column = np.asarray(getattr(self, name))
+                numeric = column.dtype.kind in "iuf"  # not bools, strings or objects
+            except ValueError:  # a ragged list
+                numeric = False
+            if not numeric:
+                raise ValueError(f"radar sweep {name} must be an array of numbers")
+            if column.shape != (n, *shape):
+                raise ValueError(
+                    f"radar sweep {name} must have shape {(n, *shape)}, got {column.shape}"
+                )
             table[:, into] = column
+        if not np.isfinite(table).all():
+            bad = next(
+                name for name, _, into in _SWEEP_COLUMNS if not np.isfinite(table[:, into]).all()
+            )
+            raise ValueError(f"radar sweep {bad} must be finite")
         if (table[:, 6] < 0).any():
             raise ValueError("radar sweep sweep_ages must be >= 0")
         # Frozen before the views are taken: a view keeps the flag it was
@@ -118,11 +151,18 @@ class RadarSweep:
         self.positions, self.velocities = table[:, :3], table[:, 3:5]
         self.rcs, self.sweep_ages = table[:, 5], table[:, 6]
 
+    def __reduce__(self):
+        return RadarSweep._from_table, (self.timestamp, self.table)
+
+    @classmethod
+    def _from_table(cls, timestamp: float, table: np.ndarray) -> RadarSweep:
+        """The sweep whose rows are those of the (N, 7) row ``table``."""
+        return cls(timestamp, table[:, :3], table[:, 3:5], table[:, 5], table[:, 6])
+
     @classmethod
     def from_points(cls, timestamp: float, points: Sequence[RadarPoint]) -> RadarSweep:
         """The sweep whose rows are ``points``, in order."""
-        table = _point_table(points)
-        return cls(timestamp, table[:, :3], table[:, 3:5], table[:, 5], table[:, 6])
+        return cls._from_table(timestamp, _point_table(points))
 
     @property
     def points(self) -> list[RadarPoint]:

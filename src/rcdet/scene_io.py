@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -165,22 +165,35 @@ def _object(record: dict, name: str, line: int, what: str) -> dict:
 
 def _objects(record: dict, name: str, line: int, what: str) -> list[dict]:
     value = _require_field(record, name, line)
-    if not (isinstance(value, list) and all(isinstance(item, dict) for item in value)):
+    # A JSON object parses to an exact dict; one type pass checks every item.
+    if not (isinstance(value, list) and set(map(type, value)) <= {dict}):
         raise ParseError(f"line {line}: {what} {name} must be an array of objects")
     return value
 
 
+_NUMBER_TYPES = {int, float}  # not bool: a JSON true is no number
+
+
 def _finite(
-    record: dict, name: str, line: int, what: str, default: Any = None, array: bool = False
+    record: dict, name: str, line: int, what: str, default: Any = None, array: bool = False,
+    bools: bool = False,
 ) -> Any:
     """``record[name]``: a finite number, or with ``array`` a list of finite
     numbers. A missing field takes ``default``, or is an error when there is
-    none."""
+    none. A boolean is no number; ``bools`` lets it through for
+    :func:`_integer` to name."""
     value = _require_field(record, name, line) if default is None else record.get(name, default)
     try:
-        if isinstance(value, list) != array:
-            raise TypeError
-        finite = all(map(math.isfinite, value if array else (value,)))
+        if array:
+            if not isinstance(value, list):
+                raise TypeError
+            if not (bools or _NUMBER_TYPES.issuperset(map(type, value))):
+                raise TypeError
+            finite = all(map(math.isfinite, value))
+        else:
+            if not (bools or type(value) in _NUMBER_TYPES):
+                raise TypeError
+            finite = math.isfinite(value)
     except (TypeError, OverflowError):
         kind = "a list of numbers" if array else "a number"
         raise ParseError(f"line {line}: {what} {name} must be {kind}") from None
@@ -194,7 +207,7 @@ def _integer(
 ) -> Any:
     """:func:`_finite` with every number integral, converted to int. A
     fraction or a boolean (which Python reads as a number) is an error."""
-    value = _finite(record, name, line, what, default, array)
+    value = _finite(record, name, line, what, default, array, bools=True)
     numbers = value if array else (value,)
     if any(isinstance(x, bool) or x != int(x) for x in numbers):
         kind = "a list of integers" if array else "an integer"
@@ -230,9 +243,14 @@ def _camera_from_json(obj: dict, line: int) -> CameraModel:
         for name, matrix in matrices.items():
             if not np.all(np.isfinite(matrix)):
                 raise ParseError(f"line {line}: camera {name} must be finite")
-        return CameraModel(image_size=tuple(image_size), **matrices)
+        camera = CameraModel(image_size=tuple(image_size), **matrices)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"line {line}: bad camera record: {exc}") from exc
+    # numpy reads a boolean or a numeric string as a number; JSON types do not.
+    for name in matrices:
+        if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(obj[name]))):
+            raise ParseError(f"line {line}: camera {name} must be a matrix of numbers")
+    return camera
 
 
 def _box3d_to_json(box: Box3D) -> dict:
@@ -316,9 +334,6 @@ def _sweep_to_json(sweep: RadarSweep) -> dict:
     }
 
 
-_NUMBER_TYPES = {int, float}  # not bool: a JSON true is no number
-
-
 def _point_column(records: list[dict], name: str, width: int, line: int) -> np.ndarray:
     """Field ``name`` of every radar point record as one float64 column:
     (N, ``width``) for a list field, (N,) for a number (``width`` 0, and 0.0
@@ -347,33 +362,38 @@ def _point_column(records: list[dict], name: str, width: int, line: int) -> np.n
     return column.reshape(-1, width) if width else column
 
 
-def _sweep_from_json(obj: dict, line: int) -> RadarSweep:
-    records = _objects(obj, "points", line, "sweep")
-    timestamp = _finite(obj, "timestamp", line, "sweep")
-    columns = {
-        column: _point_column(records, name, width, line)
-        for column, name, width in (
-            ("positions", "position", 3),
-            ("velocities", "velocity", 2),
-            ("rcs", "rcs", 0),
-            ("sweep_ages", "sweep_age", 0),
-        )
-    }
-    if (columns["sweep_ages"] < 0).any():
-        raise ParseError(f"line {line}: radar point sweep_age must be >= 0")
-    return RadarSweep(timestamp, **columns)
+# Each radar point field: (name, list width or 0 for a number), in the order
+# the frame's columns are parsed and checked.
+_POINT_COLUMNS = (("position", 3), ("velocity", 2), ("rcs", 0), ("sweep_age", 0))
 
 
 def _sweeps_from_json(record: dict, line: int) -> list[RadarSweep]:
     """The frame's sweeps, newest first: timestamps never increase, and each
-    lies a finite time behind the newest (its points' sweep age)."""
-    sweeps = [_sweep_from_json(s, line) for s in _objects(record, "radar_sweeps", line, "frame")]
-    stamps = [s.timestamp for s in sweeps]
+    lies a finite time behind the newest (its points' sweep age).
+
+    Every sweep's ``points`` and ``timestamp`` are checked first; then each
+    point field is parsed in one pass over all of the frame's points, field
+    by field, and each sweep takes its row range of those columns. So of two
+    bad fields, the first in ``_POINT_COLUMNS`` order is reported, whichever
+    sweep holds it.
+    """
+    point_lists, stamps = [], []
+    for sweep in _objects(record, "radar_sweeps", line, "frame"):
+        point_lists.append(_objects(sweep, "points", line, "sweep"))
+        stamps.append(float(_finite(sweep, "timestamp", line, "sweep")))
+    points = list(chain.from_iterable(point_lists))
+    columns = [_point_column(points, name, width, line) for name, width in _POINT_COLUMNS]
+    if (columns[-1] < 0).any():
+        raise ParseError(f"line {line}: radar point sweep_age must be >= 0")
     if any(newer < older for newer, older in zip(stamps, stamps[1:])):
         raise ParseError(f"line {line}: frame radar_sweeps must be ordered newest first")
     if stamps and not math.isfinite(stamps[0] - stamps[-1]):
         raise ParseError(f"line {line}: frame radar_sweeps must span a finite time")
-    return sweeps
+    ends = list(accumulate(map(len, point_lists)))
+    return [
+        RadarSweep(stamp, *(column[start:end] for column in columns))
+        for stamp, start, end in zip(stamps, [0, *ends], ends)
+    ]
 
 
 def _frame_to_json(frame: SceneFrame) -> dict:

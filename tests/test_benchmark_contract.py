@@ -23,7 +23,7 @@ from rcdet.kpconv import build_network  # noqa: E402
 from rcdet.pipeline import PipelineConfig, process_frame  # noqa: E402
 from rcdet.radar import accumulate_sweeps, associate, associate_naive, range_filter  # noqa: E402
 from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
-from rcdet.scene_io import SynthConfig, save_scenes, synth_scene  # noqa: E402
+from rcdet.scene_io import SynthConfig, load_scenes, save_scenes, synth_scene  # noqa: E402
 
 
 def _box_bits(detections) -> list[tuple]:
@@ -68,7 +68,22 @@ def test_traced_replay_matches_process_frame(strategy):
 
 
 @pytest.fixture(scope="module")
-def scene_files(tmp_path_factory):
+def workload_frames():
+    """A workload's frames at the benchmark's default seed, generated once
+    per module."""
+    made = {}
+
+    def frames(name: str) -> list:
+        if name not in made:
+            workload = WORKLOADS[name]
+            made[name] = synth_scene(workload.synth_config(DEFAULT_SEED, workload.n_frames))
+        return made[name]
+
+    return frames
+
+
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory, workload_frames):
     """A workload's scene files at the benchmark's default seed, written as
     it writes them: one file of ``n_frames`` frames per clip. Each workload
     is written once per module."""
@@ -77,8 +92,7 @@ def scene_files(tmp_path_factory):
     def files(name: str) -> list[str]:
         if name not in written:
             workload, folder = WORKLOADS[name], tmp_path_factory.mktemp(name)
-            n = workload.n_frames
-            frames = synth_scene(workload.synth_config(DEFAULT_SEED, n))
+            n, frames = workload.n_frames, workload_frames(name)
             written[name] = [str(folder / f"scene{i}.jsonl") for i in range(workload.clips)]
             for i, path in enumerate(written[name]):
                 save_scenes(path, frames[i * n : (i + 1) * n])
@@ -91,6 +105,21 @@ def scene_files(tmp_path_factory):
 def test_scene_files_match_pinned_digests(scene_files, name):
     digests = [perfbench.harness.sha256_file(path) for path in scene_files(name)]
     assert digests == perfbench.harness.load_digests()[name]["scene_sha256"]
+
+
+@pytest.mark.parametrize("name", ["lite-2w", "hybrid-large", "dense-handcrafted"])
+def test_parsed_sweeps_are_the_generated_bits(scene_files, workload_frames, name):
+    """Every seed-0 scene file parses back to the generated frames' sweep
+    timestamps and row tables, bit for bit."""
+
+    def bits(frames):
+        return [
+            [(np.float64(s.timestamp).tobytes(), s.table.tobytes()) for s in f.radar_sweeps]
+            for f in frames
+        ]
+
+    parsed = [frame for path in scene_files(name) for frame in load_scenes(path)]
+    assert bits(parsed) == bits(workload_frames(name))
 
 
 @pytest.mark.parametrize("name", ["lite-2w", "hybrid-large", "dense-handcrafted"])

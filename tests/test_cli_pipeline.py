@@ -623,11 +623,14 @@ _WRONG_TYPES = [
     ("scenes", ("camera", "image_size"), 200, "camera image_size must be a list of numbers"),
     ("scenes", ("camera", "image_size"), [200.7, 112], "camera image_size must be a list of integers"),
     ("scenes", ("camera", "image_size"), [8192, 112], "camera image_size must be in [1, 4096]"),
+    ("scenes", ("camera", "intrinsic", 2, 2), True, "camera intrinsic must be a matrix of numbers"),
+    ("scenes", ("camera", "extrinsic", 0, 1), "0", "camera extrinsic must be a matrix of numbers"),
     ("scenes", ("radar_sweeps",), 5, "frame radar_sweeps must be an array of objects"),
     ("scenes", ("radar_sweeps",), [5], "frame radar_sweeps must be an array of objects"),
     ("scenes", ("radar_sweeps", 0, "points"), {}, "sweep points must be an array of objects"),
     ("scenes", ("radar_sweeps", 0, "points"), ["x"], "sweep points must be an array of objects"),
     ("scenes", ("radar_sweeps", 1, "timestamp"), [0.0], "sweep timestamp must be a number"),
+    ("scenes", ("radar_sweeps", 1, "timestamp"), True, "sweep timestamp must be a number"),
     ("scenes", ("detections",), "abc", "frame detections must be an array of objects"),
     ("scenes", ("detections",), [[]], "frame detections must be an array of objects"),
     ("scenes", ("detections", 0, "class_id"), [0], "detection class_id must be a number"),
@@ -638,6 +641,12 @@ _WRONG_TYPES = [
     ("scenes", ("detections", 0, "attribute"), 2.7, "detection attribute must be an integer"),
     ("scenes", ("detections", 0, "score"), [0.5], "detection score must be a number"),
     ("scenes", ("detections", 0, "bbox"), 5, "detection bbox must be a list of numbers"),
+    ("scenes", ("detections", 0, "score"), True, "detection score must be a number"),
+    ("scenes", ("detections", 0, "depth"), True, "detection depth must be a number"),
+    ("scenes", ("detections", 0, "log_sigma"), False, "detection log_sigma must be a number"),
+    ("scenes", ("detections", 0, "bbox"), [0, 0, True, 10], "detection bbox must be a list of numbers"),
+    ("scenes", ("detections", 0, "box", "yaw"), True, "box yaw must be a number"),
+    ("scenes", ("detections", 0, "box", "center"), [0, True, 1], "box center must be a list of numbers"),
     ("scenes", ("detections", 0, "box"), 5, "detection box must be an object"),
     ("scenes", ("ground_truth",), 5, "frame ground_truth must be an array of objects"),
     ("scenes", ("ground_truth",), [None], "frame ground_truth must be an array of objects"),
@@ -645,12 +654,14 @@ _WRONG_TYPES = [
     ("scenes", ("ground_truth", 0, "class_id"), 1.5, "ground truth class_id must be an integer"),
     ("scenes", ("ground_truth", 0, "attribute"), [1], "ground truth attribute must be a number"),
     ("scenes", ("ground_truth", 0, "box"), [], "ground truth box must be an object"),
+    ("scenes", ("ground_truth", 0, "box", "yaw"), False, "box yaw must be a number"),
     ("dets", ("boxes",), 5, "frame boxes must be an array of objects"),
     ("dets", ("boxes",), [5], "frame boxes must be an array of objects"),
     ("dets", ("frame_id",), [0], "frame frame_id must be a number"),
     ("dets", ("frame_id",), 0.5, "frame frame_id must be an integer"),
     ("dets", ("boxes", 0, "class_id"), [0], "box class_id must be a number"),
     ("dets", ("boxes", 0, "class_id"), 0.5, "box class_id must be an integer"),
+    ("dets", ("boxes", 0, "score"), True, "box score must be a number"),
 ] + [
     (kind, ("radar_sweeps", 0, "points", 0, field), value, f"radar point {field} must be {what}")
     for kind in ("scenes", "gt")

@@ -10,6 +10,7 @@ every (point, detection) pair exactly.
 from __future__ import annotations
 
 import math
+import pickle
 import re
 import sys
 import threading
@@ -92,11 +93,57 @@ def _columns(n: int = 4) -> dict:
         ("rcs", np.array([0.0, 0.0, -np.inf, 0.0]), "rcs must be finite"),
         ("sweep_ages", np.array([0.0, np.nan, 0.0, 0.0]), "sweep_ages must be finite"),
         ("sweep_ages", np.array([0.0, 0.1, -0.1, 0.0]), "sweep_ages must be >= 0"),
+        ("timestamp", math.nan, "timestamp must be finite"),
+        pytest.param("timestamp", 10**400, "timestamp must be finite", id="timestamp-10**400"),
+        ("timestamp", True, "timestamp must be a number, got True"),
+        ("timestamp", None, "timestamp must be a number, got None"),
+        ("timestamp", "1.5", "timestamp must be a number, got '1.5'"),
+        ("timestamp", np.bool_(False), "timestamp must be a number, got np.False_"),
+        ("rcs", [0.0, 10**400, 0.0, 0.0], "rcs must be an array of numbers"),
+        ("rcs", [0.0, "1.5", 0.0, 0.0], "rcs must be an array of numbers"),
+        ("rcs", [0.0, None, 0.0, 0.0], "rcs must be an array of numbers"),
+        ("sweep_ages", [True, False, False, False], "sweep_ages must be an array of numbers"),
+        ("positions", [[0.0] * 3] * 3 + [[0.0] * 2], "positions must be an array of numbers"),
+        ("positions", None, "positions must be an array of numbers"),
+        ("velocities", 0.0, "velocities must have shape (4, 2), got ()"),
+        ("velocities", np.zeros((4, 2), dtype=complex), "velocities must be an array of numbers"),
     ],
 )
 def test_sweep_rejects_bad_column(column, value, message):
+    """A bad timestamp or column is a ``ValueError`` naming the field."""
     with pytest.raises(ValueError, match=re.escape(f"radar sweep {message}")):
-        RadarSweep(1.0, **{**_columns(), column: value})
+        RadarSweep(**{"timestamp": 1.0, **_columns(), column: value})
+
+
+@pytest.mark.parametrize(
+    "faults,message",
+    [
+        # Every column's shape is checked before the table's finiteness.
+        ({"positions": np.full((4, 3), np.nan), "sweep_ages": np.zeros(5)},
+         "sweep_ages must have shape (4,)"),
+        # The first non-finite column in table order is named.
+        ({"sweep_ages": np.full(4, np.inf), "velocities": np.full((4, 2), np.nan)},
+         "velocities must be finite"),
+    ],
+)
+def test_sweep_check_precedence(faults, message):
+    with pytest.raises(ValueError, match=re.escape(f"radar sweep {message}")):
+        RadarSweep(1.0, **{**_columns(), **faults})
+
+
+def test_sweep_pickles_as_its_table(rng):
+    """A pickled sweep carries its table once and comes back bit-equal, its
+    columns again read-only views of its table."""
+    sweep = _sweep(rng, 7.25, 1000)
+    data = pickle.dumps(sweep)
+    assert len(data) < sweep.table.nbytes + 1024
+    back = pickle.loads(data)
+    assert back.timestamp == sweep.timestamp
+    assert back.table.tobytes() == sweep.table.tobytes()
+    for name in ("table", "positions", "velocities", "rcs", "sweep_ages"):
+        column = getattr(back, name)
+        assert not column.flags.writeable and np.shares_memory(column, back.table)
+        assert column.tobytes() == getattr(sweep, name).tobytes()
 
 
 def test_accumulate_single_sweep(rng):

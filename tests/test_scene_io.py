@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcdet import scene_io
 from rcdet.decoder import DetectionBox3D
 from rcdet.errors import ParseError, SchemaVersionMismatch
 from rcdet.geometry import Box3D, project_point
@@ -195,6 +196,41 @@ def test_parse_error_names_missing_field(tmp_path):
         fh.write(header + "\n" + json.dumps(record) + "\n")
     with pytest.raises(ParseError, match="depth"):
         load_scenes(path)
+
+
+def test_frame_fields_are_checked_in_field_order_across_sweeps(tmp_path):
+    """A bad ``rcs`` in sweep 0 and a bad ``position`` in sweep 1: each
+    point field is checked over the whole frame in turn (position,
+    velocity, rcs, sweep_age), so the position is reported."""
+    path = str(tmp_path / "scenes.jsonl")
+    save_scenes(path, synth_scene(SynthConfig(seed=1, n_frames=1, n_sweeps=2)))
+    header, frame_line = Path(path).read_text().splitlines()
+    record = json.loads(frame_line)
+    record["radar_sweeps"][0]["points"][0]["rcs"] = "loud"
+    record["radar_sweeps"][1]["points"][0]["position"] = [1.0, 2.0]
+    Path(path).write_text(header + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ParseError) as raised:
+        load_scenes(path)
+    assert str(raised.value) == "line 2: radar point position must be a list of 3 numbers"
+
+
+@pytest.mark.parametrize("n_sweeps", [1, 3, 6])
+def test_point_fields_are_parsed_once_per_frame(tmp_path, monkeypatch, n_sweeps):
+    """The four point-field passes run once per frame, whatever the sweep
+    count, and the parsed sweeps keep their own rows."""
+    path = str(tmp_path / "scenes.jsonl")
+    frames = synth_scene(SynthConfig(seed=4, n_frames=3, n_sweeps=n_sweeps))
+    save_scenes(path, frames)
+    passes = []
+    column = scene_io._point_column
+    monkeypatch.setattr(
+        scene_io, "_point_column", lambda *args: passes.append(args[1]) or column(*args)
+    )
+    parsed = load_scenes(path)
+    assert passes == ["position", "velocity", "rcs", "sweep_age"] * len(frames)
+    assert [[s.table.tobytes() for s in f.radar_sweeps] for f in parsed] == [
+        [s.table.tobytes() for s in f.radar_sweeps] for f in frames
+    ]
 
 
 _HEADER = json.dumps({"schema": "rcdet.scene", "version": SCHEMA_VERSION})
