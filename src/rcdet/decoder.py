@@ -24,8 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, CameraModel, unproject_point, wrap_angle
-from .losses import DEFAULT_BIN_CENTERS, OrientationTarget
+from .errors import NoCoveredBin
+from .geometry import (
+    BIN_HALF_WIDTH,
+    DEFAULT_BIN_CENTERS,
+    Box3D,
+    CameraModel,
+    unproject_point,
+    wrap_angle,
+)
 from .radar import PreliminaryDetection
 
 DEFAULT_TOP_K = 100
@@ -181,27 +188,47 @@ def decode_detections(
     Each field is decoded from the record planted at the candidate's cell;
     a candidate at a cell without a record raises ValueError. Results are
     sorted by confidence, descending; ties keep candidate order.
+
+    All candidates decode in one pass, each with the arithmetic of a lone
+    decode: its pixel, unprojection (one ``gesv`` solve and rotation
+    product per candidate, stacked) and orientation residual are array
+    expressions over the candidates, its depth and confidence ``math``
+    expressions, and every box owns its arrays.
     """
-    ds = maps.downsample
-    results = []
+    dets = []
     for cand in candidates:
-        row, col = cand.row, cand.col
-        det = maps.cells.get((row, col))
+        det = maps.cells.get((cand.row, cand.col))
         if det is None:
-            raise ValueError(f"candidate at cell ({row}, {col}) has no planted detection")
-        u, v = det.projected_center
-        # Decode through what a regression head outputs (subpixel offset,
-        # inverse-sigmoid depth, orientation bins), not the record's raw
-        # values, which can differ from the decoded ones in the last bit.
-        pixel = np.array([(col + (u / ds - col)) * ds, (row + (v / ds - row)) * ds])
-        depth = decode_depth(encode_depth(det.depth))
-        center = unproject_point(camera, pixel, depth)
-        target = OrientationTarget(yaw=det.box3d.yaw)
-        yaw = decode_orientation(target.flags.astype(np.float64), target.residuals)
+            raise ValueError(
+                f"candidate at cell ({cand.row}, {cand.col}) has no planted detection"
+            )
+        dets.append(det)
+    if not dets:
+        return []
+    # Decode through what a regression head outputs (subpixel offset,
+    # inverse-sigmoid depth, orientation bins), not the record's raw values,
+    # which can differ from the decoded ones in the last bit.
+    ds = maps.downsample
+    cells = np.array([(cand.col, cand.row) for cand in candidates], dtype=np.float64)
+    pixels = (cells + (np.array([det.projected_center for det in dets]) / ds - cells)) * ds
+    depths = np.array([decode_depth(encode_depth(det.depth)) for det in dets])
+    n = len(dets)
+    rays = np.linalg.solve(
+        np.broadcast_to(camera.intrinsic, (n, 3, 3)),
+        np.column_stack([pixels, np.ones(n)])[:, :, None],
+    )[:, :, 0]
+    cam_pts = rays * (depths / rays[:, 2])[:, None]
+    centers = np.matmul(camera.rotation.T, (cam_pts - camera.translation)[:, :, None])[:, :, 0]
+    bins, offsets = zip(*(_covering_bin(det.box3d.yaw) for det in dets))
+    offsets = np.array(offsets)
+    residuals = zip(np.sin(offsets).tolist(), np.cos(offsets).tolist())
+
+    results = []
+    for cand, det, center, c, (sin, cos) in zip(candidates, dets, centers, bins, residuals):
         box = Box3D(
-            center=center,
+            center=center.copy(),
             dims=det.box3d.dims.copy(),
-            yaw=yaw,
+            yaw=wrap_angle(c + math.atan2(sin, cos)),
             velocity=det.box3d.velocity.copy(),
         )
         _, p_3d = confidence(cand.score, det.log_sigma)
@@ -216,3 +243,16 @@ def decode_detections(
             )
     results.sort(key=lambda d: -d.score)
     return results
+
+
+_BIN_CENTERS = DEFAULT_BIN_CENTERS.tolist()
+
+
+def _covering_bin(yaw: float) -> tuple[float, float]:
+    """The first bin center covering ``yaw`` and the wrapped offset to it:
+    the bin ``decode_orientation`` picks from the yaw's bin flags."""
+    for c in _BIN_CENTERS:
+        offset = wrap_angle(yaw - c)
+        if abs(offset) <= BIN_HALF_WIDTH:
+            return c, offset
+    raise NoCoveredBin(f"yaw {yaw} covers no orientation bin")

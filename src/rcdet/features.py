@@ -161,8 +161,15 @@ def handcrafted_rows(clusters: Sequence[Cluster], cfg: HandcraftedConfig) -> np.
     are zero rows. Positions are divided by ``cfg.position_norm``, velocities
     by ``cfg.velocity_norm``, and each statistic reduces a cluster's slice.
     """
-    rows = np.zeros((len(clusters), cfg.length))
-    members, bounds = canonical_members(clusters)
+    return _handcrafted_rows(*canonical_members(clusters), cfg)
+
+
+def _handcrafted_rows(
+    members: np.ndarray, bounds: np.ndarray, cfg: HandcraftedConfig
+) -> np.ndarray:
+    """:func:`handcrafted_rows` of the clusters whose ``canonical_members``
+    are ``members`` and ``bounds``."""
+    rows = np.zeros((len(bounds) - 1, cfg.length))
     norm = np.array([cfg.position_norm] * 2 + [cfg.velocity_norm] * 2)
     channels = np.concatenate([members[:, :2], members[:, 3:]], axis=1) / norm
     statistics = _VARIANT_BLOCKS[cfg.variant]

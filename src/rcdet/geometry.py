@@ -30,6 +30,11 @@ MIN_FOCAL = 1.0
 
 _ORTHONORMAL_TOL = 1e-9
 
+# Four orientation bins of width pi centered pi/2 apart: every yaw is covered
+# by two bins (three on exact boundaries).
+DEFAULT_BIN_CENTERS = np.array([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi])
+BIN_HALF_WIDTH = 0.5 * math.pi
+
 
 def wrap_angle(angle: float) -> float:
     """Normalize an angle to (-pi, pi]."""

@@ -325,35 +325,38 @@ def _segment_neighbors(
     Segment s owns support rows ``support_bounds[s]:support_bounds[s + 1]``.
     Returns a table (N_q, M) of support indices, each row sorted by (squared
     distance, index), truncated to ``cap`` and padded with N_s up to the
-    longest row M, plus each row's length. Queries are processed in blocks of
-    ``_QUERY_BLOCK``; a block's distance table spans the largest support
-    segment among its queries. The squared distance is (dx² + dy²) + dz²,
-    each plane gathered from a contiguous coordinate column; entries outside
-    the radius or the segment are set to +inf before the sort.
+    longest row M, plus each row's length. The support is laid out once as
+    (3, segments, longest segment) coordinate planes padded with +inf past
+    each segment's end, so a query's distance row is its segment's plane
+    rows: the squared distance is (dx² + dy²) + dz², and the padding's is
+    +inf. Queries are processed in blocks of ``_QUERY_BLOCK``, so a distance
+    table holds at most that many rows of the longest segment. Entries not
+    within the radius (a NaN query's included) are set to +inf before the
+    sort.
     """
     n_s = support.shape[0]
     sizes = np.diff(support_bounds)
     r2 = radius * radius
-    columns = support.T.copy()
-    width = sizes.max(initial=0) if cap is None else min(cap, sizes.max(initial=0))
+    longest = sizes.max(initial=0)
+    width = longest if cap is None else min(cap, longest)
+    segments = np.repeat(np.arange(sizes.size), sizes)
+    planes = np.full((3, sizes.size, longest), np.inf)
+    planes[:, segments, np.arange(n_s) - support_bounds[segments]] = support.T
     table = np.full((queries.shape[0], width), n_s, dtype=np.intp)
     lengths = np.zeros(queries.shape[0], dtype=np.intp)
+    slots = np.arange(width)
     for start in range(0, queries.shape[0], _QUERY_BLOCK):
         block = slice(start, start + _QUERY_BLOCK)
-        first = support_bounds[query_segments[block]]
-        size = sizes[query_segments[block]]
-        local = np.arange(size.max(initial=0))
-        index = np.minimum(first[:, None] + local, n_s - 1)
-        d2 = np.take(columns[0], index)
+        rows = query_segments[block]
+        d2 = planes[0][rows]
         d2 -= queries[block, 0, None]
         d2 *= d2
-        square = np.empty_like(d2)
         for k in (1, 2):
-            np.take(columns[k], index, out=square)
+            square = planes[k][rows]
             square -= queries[block, k, None]
             square *= square
             d2 += square
-        within = (local < size[:, None]) & (d2 <= r2)
+        within = d2 <= r2
         d2[~within] = np.inf
         # A stable sort puts the in-radius entries first, ordered by
         # (squared distance, index within the segment).
@@ -361,9 +364,9 @@ def _segment_neighbors(
         count = within.sum(axis=1)
         lengths[block] = count if cap is None else np.minimum(count, cap)
         np.copyto(
-            table[block, : order.shape[1]],
-            order + first[:, None],
-            where=local[: order.shape[1]] < lengths[block, None],
+            table[block],
+            order + support_bounds[rows, None],
+            where=slots < lengths[block, None],
         )
     return table[:, : lengths.max(initial=0)], lengths
 
@@ -581,22 +584,21 @@ def cluster_to_point_features(cluster: Cluster) -> PointFeatures:
     processing is exactly invariant to the input ordering. This is the
     one-cluster case of :func:`_point_sets`.
     """
-    return _point_sets([cluster])[0]
+    return _point_sets(*canonical_members([cluster]))
 
 
-def _point_sets(clusters: Sequence[Cluster]) -> tuple[PointFeatures, np.ndarray]:
+def _point_sets(members: np.ndarray, bounds: np.ndarray) -> PointFeatures:
     """Every cluster's :func:`cluster_to_point_features`, stacked in cluster
-    order, and the segment bounds of ``canonical_members``; each centroid is
-    the mean of its cluster's contiguous slice.
+    order, from the clusters' ``canonical_members`` ``members`` and
+    ``bounds``; each centroid is the mean of its cluster's contiguous slice.
     """
-    members, bounds = canonical_members(clusters)
     positions = members[:, :3].copy()
     norm = np.array([DEFAULT_POSITION_NORM] * 2 + [DEFAULT_VELOCITY_NORM] * 2)
     features = np.column_stack([members[:, [0, 1, 3, 4]] / norm, np.ones(len(members))])
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b > a:
             positions[a:b] -= positions[a:b].mean(axis=0)
-    return PointFeatures(positions=positions, features=features), bounds
+    return PointFeatures(positions=positions, features=features)
 
 
 def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarray:
@@ -610,12 +612,19 @@ def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarra
     blocks (``_contract``) give every row the bits it has when its cluster
     runs alone. Empty clusters yield zero rows.
     """
-    rows = np.zeros((len(clusters), net.output_dim))
-    points, bounds = _point_sets(clusters)
+    return _learned_rows(*canonical_members(clusters), net)
+
+
+def _learned_rows(members: np.ndarray, bounds: np.ndarray, net: KPNetworkConfig) -> np.ndarray:
+    """:func:`learned_rows` of the clusters whose ``canonical_members`` are
+    ``members`` and ``bounds``."""
+    n_clusters = len(bounds) - 1
+    rows = np.zeros((n_clusters, net.output_dim))
+    points = _point_sets(members, bounds)
     if not points.count:
         return rows
     positions, features = points.positions, points.features
-    segments = np.repeat(np.arange(len(clusters)), np.diff(bounds))
+    segments = np.repeat(np.arange(n_clusters), np.diff(bounds))
     for i, layer in enumerate(net.layers):
         if layer.strided:
             cell = net.base_cell_size * 2.0**i
@@ -631,7 +640,7 @@ def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarra
         )
         features = _contract(weighted, layer)
         positions, segments = queries, query_segments
-        bounds = np.searchsorted(segments, np.arange(len(clusters) + 1))
+        bounds = np.searchsorted(segments, np.arange(n_clusters + 1))
     for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         if b > a:
             rows[s] = features[a:b].mean(axis=0)

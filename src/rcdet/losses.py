@@ -12,25 +12,19 @@ factors stay raw, so exactly perfect predictions cost exactly zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateBox, EmptyBatch, NoCoveredBin, check_number
-from .geometry import wrap_angle
+from .geometry import BIN_HALF_WIDTH, DEFAULT_BIN_CENTERS, wrap_angle
 
 PROB_EPS = 1e-7
 FOCAL_ALPHA = 2.0
 FOCAL_BETA = 4.0
 DIM2D_WEIGHT = 0.1
 CORNER_WEIGHT = 0.5
-
-# Four orientation bins of width pi centered pi/2 apart: every yaw is covered
-# by two bins (three on exact boundaries).
-DEFAULT_BIN_CENTERS = np.array([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi])
-BIN_HALF_WIDTH = 0.5 * math.pi
 
 
 @dataclass(eq=False)

@@ -27,16 +27,17 @@ from .features import (
     FeatureHeatmap,
     FeatureVector,
     HandcraftedConfig,
-    handcrafted_rows,
+    _handcrafted_rows,
     rasterize_heatmap,
 )
-from .kpconv import KPNetworkConfig, learned_rows
+from .kpconv import KPNetworkConfig, _learned_rows
 from .radar import (
     DEFAULT_MAX_RANGE,
     DEFAULT_MAX_SWEEPS,
     DEFAULT_MIN_RANGE,
     DEFAULT_PILLAR_DIMS,
     Cluster,
+    canonical_members,
     cluster_sweeps,
 )
 from .scene_io import SceneFrame
@@ -106,13 +107,15 @@ def feature_rows(
     """The frame's cluster features, shape (n_clusters, ``feature_length``).
 
     The strategy picks the columns: handcrafted first, then learned (one
-    ``handcrafted_rows``/``learned_rows`` pass each). Empty clusters are zero rows.
+    ``handcrafted_rows``/``learned_rows`` pass each, both over one
+    ``canonical_members`` table). Empty clusters are zero rows.
     """
     rows = np.zeros((len(clusters), feature_length(cfg, net)))
+    members = canonical_members(clusters)
     if cfg.feature_strategy != "learned":
-        rows[:, : cfg.handcrafted.length] = handcrafted_rows(clusters, cfg.handcrafted)
+        rows[:, : cfg.handcrafted.length] = _handcrafted_rows(*members, cfg.handcrafted)
     if cfg.feature_strategy != "handcrafted":
-        rows[:, -net.output_dim :] = learned_rows(clusters, net)
+        rows[:, -net.output_dim :] = _learned_rows(*members, net)
     return rows
 
 

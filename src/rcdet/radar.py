@@ -56,6 +56,8 @@ class RadarPoint:
 
     ``velocity`` is the ego-motion-compensated radial velocity re-expanded as
     a BEV vector (v_x, v_y). ``sweep_age`` is seconds since the newest sweep.
+    Every field holds real numbers, not bools, and finite ones; a bad field
+    raises ``ValueError`` naming it.
     """
 
     position: np.ndarray
@@ -64,15 +66,48 @@ class RadarPoint:
     sweep_age: float = 0.0
 
     def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=np.float64).reshape(2)
-        # Every point built one at a time pays this check (synthetic scenes,
-        # bench inputs); rows of checked sweep columns skip this constructor
-        # through _row_points.
+        self.position = _point_vector("position", self.position, 3)
+        self.velocity = _point_vector("velocity", self.velocity, 2)
+        self.rcs = _point_number("rcs", self.rcs)
+        self.sweep_age = _point_number("sweep_age", self.sweep_age)
+        # Every point built one at a time pays these checks (synthetic
+        # scenes, bench inputs); rows of checked sweep columns skip this
+        # constructor through _row_points.
         values = (*self.position.tolist(), *self.velocity.tolist(), self.rcs, self.sweep_age)
         check_finite("radar point", _POINT_FIELDS, values)
         if self.sweep_age < 0:
             raise ValueError(f"sweep_age must be >= 0, got {self.sweep_age}")
+
+
+def _point_vector(name: str, value, size: int) -> np.ndarray:
+    """A point's ``name`` field as a float64 vector of ``size`` numbers;
+    bools, strings, None, complex and ragged or oversized entries raise
+    ``ValueError`` with :class:`RadarSweep`'s wording."""
+    try:
+        array = np.asarray(value)
+        # numpy reads a list mixing bools into numbers as numbers.
+        numeric = array.dtype.kind in "iuf" and (
+            isinstance(value, np.ndarray)
+            or not any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, object).flat)
+        )
+    except ValueError:  # a ragged list
+        numeric = False
+    if not numeric:
+        raise ValueError(f"radar point {name} must be an array of numbers")
+    if array.size != size:
+        raise ValueError(f"radar point {name} must hold {size} numbers, got shape {array.shape}")
+    return np.asarray(array, dtype=np.float64).reshape(size)
+
+
+def _point_number(name: str, value) -> float:
+    """A point's ``name`` field as a float: a real number, not a bool; an
+    integer beyond float64 becomes inf, which the finite check then names."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"radar point {name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 # Each column of a sweep's row table: (attribute, shape after the row count,
@@ -527,8 +562,10 @@ def _member_rows(
 ) -> list[np.ndarray]:
     """Each detection's member rows of a row ``table``, in row order.
 
-    The 9 pillar samples of every row are projected once; a detection then
-    box-tests only the rows whose center depth passes its gate.
+    The 9 pillar samples of every row are projected once. One (detections,
+    rows) mask then holds every detection's depth gate, and only the gated
+    (detection, row) pairs are box-tested: the largest temporaries are the
+    pairs' (P, 9) sample planes, P at most detections × rows.
     """
     half = _pillar_half_extents(pillar_dims)
     check_number("expansion", expansion, low=1.0)
@@ -550,22 +587,23 @@ def _member_rows(
         v = (k[1, 0] * cam_x + k[1, 1] * cam_y + k[1, 2] * cam_z) / cam_z
     center_depth = cam_z[:, 0]
 
-    rows = []
-    for det in dets:
-        frustum = _frustum(det, camera, expansion)
-        d_min, d_max = frustum.depth_range
-        box = frustum.bbox2d
-        gated = np.flatnonzero((center_depth >= d_min) & (center_depth <= d_max))
-        cu, cv = u[gated], v[gated]
-        inside = (
-            in_front[gated]
-            & (cu >= box.x_min)
-            & (cu <= box.x_max)
-            & (cv >= box.y_min)
-            & (cv <= box.y_max)
-        )
-        rows.append(gated[inside.any(axis=1)])
-    return rows
+    frusta = [_frustum(det, camera, expansion) for det in dets]
+    gates = np.array([frustum.depth_range for frustum in frusta])
+    boxes = np.array(
+        [(f.bbox2d.x_min, f.bbox2d.y_min, f.bbox2d.x_max, f.bbox2d.y_max) for f in frusta]
+    )
+    # Detection-major pairs, rows ascending within each detection.
+    pair_det, pair_row = np.nonzero(
+        (center_depth >= gates[:, :1]) & (center_depth <= gates[:, 1:])
+    )
+    box = boxes[pair_det].T[:, :, None]
+    cu, cv = u[pair_row], v[pair_row]
+    inside = (
+        in_front[pair_row] & (cu >= box[0]) & (cu <= box[2]) & (cv >= box[1]) & (cv <= box[3])
+    ).any(axis=1)
+    member_det, member_row = pair_det[inside], pair_row[inside]
+    bounds = np.searchsorted(member_det, np.arange(len(dets) + 1)).tolist()
+    return [member_row[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def cluster_sweeps(

@@ -13,6 +13,7 @@ import pytest
 
 from rcdet.decoder import (
     Candidate,
+    DetectionBox3D,
     build_maps_from_detections,
     confidence,
     decode_depth,
@@ -27,7 +28,7 @@ from rcdet.losses import DEFAULT_BIN_CENTERS, OrientationTarget
 from rcdet.radar import PreliminaryDetection
 from rcdet.scene_io import default_camera
 
-from conftest import detection_for_box, random_visible_box
+from conftest import detection_for_box, random_rotation, random_visible_box
 
 
 # -- depth transform ------------------------------------------------------------
@@ -434,3 +435,149 @@ def test_decode_bits_pinned():
     hexdigest, seen = _crowded_decode_digest()
     assert len(seen) == 6 and min(seen.values()) >= 10, seen
     assert hexdigest == _CROWDED_DECODE_DIGEST
+
+
+# -- one decode pass against the per-candidate decode ----------------------------
+
+
+def _decode_oracle(candidates, maps, camera, threshold=0.0):
+    """The per-candidate decode: one ``unproject_center``, one
+    ``OrientationTarget`` and ``decode_orientation``, and one ``Box3D`` per
+    candidate, filtered by final confidence and sorted stably by it."""
+    ds = maps.downsample
+    results = []
+    for cand in candidates:
+        row, col = cand.row, cand.col
+        det = maps.cells.get((row, col))
+        if det is None:
+            raise ValueError(f"candidate at cell ({row}, {col}) has no planted detection")
+        u, v = det.projected_center
+        pixel = np.array([(col + (u / ds - col)) * ds, (row + (v / ds - row)) * ds])
+        depth = decode_depth(encode_depth(det.depth))
+        center = unproject_center(camera, pixel, depth)
+        target = OrientationTarget(yaw=det.box3d.yaw)
+        yaw = decode_orientation(target.flags.astype(np.float64), target.residuals)
+        box = Box3D(
+            center=center,
+            dims=det.box3d.dims.copy(),
+            yaw=yaw,
+            velocity=det.box3d.velocity.copy(),
+        )
+        _, p_3d = confidence(cand.score, det.log_sigma)
+        if p_3d >= threshold:
+            results.append(
+                DetectionBox3D(
+                    box=box, class_id=cand.class_id, score=p_3d, attribute=int(det.attribute)
+                )
+            )
+    results.sort(key=lambda d: -d.score)
+    return results
+
+
+# The sha256 of what `_rotated_decode_digest` decodes, computed with the
+# per-candidate decode (`_decode_oracle`'s body).
+_ROTATED_DECODE_DIGEST = "2ce12ad9f9a8c2d03b49911ed6fbbfe03e39d520ac81d5b7693cbf2c65f2829b"
+
+_HALF_PI = 0.5 * math.pi
+# Yaws on the orientation-bin boundaries (covered by three bins) and one ulp
+# to either side of them (covered by two).
+_BOUNDARY_YAWS = [
+    yaw
+    for edge in (0.0, _HALF_PI, -_HALF_PI, math.pi, -math.pi)
+    for yaw in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf))
+]
+
+
+def _rotated_frames():
+    """Seeded crowded frames, each seen by its own rotated and translated
+    camera, half the yaws drawn from ``_BOUNDARY_YAWS``, a third of the
+    depth confidences exactly 1 (so equal class scores give equal final
+    scores), and a threshold drawn from 0, 0.25 and (0, 0.8)."""
+    rng = np.random.default_rng(2026)
+    for _ in range(150):
+        extrinsic = np.eye(4)
+        extrinsic[:3, :3] = random_rotation(rng)
+        extrinsic[:3, 3] = rng.uniform(-3.0, 3.0, 3)
+        camera = CameraModel(
+            intrinsic=np.array([[20.0, 0.0, 15.0], [0.0, 22.0, 8.5], [0.0, 0.0, 1.0]]),
+            extrinsic=extrinsic,
+            image_size=(32, 16),
+        )
+        dets = _crowded_detections(rng, int(rng.integers(1, 40)), camera.image_size)
+        for det in dets:
+            if rng.uniform() < 0.5:
+                box = det.box3d
+                yaw = float(rng.choice(_BOUNDARY_YAWS))
+                det.box3d = Box3D(box.center, box.dims, yaw, box.velocity)
+            if rng.uniform() < 1 / 3:
+                det.log_sigma = -745.0
+        threshold = float(rng.choice([0.0, 0.25, rng.uniform(0.0, 0.8)]))
+        yield camera, dets, threshold, int(rng.integers(1, 40))
+
+
+def _rotated_decodes():
+    """(candidates, maps, camera, threshold) of every ``_rotated_frames``
+    frame, with suppression on and off."""
+    for camera, dets, threshold, k in _rotated_frames():
+        heatmap, maps = build_maps_from_detections(dets, camera.image_size, num_classes=3)
+        for suppress in (True, False):
+            yield topk_peaks(heatmap, k, suppress), maps, camera, threshold
+
+
+def _decoded_bytes(out) -> bytes:
+    box = out.box
+    return (
+        box.center.tobytes()
+        + box.dims.tobytes()
+        + box.velocity.tobytes()
+        + struct.pack("<dqdq", box.yaw, out.class_id, out.score, out.attribute)
+    )
+
+
+def _rotated_decode_digest() -> tuple[str, Counter]:
+    """Digest of every ``_rotated_decodes`` decode, plus counts of the cases
+    they hit."""
+    digest = hashlib.sha256()
+    seen = Counter()
+    for candidates, maps, camera, threshold in _rotated_decodes():
+        decoded = decode_detections(candidates, maps, camera, threshold)
+        for out in decoded:
+            digest.update(_decoded_bytes(out))
+        records = [maps.cells[c.row, c.col] for c in candidates]
+        seen["boundary yaw"] += any(d.box3d.yaw in _BOUNDARY_YAWS for d in records)
+        seen["threshold drops some"] += 0 < threshold and len(decoded) < len(candidates)
+        scores = Counter(out.score for out in decoded)
+        seen["equal final scores"] += any(n > 1 for n in scores.values())
+    return digest.hexdigest(), seen
+
+
+def test_rotated_decode_bits_pinned():
+    """A rotated, translated camera exercises the rotation product of the
+    unprojection; the decode keeps the per-candidate bits."""
+    hexdigest, seen = _rotated_decode_digest()
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
+    assert hexdigest == _ROTATED_DECODE_DIGEST
+
+
+def test_decode_matches_per_candidate_oracle():
+    """Every field and the order of ``decode_detections`` equal the
+    per-candidate decode bit for bit, on the crowded rotated-camera frames,
+    and every decoded box field has a buffer of its own, shared with no other
+    field and no planted record."""
+    for candidates, maps, camera, threshold in _rotated_decodes():
+        decoded = decode_detections(candidates, maps, camera, threshold)
+        expected = _decode_oracle(candidates, maps, camera, threshold)
+        assert list(map(_decoded_bytes, decoded)) == list(map(_decoded_bytes, expected))
+        fields = [a for out in decoded for a in (out.box.center, out.box.dims, out.box.velocity)]
+        planted = [a for det in maps.cells.values() for a in (det.box3d.dims, det.box3d.velocity)]
+        buffers = [_buffer(a) for a in fields]
+        assert all(b.nbytes == a.nbytes for a, b in zip(fields, buffers))
+        distinct = {id(b) for b in buffers + [_buffer(a) for a in planted]}
+        assert len(distinct) == len(fields) + len(planted)
+
+
+def _buffer(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array

@@ -223,6 +223,47 @@ def test_radius_neighbors_blocks_match_single_queries(rng):
         assert idx.tolist() == radius_neighbors(q[None], support, 1.5, cap=7)[0].tolist()
 
 
+def _segment_neighbors_oracle(queries, query_segments, support, bounds, radius, cap):
+    """Each query's support rows of its own segment within ``radius``,
+    sorted by (squared distance, index) by brute force and cut to ``cap``."""
+    out = []
+    for q, s in zip(queries.tolist(), query_segments.tolist()):
+        pairs = []
+        for i in range(bounds[s], bounds[s + 1]):
+            dx, dy, dz = (support[i, k] - q[k] for k in range(3))
+            d2 = (dx * dx + dy * dy) + dz * dz
+            if d2 <= radius * radius:
+                pairs.append((d2, i))
+        out.append([i for _, i in sorted(pairs)][:cap])
+    return out
+
+
+@pytest.mark.parametrize("cap", [None, 1, 4, 100])
+def test_segment_neighbors_match_bruteforce_oracle(rng, cap):
+    """Several segments, empty ones included, duplicate points (distance
+    ties), a NaN query and more queries than one block."""
+    for trial in range(12):
+        sizes = rng.integers(0, 40, size=int(rng.integers(1, 9)))
+        sizes[rng.integers(sizes.size)] = 0
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        # Coordinates on a 0.5 m lattice: equal points and equal distances.
+        support = np.round(rng.uniform(-2, 2, size=(bounds[-1], 3)) * 2) / 2
+        n_q = int(rng.integers(1, 3 * kpconv._QUERY_BLOCK if trial % 3 == 0 else 30))
+        query_segments = np.sort(rng.integers(0, sizes.size, size=n_q))
+        queries = np.round(rng.uniform(-2, 2, size=(n_q, 3)) * 2) / 2
+        queries[rng.integers(n_q), int(rng.integers(3))] = np.nan
+        radius = float(rng.choice([0.5, 1.0, rng.uniform(0.3, 3.0)]))
+        table, lengths = kpconv._segment_neighbors(
+            queries, query_segments, support, bounds, radius, cap
+        )
+        expected = _segment_neighbors_oracle(queries, query_segments, support, bounds, radius, cap)
+        assert lengths.tolist() == list(map(len, expected))
+        assert table.shape == (n_q, lengths.max(initial=0))
+        for row, n, want in zip(table, lengths, expected):
+            assert row[:n].tolist() == want
+            assert (row[n:] == bounds[-1]).all()
+
+
 # -- forward operator ---------------------------------------------------------------
 
 

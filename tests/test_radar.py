@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcdet import radar
+from rcdet import features, kpconv, pipeline, radar
 from rcdet.errors import InvalidDetection
 from rcdet.geometry import Box3D, project_point
 from rcdet.radar import (
@@ -113,6 +113,49 @@ def test_sweep_rejects_bad_column(column, value, message):
     """A bad timestamp or column is a ``ValueError`` naming the field."""
     with pytest.raises(ValueError, match=re.escape(f"radar sweep {message}")):
         RadarSweep(**{"timestamp": 1.0, **_columns(), column: value})
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("rcs", True, "rcs must be a number, got True"),
+        ("sweep_age", False, "sweep_age must be a number, got False"),
+        ("rcs", np.bool_(True), "rcs must be a number, got np.True_"),
+        ("rcs", "1", "rcs must be a number, got '1'"),
+        ("sweep_age", None, "sweep_age must be a number, got None"),
+        ("rcs", 1j, "rcs must be a number, got 1j"),
+        pytest.param("rcs", 10**400, "rcs must be finite", id="rcs-10**400"),
+        pytest.param("sweep_age", -(10**400), "sweep_age must be finite", id="age--10**400"),
+        ("rcs", math.nan, "rcs must be finite"),
+        ("position", [0.0, True, 0.0], "position must be an array of numbers"),
+        ("position", np.array([False, True, False]), "position must be an array of numbers"),
+        ("velocity", [0.0, "1"], "velocity must be an array of numbers"),
+        ("velocity", [0.0, None], "velocity must be an array of numbers"),
+        ("position", None, "position must be an array of numbers"),
+        ("position", [[0.0, 1.0], [0.0]], "position must be an array of numbers"),
+        pytest.param(
+            "position", [0.0, 10**400, 0.0], "position must be an array of numbers",
+            id="position-10**400",
+        ),
+        ("velocity", np.zeros(2, dtype=complex), "velocity must be an array of numbers"),
+        ("position", [0.0, 1.0], "position must hold 3 numbers, got shape (2,)"),
+        ("velocity", 0.0, "velocity must hold 2 numbers, got shape ()"),
+        ("velocity", [0.0, math.inf], "velocity must be finite"),
+    ],
+)
+def test_point_rejects_bad_field(field, value, message):
+    """A bad field is a ``ValueError`` naming it, in the sweep's wording."""
+    fields = {"position": [0.0, 1.0, 0.0], "velocity": [0.0, 0.0], field: value}
+    with pytest.raises(ValueError, match=re.escape(f"radar point {message}")):
+        RadarPoint(**fields)
+
+
+def test_point_keeps_plain_numbers():
+    point = RadarPoint([0, 1, 0], np.array([2, 3]), rcs=np.float32(0.5), sweep_age=1)
+    assert point.position.dtype == point.velocity.dtype == np.float64
+    assert point.velocity.tolist() == [2.0, 3.0]
+    assert (type(point.rcs), type(point.sweep_age)) == (float, float)
+    assert (point.rcs, point.sweep_age) == (0.5, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -509,6 +552,66 @@ def test_associate_equals_naive_and_oracle(rng):
         assert _member_matrix(batched, points) == expected
 
 
+def _crowded_association(rng, n_points: int, n_dets: int):
+    """Detections in overlapping pairs (the second a copy nudged in depth),
+    one more whose depth gate lies beyond every point, and points scattered
+    around the detections' boxes plus uniform clutter."""
+    camera = random_camera(rng)
+    dets = []
+    for _ in range(n_dets):
+        det = detection_for_box(rng, camera, random_visible_box(rng, camera))
+        dets += [det, replace(det, depth=det.depth + float(rng.uniform(-1.0, 1.0)))]
+    if dets:
+        dets.append(replace(dets[0], depth=dets[0].depth + 1000.0))
+    centers = [det.box3d.center for det in dets] or [np.zeros(3)]
+    points = random_radar_points(rng, n_points // 4)
+    for _ in range(n_points - len(points)):
+        center = centers[int(rng.integers(len(centers)))]
+        points.append(
+            RadarPoint(
+                center + rng.normal(0.0, 1.5, 3), rng.uniform(-8, 8, 2), float(rng.uniform(-5, 15))
+            )
+        )
+    return points, dets, camera
+
+
+@pytest.mark.parametrize(
+    "n_points,n_dets", [(0, 0), (0, 3), (60, 0), (60, 2), (240, 5)], ids=str
+)
+def test_member_rows_equal_naive_association(rng, n_points, n_dets):
+    """The one-mask gate of every frustum gives each detection the rows the
+    per-point, per-detection loop gives it, in row order: over overlapping
+    frusta, a gate holding no row, and no points or no detections."""
+    overlaps = 0
+    for trial in range(8):
+        points, dets, camera = _crowded_association(rng, n_points, n_dets)
+        expansion = (1.0, 1.3)[trial % 2]
+        rows = radar._member_rows(
+            radar._point_table(points), dets, camera, radar.DEFAULT_PILLAR_DIMS, expansion
+        )
+        naive = associate_naive(points, dets, camera, expansion=expansion)
+        assert [r.tolist() for r in rows] == _member_matrix(naive, points)
+        assert all(r.dtype == np.intp for r in rows)
+        if dets:
+            assert rows[-1].size == 0
+        members = np.concatenate([np.zeros(0, np.intp), *rows])
+        overlaps += len(members) > len(set(members.tolist()))
+    assert overlaps >= (4 if n_points and n_dets else 0)
+
+
+def test_member_rows_gate_bounds_are_inclusive():
+    """Rows exactly on the depth gate's bounds join, one ulp outside do not."""
+    det, camera = _detection_at(depth=20.0, yaw=math.pi / 2)
+    d_min, d_max = build_frustum(det, camera).depth_range
+    depths = [math.nextafter(d_min, 0.0), d_min, d_max, math.nextafter(d_max, math.inf)]
+    points = [_point_at(0.0, depth) for depth in depths]
+    (rows,) = radar._member_rows(
+        radar._point_table(points), [det], camera, radar.DEFAULT_PILLAR_DIMS, 1.0
+    )
+    assert rows.tolist() == [1, 2]
+    assert _member_matrix(associate_naive(points, [det], camera), points) == [[1, 2]]
+
+
 def test_associate_soundness_members_pass_predicate(rng):
     points, dets, camera = _random_scene(rng, 120, 6)
     for det, cluster in zip(dets, associate(points, dets, camera)):
@@ -670,6 +773,30 @@ def test_process_frame_builds_no_radar_point(monkeypatch, strategy):
     second = [c.members for c in clusters]
     assert built == [len(clustered)]
     assert [[id(p) for p in m] for m in second] == [[id(p) for p in m] for m in first]
+
+
+@pytest.mark.parametrize("strategy", ["handcrafted", "learned", "hybrid"])
+def test_process_frame_builds_one_member_table(monkeypatch, strategy):
+    """Every feature stage of a frame reads one ``canonical_members`` table,
+    and the features are those of the public one-stage passes."""
+    frame = _twinned_frame(2)
+    cfg = PipelineConfig(feature_strategy=strategy)
+    net = None if strategy == "handcrafted" else build_network("lite", seed=0)
+    calls = []
+    for module in (radar, features, kpconv, pipeline):
+        monkeypatch.setattr(
+            module, "canonical_members",
+            lambda clusters: calls.append(len(clusters)) or canonical_members(clusters),
+        )
+    result = process_frame(frame, cfg, net)
+    assert calls == [len(frame.detections)]
+    monkeypatch.undo()
+    stages = []
+    if strategy != "learned":
+        stages.append(features.handcrafted_rows(result.clusters, cfg.handcrafted))
+    if strategy != "handcrafted":
+        stages.append(kpconv.learned_rows(result.clusters, net))
+    assert result.radar_heatmap.rows.tobytes() == np.hstack(stages).tobytes()
 
 
 def test_members_of_a_frame_are_the_same_objects_in_every_thread(monkeypatch):
