@@ -6,9 +6,14 @@ convolution, hybrid), heatmap rasterization, box decoding with
 uncertainty-weighted confidence, the training loss suite, detection-score
 evaluation, scene file IO, synthetic scene generation, and an association
 benchmark.
+
+The loss suite and the association benchmark are imported on first use of
+one of their names, so a process that runs or evaluates scenes never
+compiles them.
 """
 
-from .bench import BenchReport, bench_association
+from importlib import import_module
+
 from .decoder import (
     Candidate,
     DetectionBox3D,
@@ -79,19 +84,6 @@ from .kpconv import (
     radius_neighbors,
     save_network,
 )
-from .losses import (
-    DEFAULT_BIN_CENTERS,
-    HeatmapPair,
-    OrientationTarget,
-    RegressionBatch,
-    depth_uncertainty_loss,
-    dim2d_giou_loss,
-    focal_loss,
-    l1_regression_loss,
-    multibin_loss,
-    offset_loss,
-    total_loss,
-)
 from .metrics import (
     EvalConfig,
     EvalResult,
@@ -130,3 +122,31 @@ from .scene_io import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY_MODULE = dict.fromkeys(("BenchReport", "bench_association"), "bench") | dict.fromkeys(
+    (
+        "DEFAULT_BIN_CENTERS",
+        "HeatmapPair",
+        "OrientationTarget",
+        "RegressionBatch",
+        "depth_uncertainty_loss",
+        "dim2d_giou_loss",
+        "focal_loss",
+        "l1_regression_loss",
+        "multibin_loss",
+        "offset_loss",
+        "total_loss",
+    ),
+    "losses",
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULE})

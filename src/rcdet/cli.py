@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 
-from .bench import bench_association, format_bench
 from .errors import RcdetError, check_number
 from .geometry import box3d_corners
 from .kpconv import build_network, load_network, save_network
@@ -79,7 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="confidence cutoff in [0, 1]",
     )
     run_p.add_argument("--top-k", type=_bounded(int, low=1), default=100)
-    run_p.add_argument("--workers", type=_bounded(int, low=1), default=1)
+    run_p.add_argument(
+        "--workers", type=_bounded(int, low=1), default=1,
+        help="checked but unused: frames run in order on one thread, with the same "
+        "output for every value, until ROADMAP item 8's process pool gives it a meaning",
+    )
     run_p.add_argument(
         "--dump-bev", help="also write clusters and box footprints as BEV coordinates"
     )
@@ -148,7 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         score_threshold=args.threshold,
     )
-    results = run_scenes(frames, cfg, net, args.workers)
+    results = run_scenes(frames, cfg, net)
     save_detections(args.out, [(r.frame_id, r.detections) for r in results])
     if args.dump_bev:
         _dump_bev(args.dump_bev, results)
@@ -190,6 +193,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import bench_association, format_bench
+
     report = bench_association(args.points, args.dets, args.iters, args.seed)
     print(format_bench(report))
     return 0

@@ -4,13 +4,12 @@ extraction and rasterization, then box decoding.
 The radar feature heatmap is the fusion-side product of a frame (the input
 contract for downstream regression heads); the decoded boxes come from the
 preliminary-detection records planted at the decoder's grid cells. Frames are
-independent, so a scene set can be processed by a worker pool; results are
-always ordered by frame id regardless of completion order.
+independent; a scene set runs them in order on the calling thread, and its
+results are ordered by frame id whatever the input order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -152,12 +151,13 @@ def run_scenes(
     frames: Sequence[SceneFrame],
     cfg: PipelineConfig,
     net: KPNetworkConfig | None = None,
-    workers: int = 1,
 ) -> list[FrameResult]:
-    """Process frames (optionally with a thread pool) and order results by frame id.
+    """Process frames in input order on the calling thread and order the
+    results by frame id.
 
     Every frame's image sides are checked against the feature stride before
-    any frame is processed."""
+    any frame is processed. The numpy calls of a frame are many and short, so
+    threads would only contend for the GIL, and BLAS already uses every core."""
     for frame in frames:
         width, height = frame.camera.image_size
         if width % cfg.downsample or height % cfg.downsample:
@@ -165,9 +165,5 @@ def run_scenes(
                 f"frame {frame.frame_id}: camera image_size {width}x{height} must be a "
                 f"multiple of the feature stride {cfg.downsample}"
             )
-    if workers > 1 and len(frames) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda f: process_frame(f, cfg, net), frames))
-    else:
-        results = [process_frame(frame, cfg, net) for frame in frames]
+    results = [process_frame(frame, cfg, net) for frame in frames]
     return sorted(results, key=lambda r: r.frame_id)

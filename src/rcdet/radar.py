@@ -552,6 +552,11 @@ def frustum_contains(frustum: FrustumROI, pillar: Pillar) -> bool:
 # Center first, then the 8 pillar corners; shared by both association paths.
 _SAMPLE_SIGNS = np.vstack([np.zeros((1, 3)), _CORNER_SIGNS])
 
+# Most gated (detection, row) pairs box-tested at once. A pair takes about
+# 190 B of temporaries, so a group peaks near 12 MiB; seeded frames hold at
+# most a few thousand pairs, one group.
+_PAIR_BUDGET = 2**16
+
 
 def _member_rows(
     table: np.ndarray,
@@ -564,8 +569,8 @@ def _member_rows(
 
     The 9 pillar samples of every row are projected once. One (detections,
     rows) mask then holds every detection's depth gate, and only the gated
-    (detection, row) pairs are box-tested: the largest temporaries are the
-    pairs' (P, 9) sample planes, P at most detections × rows.
+    (detection, row) pairs are box-tested, over groups of consecutive
+    detections holding at most ``_PAIR_BUDGET`` pairs (or one detection's).
     """
     half = _pillar_half_extents(pillar_dims)
     check_number("expansion", expansion, low=1.0)
@@ -592,17 +597,32 @@ def _member_rows(
     boxes = np.array(
         [(f.bbox2d.x_min, f.bbox2d.y_min, f.bbox2d.x_max, f.bbox2d.y_max) for f in frusta]
     )
+    gated = (center_depth >= gates[:, :1]) & (center_depth <= gates[:, 1:])
+    pair_ends = np.cumsum(gated.sum(axis=1))
+    rows: list[np.ndarray] = []
+    start = 0
+    while start < len(dets):
+        done = pair_ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(pair_ends, done + _PAIR_BUDGET, "right")), start + 1)
+        rows += _boxed_rows(gated[start:stop], boxes[start:stop], u, v, in_front)
+        start = stop
+    return rows
+
+
+def _boxed_rows(
+    gated: np.ndarray, boxes: np.ndarray, u: np.ndarray, v: np.ndarray, in_front: np.ndarray
+) -> list[np.ndarray]:
+    """Each detection's gated rows with a pillar sample in front of the camera
+    and inside its (x_min, y_min, x_max, y_max) box, in row order."""
     # Detection-major pairs, rows ascending within each detection.
-    pair_det, pair_row = np.nonzero(
-        (center_depth >= gates[:, :1]) & (center_depth <= gates[:, 1:])
-    )
+    pair_det, pair_row = np.nonzero(gated)
     box = boxes[pair_det].T[:, :, None]
     cu, cv = u[pair_row], v[pair_row]
     inside = (
         in_front[pair_row] & (cu >= box[0]) & (cu <= box[2]) & (cv >= box[1]) & (cv <= box[3])
     ).any(axis=1)
     member_det, member_row = pair_det[inside], pair_row[inside]
-    bounds = np.searchsorted(member_det, np.arange(len(dets) + 1)).tolist()
+    bounds = np.searchsorted(member_det, np.arange(len(gated) + 1)).tolist()
     return [member_row[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 

@@ -17,7 +17,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
 import perfbench.harness  # noqa: E402  (imports every rcdet name the benchmark uses)
+from perfbench.probe import CLI_CALLS  # noqa: E402
 from perfbench.tracing import Tracer, traced_process_frame  # noqa: E402
+from rcdet import cli  # noqa: E402
 from rcdet.cli import main  # noqa: E402
 from rcdet.kpconv import build_network  # noqa: E402
 from rcdet.pipeline import PipelineConfig, process_frame  # noqa: E402
@@ -138,6 +140,18 @@ def test_cli_outputs_match_pinned_digests(scene_files, tmp_path, name):
         got["report_sha256"].append(sha256(report))
     pinned = perfbench.harness.load_digests()[name]
     assert got == {key: pinned[key] for key in got}
+
+
+def test_cli_keeps_the_names_that_traced_runs_wrap(scene_files, tmp_path, monkeypatch):
+    """A traced benchmark run wraps each ``CLI_CALLS`` name of ``rcdet.cli``
+    by ``setattr``, so ``rcdet run`` must reach them through the module."""
+    assert [name for name in CLI_CALLS if not hasattr(cli, name)] == []
+    calls = []
+    run_scenes = cli.run_scenes
+    monkeypatch.setattr(cli, "run_scenes", lambda *a, **k: calls.append(1) or run_scenes(*a, **k))
+    scene = scene_files("lite-2w")[0]
+    assert main(WORKLOADS["lite-2w"].run_args(scene, str(tmp_path / "dets.jsonl"))) == 0
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("name", ["lite-2w", "hybrid-large"])

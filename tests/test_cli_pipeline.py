@@ -10,6 +10,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -236,36 +238,22 @@ def test_frame_front_end_checks_expansion_once_per_call(monkeypatch):
     assert sorted(names) == ["expansion", "max_sweeps"]
 
 
-@pytest.mark.parametrize(
-    "strategy,variant,synth",
-    [
-        ("learned", "lite", SynthConfig(seed=8, n_frames=6, objects_max=3)),
-        # A small camera keeps the 1037-channel heatmaps small, and 30-40
-        # point clusters make the KPConv GEMMs big enough for BLAS threads.
-        (
-            "hybrid",
-            "large",
-            SynthConfig(
-                seed=8, n_frames=3, objects_max=3, points_per_object_min=30,
-                points_per_object_max=40, image_size=(200, 112), focal=125.0,
-            ),
-        ),
-    ],
-    ids=["learned-lite", "hybrid-large"],
-)
-def test_run_scenes_worker_pool_matches_serial(strategy, variant, synth):
-    frames = synth_scene(synth)
-    net = build_network(variant, seed=0)
-    cfg = PipelineConfig(feature_strategy=strategy)
-    serial = run_scenes(frames, cfg, net, workers=1)
-    pooled = run_scenes(list(reversed(frames)), cfg, net, workers=4)
-    assert [r.frame_id for r in pooled] == [r.frame_id for r in serial]
-    for a, b in zip(serial, pooled):
+def test_run_scenes_orders_results_by_frame_id():
+    """Frames run in input order; the results come back in frame-id order."""
+    frames = synth_scene(SynthConfig(seed=8, n_frames=6, objects_max=3))
+    net = build_network("lite", seed=0)
+    cfg = PipelineConfig(feature_strategy="learned")
+    forward = run_scenes(frames, cfg, net)
+    backward = run_scenes(list(reversed(frames)), cfg, net)
+    assert [r.frame_id for r in backward] == sorted(f.frame_id for f in frames)
+    assert [r.frame_id for r in backward] == [r.frame_id for r in forward]
+    for a, b in zip(forward, backward):
         assert len(a.detections) == len(b.detections)
         for da, db in zip(a.detections, b.detections):
             assert da.score == db.score
             assert np.array_equal(da.box.center, db.box.center)
-        assert np.array_equal(a.radar_heatmap.values, b.radar_heatmap.values)
+        assert np.array_equal(a.radar_heatmap.owner, b.radar_heatmap.owner)
+        assert np.array_equal(a.radar_heatmap.rows, b.radar_heatmap.rows)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -942,6 +930,21 @@ def test_cli_run_accepts_option_bounds(tmp_path):
     assert main(args[:5] + ["--threshold", "0"]) == 0
 
 
+def test_cli_run_output_is_the_same_for_every_worker_count(tmp_path, capsys):
+    """``--workers`` is checked but changes nothing: frames run in order on
+    one thread."""
+    scenes = _write_scene(tmp_path, seed=8, n_frames=6, objects_max=3)
+    written = []
+    for workers in ("1", "2", "3"):
+        dets = tmp_path / f"dets-{workers}.jsonl"
+        args = ["run", "--scenes", scenes, "--out", str(dets), "--features", "learned"]
+        assert main(args + ["--net", "lite", "--workers", workers]) == 0
+        written.append(dets.read_bytes())
+    assert written[0].count(b"\n") == 7
+    assert written[1] == written[0] and written[2] == written[0]
+    assert capsys.readouterr().out.count("processed 6 frames") == 3
+
+
 def test_cli_rejects_duplicate_frame_ids(tmp_path, capsys):
     scenes = _write_scene(tmp_path, seed=2, n_frames=2, objects_max=2)
     dets = str(tmp_path / "dets.jsonl")
@@ -954,6 +957,28 @@ def test_cli_rejects_duplicate_frame_ids(tmp_path, capsys):
     _rewrite_first_frame(scenes, lambda rec: rec.update(frame_id=1))
     assert main(["run", "--scenes", scenes, "--out", dets]) == 1
     assert "line 3: duplicate frame_id 1" in capsys.readouterr().err
+
+
+def test_cli_import_compiles_no_loss_or_bench_module():
+    """``import rcdet.cli`` leaves the loss suite and the association
+    benchmark unimported; the package still exports their names."""
+    src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
+    script = (
+        "import rcdet.cli, sys; "
+        "print(sorted({'rcdet.losses', 'rcdet.bench'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+    import rcdet
+
+    assert {"focal_loss", "bench_association"} <= set(dir(rcdet))
+    assert rcdet.total_loss.__module__ == "rcdet.losses"
+    assert rcdet.BenchReport.__module__ == "rcdet.bench"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        rcdet.no_such_name
 
 
 def test_cli_bench_smoke(capsys):

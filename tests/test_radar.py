@@ -15,6 +15,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -610,6 +611,35 @@ def test_member_rows_gate_bounds_are_inclusive():
     )
     assert rows.tolist() == [1, 2]
     assert _member_matrix(associate_naive(points, [det], camera), points) == [[1, 2]]
+
+
+def test_member_rows_pair_stage_peak_is_bounded():
+    """N detections sharing one frustum over M rows inside it gate N × M
+    pairs. They are box-tested in groups of at most 2**16 pairs, so the peak
+    above one detection's call is that budget's temporaries (under 192 B a
+    pair) plus the members returned, not a multiple of N × M."""
+    det, camera = _detection_at(depth=20.0, yaw=0.0)
+    rng = np.random.default_rng(0)
+    table = np.zeros((8000, 7))
+    table[:, 0] = rng.uniform(-0.5, 0.5, len(table))
+    table[:, 1] = rng.uniform(19.5, 20.5, len(table))
+
+    def peak(n_dets: int) -> tuple[int, list[np.ndarray]]:
+        tracemalloc.start()
+        try:
+            rows = radar._member_rows(
+                table, [det] * n_dets, camera, radar.DEFAULT_PILLAR_DIMS, 1.0
+            )
+            return tracemalloc.get_traced_memory()[1], rows
+        finally:
+            tracemalloc.stop()
+
+    one, (rows,) = peak(1)
+    assert rows.tolist() == list(range(len(table)))
+    many, rows = peak(48)
+    assert all(r.tolist() == list(range(len(table))) for r in rows)
+    members = 48 * len(table) * np.dtype(np.intp).itemsize
+    assert many <= one + 2**16 * 192 + members + 2**20
 
 
 def test_associate_soundness_members_pass_predicate(rng):
