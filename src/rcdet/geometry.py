@@ -139,6 +139,25 @@ class Box3D:
         self.yaw = wrap_angle(self.yaw)
 
 
+def _column_boxes(centers, dims, yaws, velocities) -> list[Box3D]:
+    """One :class:`Box3D` per row of already-checked columns: ``centers`` and
+    ``dims`` (n, 3) and ``velocities`` (n, 2) float64 arrays of finite
+    values, every dim positive, and ``yaws`` n finite floats.
+
+    The boxes skip ``__post_init__``: their vectors are views of the rows and
+    their yaw is wrapped, exactly what the checked constructor would have
+    stored.
+    """
+    new = object.__new__
+    out = []
+    for center, size, yaw, velocity in zip(centers, dims, yaws, velocities):
+        box = new(Box3D)
+        box.center, box.dims, box.velocity = center, size, velocity
+        box.yaw = wrap_angle(yaw)
+        out.append(box)
+    return out
+
+
 @dataclass
 class Box2D:
     """Axis-aligned image-plane box, min corner (x_min, y_min) to max corner."""
@@ -171,6 +190,19 @@ class Box2D:
         hw = 0.5 * (self.x_max - self.x_min) * factor
         hh = 0.5 * (self.y_max - self.y_min) * factor
         return Box2D(cx - hw, cy - hh, cx + hw, cy + hh)
+
+
+def _column_box2ds(rows) -> list[Box2D]:
+    """One :class:`Box2D` per already-checked ``[x_min, y_min, x_max, y_max]``
+    row of finite floats, no min corner past its max corner. The boxes skip
+    ``__post_init__``, whose checks those rows pass."""
+    new = object.__new__
+    out = []
+    for row in rows:
+        box = new(Box2D)
+        box.x_min, box.y_min, box.x_max, box.y_max = row
+        out.append(box)
+    return out
 
 
 def transform_to_camera(camera: CameraModel, point: np.ndarray) -> np.ndarray:

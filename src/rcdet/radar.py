@@ -17,8 +17,9 @@ component arithmetic.
 Every set of radar returns is one row table: a read-only float64 array of
 shape (n, 7) whose columns are x, y, z, v_x, v_y, rcs and sweep age. A
 sweep, a frame's accumulated rows and a member store each hold one.
-``_point_table`` turns :class:`RadarPoint` objects into a table and
-``_row_points`` turns a table into points.
+``_point_table`` turns :class:`RadarPoint` objects into a table,
+``_row_points`` turns a table into points and ``_table_sweeps`` cuts a
+checked table into sweeps.
 
 ``cluster_sweeps`` runs a frame's whole front end (accumulate, range gate,
 associate) on the sweeps' tables. Its clusters share one member store, the
@@ -135,7 +136,9 @@ class RadarSweep:
     The timestamp must be a real number (not a bool) and each column an
     array of real numbers of its shape; then one pass checks that the whole
     table is finite and names the first column, in the order above, that is
-    not. A sweep pickles as its timestamp and ``table``.
+    not. A sweep pickles as its timestamp and ``table``. The scene reader
+    builds its sweeps without this constructor (``_table_sweeps``): each
+    holds a read-only row range of its frame's one table.
     """
 
     timestamp: float
@@ -182,6 +185,10 @@ class RadarSweep:
         # Frozen before the views are taken: a view keeps the flag it was
         # made with.
         table.flags.writeable = False
+        self._hold(table)
+
+    def _hold(self, table: np.ndarray) -> None:
+        """Store the read-only row ``table`` and its four column views."""
         self.table = table
         self.positions, self.velocities = table[:, :3], table[:, 3:5]
         self.rcs, self.sweep_ages = table[:, 5], table[:, 6]
@@ -213,6 +220,28 @@ def _point_table(points: Sequence[RadarPoint]) -> np.ndarray:
         [p.rcs for p in points],
         [p.sweep_age for p in points],
     ])
+
+
+def _table_sweeps(
+    table: np.ndarray, stamps: Sequence[float], ends: Sequence[int]
+) -> list[RadarSweep]:
+    """One :class:`RadarSweep` per row range of an already-checked row
+    ``table``: sweep ``i`` holds rows ``ends[i - 1]:ends[i]`` (from 0 for the
+    first) and the finite float ``stamps[i]``.
+
+    The sweeps skip ``__post_init__``: each holds a view of its rows, not a
+    copy, with the column views the checked constructor would have made.
+    The table is made read-only first, so no sweep can change another.
+    """
+    table.flags.writeable = False
+    new = object.__new__
+    out = []
+    for stamp, start, end in zip(stamps, [0, *ends], ends):
+        sweep = new(RadarSweep)
+        sweep.timestamp = stamp
+        sweep._hold(table[start:end])
+        out.append(sweep)
+    return out
 
 
 def _row_points(table: np.ndarray) -> list[RadarPoint]:
@@ -292,6 +321,30 @@ class PreliminaryDetection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.depth <= 0:
             raise ValueError(f"estimated depth must be positive, got {self.depth}")
+
+
+def _column_detections(
+    class_ids, scores, bboxes, centers, depths, log_sigmas, boxes, attributes
+) -> list[PreliminaryDetection]:
+    """One :class:`PreliminaryDetection` per index of already-checked
+    columns: ints ``class_ids`` and ``attributes``, floats ``scores`` in
+    [0, 1], positive ``depths`` and finite ``log_sigmas``, :class:`Box2D`
+    ``bboxes`` and :class:`Box3D` ``boxes``, and an (n, 2) float64
+    ``centers`` array of finite values.
+
+    The detections skip ``__post_init__``: each ``projected_center`` is a
+    view of its row, exactly what the checked constructor would have stored.
+    """
+    new = object.__new__
+    out = []
+    for values in zip(class_ids, scores, bboxes, centers, depths, log_sigmas, boxes, attributes):
+        det = new(PreliminaryDetection)
+        (
+            det.class_id, det.score, det.bbox2d, det.projected_center,
+            det.depth, det.log_sigma, det.box3d, det.attribute,
+        ) = values
+        out.append(det)
+    return out
 
 
 @dataclass(eq=False)

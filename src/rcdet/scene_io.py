@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .geometry import (
     Box2D,
     Box3D,
     CameraModel,
+    _column_box2ds,
+    _column_boxes,
     box3d_corners,
     project_box_to_bbox2d,
     project_point,
@@ -45,6 +47,8 @@ from .radar import (
     PreliminaryDetection,
     RadarPoint,
     RadarSweep,
+    _column_detections,
+    _table_sweeps,
     build_frustum,
     frustum_contains,
     pillar_expand,
@@ -171,56 +175,78 @@ def _objects(record: dict, name: str, line: int, what: str) -> list[dict]:
     return value
 
 
-_NUMBER_TYPES = {int, float}  # not bool: a JSON true is no number
-
-
-def _finite(
-    record: dict, name: str, line: int, what: str, default: Any = None, array: bool = False,
-    bools: bool = False,
-) -> Any:
-    """``record[name]``: a finite number, or with ``array`` a list of finite
-    numbers. A missing field takes ``default``, or is an error when there is
-    none. A boolean is no number; ``bools`` lets it through for
-    :func:`_integer` to name."""
-    value = _require_field(record, name, line) if default is None else record.get(name, default)
+def _field_values(records: list[dict], name: str, line: int, default: Any = None) -> list:
+    """Field ``name`` of every one of ``records``. A missing field takes
+    ``default``, or is an error when there is none."""
     try:
-        if array:
-            if not isinstance(value, list):
-                raise TypeError
-            if not (bools or _NUMBER_TYPES.issuperset(map(type, value))):
-                raise TypeError
-            finite = all(map(math.isfinite, value))
-        else:
-            if not (bools or type(value) in _NUMBER_TYPES):
-                raise TypeError
-            finite = math.isfinite(value)
-    except (TypeError, OverflowError):
-        kind = "a list of numbers" if array else "a number"
-        raise ParseError(f"line {line}: {what} {name} must be {kind}") from None
+        if default is None:
+            return [record[name] for record in records]
+        return [record.get(name, default) for record in records]
+    except KeyError:  # indexing, not _require_field: this runs per record
+        raise ParseError(f"line {line}: missing field {name!r}") from None
+
+
+_NUMBER_TYPES = {int, float}  # not bool: a JSON true is no number
+# An integer field lets a boolean past its type check, to name it no integer.
+_INTEGER_TYPES = {int, float, bool}
+
+
+def _numbers(
+    values: Any, line: int, label: str, integral: bool = False, plural: bool = False
+) -> list:
+    """``values``, which must be a list, as floats, each a finite number, or
+    with ``integral`` as ints, each an integer. A boolean is no number, and
+    nor is an integer beyond float64. ``label`` names the field in the error
+    (``line 2: detection score must be a number``); ``plural`` words it for
+    the items of one list field (``… must be a list of numbers``)."""
+    kinds = ("a list of numbers", "a list of integers") if plural else ("a number", "an integer")
+    types = _INTEGER_TYPES if integral else _NUMBER_TYPES
+    try:
+        numeric = type(values) is list and types.issuperset(map(type, values))
+        finite = numeric and all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond float64
+        numeric = False
+    if not numeric:
+        raise ParseError(f"line {line}: {label} must be {kinds[0]}")
     if not finite:
-        raise ParseError(f"line {line}: {what} {name} must be finite")
-    return value
+        raise ParseError(f"line {line}: {label} must be finite")
+    if not integral:
+        return list(map(float, values))
+    if any(type(x) is bool or x != int(x) for x in values):
+        raise ParseError(f"line {line}: {label} must be {kinds[1]}")
+    return list(map(int, values))
 
 
-def _integer(
-    record: dict, name: str, line: int, what: str, default: Any = None, array: bool = False
-) -> Any:
-    """:func:`_finite` with every number integral, converted to int. A
-    fraction or a boolean (which Python reads as a number) is an error."""
-    value = _finite(record, name, line, what, default, array, bools=True)
-    numbers = value if array else (value,)
-    if any(isinstance(x, bool) or x != int(x) for x in numbers):
-        kind = "a list of integers" if array else "an integer"
-        raise ParseError(f"line {line}: {what} {name} must be {kind}")
-    return [int(x) for x in numbers] if array else int(value)
+def _column(
+    records: list[dict], name: str, line: int, what: str, default: Any = None,
+    integral: bool = False,
+) -> list:
+    """Field ``name`` of every one of ``records``, a line's records of kind
+    ``what``, checked by :func:`_numbers` in one pass over them all."""
+    values = _field_values(records, name, line, default)
+    return _numbers(values, line, f"{what} {name}", integral)
 
 
-def _label(record: dict, name: str, line: int, what: str, default: Any = None) -> int:
-    """A class or attribute id: an integer in [0, MAX_LABEL]."""
-    value = _integer(record, name, line, what, default)
-    if not 0 <= value <= MAX_LABEL:
+def _labels(records: list[dict], name: str, line: int, what: str, default: Any = None) -> list:
+    """A class or attribute id per record: an integer in [0, MAX_LABEL]."""
+    labels = _column(records, name, line, what, default, integral=True)
+    if not all(0 <= label <= MAX_LABEL for label in labels):
         raise ParseError(f"line {line}: {what} {name} must be in [0, {MAX_LABEL}]")
-    return value
+    return labels
+
+
+def _rows(records: list[dict], name: str, line: int, what: str, width: int) -> np.ndarray:
+    """Field ``name`` of every one of ``records``, each a list of ``width``
+    finite numbers, as one (n, ``width``) float64 array, checked in one pass
+    over them all."""
+    values = _field_values(records, name, line)
+    label = f"{what} {name}"
+    if not set(map(type, values)) <= {list}:
+        raise ParseError(f"line {line}: {label} must be a list of numbers")
+    flat = _numbers(list(chain.from_iterable(values)), line, label, plural=True)
+    if not set(map(len, values)) <= {width}:
+        raise ParseError(f"line {line}: {label} must be a list of {width} numbers")
+    return np.array(flat, dtype=np.float64).reshape(-1, width)
 
 
 def _camera_to_json(camera: CameraModel) -> dict:
@@ -232,7 +258,8 @@ def _camera_to_json(camera: CameraModel) -> dict:
 
 
 def _camera_from_json(obj: dict, line: int) -> CameraModel:
-    image_size = _integer(obj, "image_size", line, "camera", array=True)
+    image_size = _require_field(obj, "image_size", line)
+    image_size = _numbers(image_size, line, "camera image_size", integral=True, plural=True)
     if not all(1 <= side <= MAX_IMAGE_SIDE for side in image_size):
         raise ParseError(f"line {line}: camera image_size must be in [1, {MAX_IMAGE_SIDE}]")
     try:
@@ -262,16 +289,18 @@ def _box3d_to_json(box: Box3D) -> dict:
     }
 
 
-def _box3d_from_json(obj: dict, line: int) -> Box3D:
-    try:
-        return Box3D(
-            center=_finite(obj, "center", line, "box", array=True),
-            dims=_finite(obj, "dims", line, "box", array=True),
-            yaw=float(_finite(obj, "yaw", line, "box")),
-            velocity=_finite(obj, "velocity", line, "box", array=True),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"line {line}: bad box record: {exc}") from exc
+def _boxes_from_json(records: list[dict], line: int, what: str) -> list[Box3D]:
+    """The ``box`` of every one of ``records``, a line's records of kind
+    ``what``: each box field (center, dims, yaw, velocity) is checked across
+    all of them before the next."""
+    boxes = [_object(record, "box", line, what) for record in records]
+    centers = _rows(boxes, "center", line, "box", 3)
+    dims = _rows(boxes, "dims", line, "box", 3)
+    if not (dims > 0).all():
+        raise ParseError(f"line {line}: box dims must be positive")
+    yaws = _column(boxes, "yaw", line, "box")
+    velocities = _rows(boxes, "velocity", line, "box", 2)
+    return _column_boxes(centers, dims, yaws, velocities)
 
 
 def _detection_to_json(det: PreliminaryDetection) -> dict:
@@ -287,41 +316,41 @@ def _detection_to_json(det: PreliminaryDetection) -> dict:
     }
 
 
-def _detection_from_json(obj: dict, line: int) -> PreliminaryDetection:
-    bbox = _finite(obj, "bbox", line, "detection", array=True)
-    try:
-        return PreliminaryDetection(
-            class_id=_label(obj, "class_id", line, "detection"),
-            score=float(_finite(obj, "score", line, "detection")),
-            bbox2d=Box2D(*(float(v) for v in bbox)),
-            projected_center=_finite(obj, "center2d", line, "detection", array=True),
-            depth=float(_finite(obj, "depth", line, "detection")),
-            log_sigma=float(_finite(obj, "log_sigma", line, "detection")),
-            box3d=_box3d_from_json(_object(obj, "box", line, "detection"), line),
-            attribute=_label(obj, "attribute", line, "detection", default=0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"line {line}: bad detection record: {exc}") from exc
-
-
-def _check_detection_fits(det: PreliminaryDetection, camera: CameraModel, line: int) -> None:
-    """The detection's box and center lie in its camera's image (edges
-    included), and its depth is beyond the radar depth gate's floor."""
+def _detections_from_json(
+    records: list[dict], camera: CameraModel, line: int
+) -> list[PreliminaryDetection]:
+    """A line's detections, each field checked across all of them before the
+    next, in the order :func:`_detection_to_json` writes them. Each must fit
+    its camera: its box and center lie in the image (edges included), and
+    its depth is beyond the radar depth gate's floor."""
+    what = "detection"
     width, height = camera.image_size
-    box = det.bbox2d
-    if not (0 <= box.x_min and box.x_max <= width and 0 <= box.y_min and box.y_max <= height):
-        raise ParseError(
-            f"line {line}: detection bbox must lie inside the {width}x{height} image"
-        )
-    u, v = det.projected_center
-    if not (0 <= u <= width and 0 <= v <= height):
+    class_ids = _labels(records, "class_id", line, what)
+    scores = _column(records, "score", line, what)
+    if not all(0.0 <= score <= 1.0 for score in scores):
+        raise ParseError(f"line {line}: detection score must be in [0, 1]")
+    bboxes = _rows(records, "bbox", line, what, 4)
+    if (bboxes[:, :2] > bboxes[:, 2:]).any():
+        raise ParseError(f"line {line}: detection bbox min corner must not exceed its max corner")
+    if (bboxes[:, :2] < 0).any() or (bboxes[:, 2:] > (width, height)).any():
+        raise ParseError(f"line {line}: detection bbox must lie inside the {width}x{height} image")
+    centers = _rows(records, "center2d", line, what, 2)
+    if (centers < 0).any() or (centers > (width, height)).any():
         raise ParseError(
             f"line {line}: detection center2d must lie inside the {width}x{height} image"
         )
-    if det.depth <= DEPTH_GATE_FLOOR:
+    depths = _column(records, "depth", line, what)
+    if not all(depth > DEPTH_GATE_FLOOR for depth in depths):
         raise ParseError(
             f"line {line}: detection depth must be greater than the {DEPTH_GATE_FLOOR} m gate floor"
         )
+    log_sigmas = _column(records, "log_sigma", line, what)
+    boxes = _boxes_from_json(records, line, what)
+    attributes = _labels(records, "attribute", line, what, default=0)
+    return _column_detections(
+        class_ids, scores, _column_box2ds(bboxes.tolist()), centers, depths, log_sigmas, boxes,
+        attributes,
+    )
 
 
 def _sweep_to_json(sweep: RadarSweep) -> dict:
@@ -338,13 +367,7 @@ def _point_column(records: list[dict], name: str, width: int, line: int) -> np.n
     """Field ``name`` of every radar point record as one float64 column:
     (N, ``width``) for a list field, (N,) for a number (``width`` 0, and 0.0
     where the field is missing)."""
-    try:
-        if width:
-            values = [rec[name] for rec in records]
-        else:
-            values = [rec.get(name, 0.0) for rec in records]
-    except KeyError:  # indexing, not _require_field: this runs per point
-        raise ParseError(f"line {line}: missing field {name!r}") from None
+    values = _field_values(records, name, line, None if width else 0.0)
     kind = f"a list of {width} numbers" if width else "a number"
     if width:
         if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {width}):
@@ -363,7 +386,7 @@ def _point_column(records: list[dict], name: str, width: int, line: int) -> np.n
 
 
 # Each radar point field: (name, list width or 0 for a number), in the order
-# the frame's columns are parsed and checked.
+# the frame's columns are parsed and checked, which is their order in a row.
 _POINT_COLUMNS = (("position", 3), ("velocity", 2), ("rcs", 0), ("sweep_age", 0))
 
 
@@ -371,29 +394,26 @@ def _sweeps_from_json(record: dict, line: int) -> list[RadarSweep]:
     """The frame's sweeps, newest first: timestamps never increase, and each
     lies a finite time behind the newest (its points' sweep age).
 
-    Every sweep's ``points`` and ``timestamp`` are checked first; then each
-    point field is parsed in one pass over all of the frame's points, field
-    by field, and each sweep takes its row range of those columns. So of two
-    bad fields, the first in ``_POINT_COLUMNS`` order is reported, whichever
-    sweep holds it.
+    Every sweep's ``points`` are checked first, then every ``timestamp``;
+    then each point field is parsed in one pass over all of the frame's
+    points, field by field, into one read-only (n, 7) row table, and each
+    sweep holds its row range of it. So of two bad fields, the first in
+    ``_POINT_COLUMNS`` order is reported, whichever sweep holds it.
     """
-    point_lists, stamps = [], []
-    for sweep in _objects(record, "radar_sweeps", line, "frame"):
-        point_lists.append(_objects(sweep, "points", line, "sweep"))
-        stamps.append(float(_finite(sweep, "timestamp", line, "sweep")))
+    sweeps = _objects(record, "radar_sweeps", line, "frame")
+    point_lists = [_objects(sweep, "points", line, "sweep") for sweep in sweeps]
+    stamps = _column(sweeps, "timestamp", line, "sweep")
     points = list(chain.from_iterable(point_lists))
-    columns = [_point_column(points, name, width, line) for name, width in _POINT_COLUMNS]
-    if (columns[-1] < 0).any():
+    table = np.column_stack(
+        [_point_column(points, name, width, line) for name, width in _POINT_COLUMNS]
+    )
+    if (table[:, 6] < 0).any():
         raise ParseError(f"line {line}: radar point sweep_age must be >= 0")
     if any(newer < older for newer, older in zip(stamps, stamps[1:])):
         raise ParseError(f"line {line}: frame radar_sweeps must be ordered newest first")
     if stamps and not math.isfinite(stamps[0] - stamps[-1]):
         raise ParseError(f"line {line}: frame radar_sweeps must span a finite time")
-    ends = list(accumulate(map(len, point_lists)))
-    return [
-        RadarSweep(stamp, *(column[start:end] for column in columns))
-        for stamp, start, end in zip(stamps, [0, *ends], ends)
-    ]
+    return _table_sweeps(table, stamps, list(accumulate(map(len, point_lists))))
 
 
 def _frame_to_json(frame: SceneFrame) -> dict:
@@ -412,54 +432,65 @@ def _frame_to_json(frame: SceneFrame) -> dict:
     return record
 
 
+def _ground_truth_from_json(records: list[dict], line: int) -> list[GroundTruth]:
+    """A line's ground truth, each field checked across all of its records
+    before the next: box, class_id, attribute."""
+    what = "ground truth"
+    boxes = _boxes_from_json(records, line, what)
+    class_ids = _labels(records, "class_id", line, what)
+    attributes = _labels(records, "attribute", line, what, default=0)
+    return list(map(GroundTruth, boxes, class_ids, attributes))
+
+
 def _frame_from_json(record: dict, line: int) -> SceneFrame:
+    """One scene line's frame, read in this order: ground truth, frame_id,
+    camera, radar sweeps, detections. Within the sweeps' points, the ground
+    truth and the detections, each field is checked across all of the
+    line's records of that kind before the next field, so of two bad fields
+    the first in field order is reported, whichever record holds it."""
     ground_truth = None
     if record.get("ground_truth") is not None:
-        ground_truth = [
-            GroundTruth(
-                box=_box3d_from_json(_object(g, "box", line, "ground truth"), line),
-                class_id=_label(g, "class_id", line, "ground truth"),
-                attribute=_label(g, "attribute", line, "ground truth", default=0),
-            )
-            for g in _objects(record, "ground_truth", line, "frame")
-        ]
-    frame_id = _integer(record, "frame_id", line, "frame")
+        records = _objects(record, "ground_truth", line, "frame")
+        ground_truth = _ground_truth_from_json(records, line)
+    frame_id = _column([record], "frame_id", line, "frame", integral=True)[0]
     camera = _camera_from_json(_object(record, "camera", line, "frame"), line)
     radar_sweeps = _sweeps_from_json(record, line)
-    detections = [
-        _detection_from_json(d, line) for d in _objects(record, "detections", line, "frame")
-    ]
-    for det in detections:
-        _check_detection_fits(det, camera, line)
+    records = _objects(record, "detections", line, "frame")
+    detections = _detections_from_json(records, camera, line)
     return SceneFrame(frame_id, camera, radar_sweeps, detections, ground_truth)
 
 
-def _read_lines(path: str, schema: str) -> list[tuple[int, dict]]:
+def _read_lines(path: str, schema: str) -> Iterator[tuple[int, dict]]:
+    """Each record after the file's schema header, with its line number,
+    decoded one line at a time as the caller asks for it. Lines are numbered
+    as ``str.splitlines`` splits the file. So a line's invalid JSON is
+    reported only after every earlier record has been converted."""
+    header = None
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    records = []
-    for number, text in enumerate(lines, start=1):
-        if not text.strip():
-            continue
-        try:
-            record = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
-            raise ParseError(f"line {number}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ParseError(f"line {number}: expected a JSON object")
-        records.append((number, record))
-    if not records:
+        lines = chain.from_iterable(map(str.splitlines, fh))
+        for number, text in enumerate(lines, start=1):
+            if not text.strip():
+                continue
+            try:
+                record = json.loads(text)
+            except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+                raise ParseError(f"line {number}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ParseError(f"line {number}: expected a JSON object")
+            if header is not None:
+                yield number, record
+                continue
+            header = record
+            if header.get("schema") != schema:
+                raise ParseError(
+                    f"line {number}: expected schema {schema!r}, got {header.get('schema')!r}"
+                )
+            if header.get("version") != SCHEMA_VERSION:
+                raise SchemaVersionMismatch(
+                    f"{path}: schema version {header.get('version')}, expected {SCHEMA_VERSION}"
+                )
+    if header is None:
         raise ParseError(f"{path}: empty file, expected a schema header")
-    header_line, header = records[0]
-    if header.get("schema") != schema:
-        raise ParseError(
-            f"line {header_line}: expected schema {schema!r}, got {header.get('schema')!r}"
-        )
-    if header.get("version") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"{path}: schema version {header.get('version')}, expected {SCHEMA_VERSION}"
-        )
-    return records[1:]
 
 
 def save_scenes(path: str, frames: Sequence[SceneFrame]) -> None:
@@ -503,21 +534,18 @@ def save_detections(path: str, results: Sequence[tuple[int, list[DetectionBox3D]
 
 
 def load_detections(path: str) -> list[tuple[int, list[DetectionBox3D]]]:
+    """Each line's frame id and boxes. A line's box fields are checked across
+    all of its boxes, one field at a time, in the order they are written."""
     results, seen = [], set()
     for line, record in _read_lines(path, DETECTIONS_SCHEMA):
-        frame_id = _integer(record, "frame_id", line, "frame")
+        frame_id = _column([record], "frame_id", line, "frame", integral=True)[0]
         _claim_frame_id(seen, frame_id, line)
-        boxes = []
-        for rec in _objects(record, "boxes", line, "frame"):
-            boxes.append(
-                DetectionBox3D(
-                    box=_box3d_from_json(_object(rec, "box", line, "box"), line),
-                    class_id=_label(rec, "class_id", line, "box"),
-                    score=float(_finite(rec, "score", line, "box")),
-                    attribute=_label(rec, "attribute", line, "box", default=0),
-                )
-            )
-        results.append((frame_id, boxes))
+        records = _objects(record, "boxes", line, "frame")
+        class_ids = _labels(records, "class_id", line, "box")
+        scores = _column(records, "score", line, "box")
+        boxes = _boxes_from_json(records, line, "box")
+        attributes = _labels(records, "attribute", line, "box", default=0)
+        results.append((frame_id, list(map(DetectionBox3D, boxes, class_ids, scores, attributes))))
     return results
 
 

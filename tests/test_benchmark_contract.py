@@ -21,11 +21,19 @@ from perfbench.probe import CLI_CALLS  # noqa: E402
 from perfbench.tracing import Tracer, traced_process_frame  # noqa: E402
 from rcdet import cli  # noqa: E402
 from rcdet.cli import main  # noqa: E402
+from rcdet.decoder import DetectionBox3D  # noqa: E402
 from rcdet.kpconv import build_network  # noqa: E402
 from rcdet.pipeline import PipelineConfig, process_frame  # noqa: E402
 from rcdet.radar import accumulate_sweeps, associate, associate_naive, range_filter  # noqa: E402
 from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
-from rcdet.scene_io import SynthConfig, load_scenes, save_scenes, synth_scene  # noqa: E402
+from rcdet.scene_io import (  # noqa: E402
+    SynthConfig,
+    load_detections,
+    load_scenes,
+    save_detections,
+    save_scenes,
+    synth_scene,
+)
 
 
 def _box_bits(detections) -> list[tuple]:
@@ -122,6 +130,68 @@ def test_parsed_sweeps_are_the_generated_bits(scene_files, workload_frames, name
 
     parsed = [frame for path in scene_files(name) for frame in load_scenes(path)]
     assert bits(parsed) == bits(workload_frames(name))
+
+
+def _array_bits(array) -> tuple:
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _box3d_bits(box) -> tuple:
+    # float.hex names a float's every bit, and refuses an int.
+    return (*map(_array_bits, (box.center, box.dims, box.velocity)), float.hex(box.yaw))
+
+
+def _frame_object_bits(frame) -> tuple:
+    """A frame's camera, ground truth and detections, bit for bit."""
+    camera = frame.camera
+    return (
+        frame.frame_id,
+        _array_bits(camera.intrinsic),
+        _array_bits(camera.extrinsic),
+        camera.image_size,
+        [(_box3d_bits(g.box), g.class_id, g.attribute) for g in frame.ground_truth],
+        [
+            (
+                d.class_id,
+                float.hex(d.score),
+                [float.hex(d.bbox2d.x_min), float.hex(d.bbox2d.y_min)],
+                [float.hex(d.bbox2d.x_max), float.hex(d.bbox2d.y_max)],
+                _array_bits(d.projected_center),
+                float.hex(d.depth),
+                float.hex(d.log_sigma),
+                _box3d_bits(d.box3d),
+                d.attribute,
+            )
+            for d in frame.detections
+        ],
+    )
+
+
+def _detection_file_bits(results) -> list:
+    return [
+        (frame_id, [(_box3d_bits(b.box), b.class_id, float.hex(b.score), b.attribute) for b in bs])
+        for frame_id, bs in results
+    ]
+
+
+@pytest.mark.parametrize("name", ["lite-2w", "hybrid-large", "dense-handcrafted"])
+def test_parsed_objects_are_the_generated_bits(scene_files, workload_frames, tmp_path, name):
+    """Every seed-0 scene file parses back to the generated frames' camera,
+    ground truth (box arrays, yaw and labels) and detections (class, score,
+    bbox, center2d, depth, log_sigma, box and attribute), bit for bit. A
+    detections file of the generated detections' boxes loads back to them
+    bit for bit."""
+    generated = workload_frames(name)
+    parsed = [frame for path in scene_files(name) for frame in load_scenes(path)]
+    assert list(map(_frame_object_bits, parsed)) == list(map(_frame_object_bits, generated))
+
+    def boxes(frame):
+        return [DetectionBox3D(d.box3d, d.class_id, d.score, d.attribute) for d in frame.detections]
+
+    results = [(frame.frame_id, boxes(frame)) for frame in generated]
+    path = str(tmp_path / "dets.jsonl")
+    save_detections(path, results)
+    assert _detection_file_bits(load_detections(path)) == _detection_file_bits(results)
 
 
 @pytest.mark.parametrize("name", ["lite-2w", "hybrid-large", "dense-handcrafted"])

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 from rcdet import scene_io
 from rcdet.decoder import DetectionBox3D
 from rcdet.errors import ParseError, SchemaVersionMismatch
-from rcdet.geometry import Box3D, project_point
-from rcdet.radar import accumulate_sweeps, associate, range_filter
+from rcdet.geometry import Box2D, Box3D, project_point
+from rcdet.radar import (
+    PreliminaryDetection,
+    RadarSweep,
+    accumulate_sweeps,
+    associate,
+    range_filter,
+)
 from rcdet.scene_io import (
     SCHEMA_VERSION,
     SceneFrame,
@@ -233,7 +239,153 @@ def test_point_fields_are_parsed_once_per_frame(tmp_path, monkeypatch, n_sweeps)
     ]
 
 
+def _detection_boxes(frames) -> list:
+    """Each frame's id and its detections' boxes, as a detections file holds them."""
+    return [
+        (
+            frame.frame_id,
+            [DetectionBox3D(d.box3d, d.class_id, d.score, d.attribute) for d in frame.detections],
+        )
+        for frame in frames
+    ]
+
+
+def _rewrite_record(path: str, edit) -> None:
+    header, record_line = Path(path).read_text().splitlines()
+    record = json.loads(record_line)
+    edit(record)
+    Path(path).write_text(header + "\n" + json.dumps(record) + "\n")
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(record):
+        for step in path:
+            record = record[step]
+        record[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind,edits,message",
+    [
+        (
+            "scenes",
+            [_set("detections", 0, "box", "velocity", [0.0]), _set("detections", 1, "score", "hi")],
+            "line 2: detection score must be a number",
+        ),
+        (
+            "scenes",
+            [_set("detections", 0, "attribute", 1.5), _set("detections", 1, "depth", 0.2)],
+            "line 2: detection depth must be greater than the 0.5 m gate floor",
+        ),
+        (
+            "scenes",
+            [_set("ground_truth", 0, "attribute", 2.5), _set("ground_truth", 1, "box", "yaw", [])],
+            "line 2: box yaw must be a number",
+        ),
+        (
+            "detections",
+            [_set("boxes", 0, "attribute", -1), _set("boxes", 1, "class_id", 0.5)],
+            "line 2: box class_id must be an integer",
+        ),
+    ],
+    ids=["detection-score-before-box", "detection-depth-before-attribute",
+         "ground-truth-box-before-attribute", "box-class_id-before-attribute"],
+)
+def test_record_fields_are_checked_in_field_order_across_records(tmp_path, kind, edits, message):
+    """Two records on one line, each with a bad field: every field is
+    checked across all of the line's records of that kind before the next
+    field, so the field that comes first in field order is reported, though
+    the earlier record holds the later field."""
+    path = str(tmp_path / f"{kind}.jsonl")
+    frames = synth_scene(SynthConfig(seed=1, n_frames=1, objects_min=2, objects_max=2))
+    if kind == "scenes":
+        save_scenes(path, frames)
+    else:
+        save_detections(path, _detection_boxes(frames))
+    for edit in edits:
+        _rewrite_record(path, edit)
+    with pytest.raises(ParseError) as raised:
+        (load_scenes if kind == "scenes" else load_detections)(path)
+    assert str(raised.value) == message
+
+
+def test_readers_build_objects_without_their_checked_constructors(tmp_path, monkeypatch):
+    """The readers check each field once and build boxes, detections and
+    sweeps from the checked columns: no ``__post_init__`` runs while
+    ``load_scenes`` or ``load_detections`` reads a file."""
+    frames = synth_scene(SynthConfig(seed=4, n_frames=3, objects_min=2, objects_max=4, n_sweeps=3))
+    scenes, dets = str(tmp_path / "scenes.jsonl"), str(tmp_path / "dets.jsonl")
+    save_scenes(scenes, frames)
+    save_detections(dets, _detection_boxes(frames))
+    checked = []
+    for cls in (Box3D, Box2D, PreliminaryDetection, RadarSweep):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: checked.append(self) or check(self)
+        )
+    parsed, loaded = load_scenes(scenes), load_detections(dets)
+    assert checked == []
+    assert sum(len(f.ground_truth) for f in parsed) == sum(len(b) for _, b in loaded) > 0
+    assert all(len(f.radar_sweeps) == 3 for f in parsed)
+    Box3D(center=[0.0, 10.0, 1.0], dims=[1.0, 1.0, 1.0], yaw=0.0)
+    assert len(checked) == 1
+
+
+def test_parsed_sweeps_share_one_read_only_frame_table(tmp_path):
+    """A parsed frame's sweeps are row ranges of one read-only table, in
+    sweep order, holding the generated rows."""
+    path = str(tmp_path / "scenes.jsonl")
+    frames = synth_scene(SynthConfig(seed=4, n_frames=2, n_sweeps=3, clutter_density=0.01))
+    save_scenes(path, frames)
+    for parsed, generated in zip(load_scenes(path), frames):
+        tables = [s.table for s in parsed.radar_sweeps]
+        base = tables[0].base
+        assert all(t.base is base and not t.flags.writeable for t in tables)
+        assert np.concatenate(tables).tobytes() == base.tobytes()
+        assert [t.tobytes() for t in tables] == [s.table.tobytes() for s in generated.radar_sweeps]
+
+
 _HEADER = json.dumps({"schema": "rcdet.scene", "version": SCHEMA_VERSION})
+
+
+def test_lines_are_decoded_one_at_a_time(tmp_path):
+    """The reader decodes a line only when its record is asked for, so a
+    record comes back before a later line's invalid JSON is seen."""
+    path = tmp_path / "scenes.jsonl"
+    path.write_text(_HEADER + "\n" + '{"frame_id": 0}\n{not json\n')
+    records = scene_io._read_lines(str(path), "rcdet.scene")
+    assert next(records) == (2, {"frame_id": 0})
+    with pytest.raises(ParseError, match="line 3: invalid JSON"):
+        next(records)
+
+
+def test_earlier_record_error_wins_over_later_invalid_json(tmp_path):
+    """Lines are converted as they are read: a bad record on line 2 is
+    reported, not the invalid JSON on line 3."""
+    path = tmp_path / "scenes.jsonl"
+    save_scenes(str(path), synth_scene(SynthConfig(seed=1, n_frames=1)))
+    _rewrite_record(str(path), _set("frame_id", "zero"))
+    path.write_text(path.read_text() + "{not json\n")
+    with pytest.raises(ParseError) as raised:
+        load_scenes(str(path))
+    assert str(raised.value) == "line 2: frame frame_id must be a number"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_numbers_count_as_splitlines_splits(tmp_path, newline):
+    """Any newline ends a line, and a form feed or a line separator inside a
+    line splits it, as ``str.splitlines`` splits: the bad JSON on the fourth
+    physical line is on line 6."""
+    path = tmp_path / "scenes.jsonl"
+    text = newline.join([_HEADER, "", "\x0c \u2028 ", "{not json"]) + newline
+    path.write_text(text, newline="")
+    assert text.splitlines().index("{not json") == 5
+    with pytest.raises(ParseError, match="^line 6: invalid JSON"):
+        load_scenes(str(path))
 
 
 @pytest.mark.parametrize(
