@@ -14,12 +14,15 @@ of two products, picked by the layer's weight shape alone. A narrow layer
 (in × out below ``_SPARSE_MIN_WEIGHTS``: every ``lite`` layer, ``large``
 layers 0-1) multiplies all rows by the stacked (K·in, out) kernel in blocks
 of exactly ``_ROW_BLOCK`` rows. A wide layer multiplies each kernel point's
-(in, out) block only by the rows that kernel point reaches, in blocks of
-exactly ``_KERNEL_ROW_BLOCK`` rows: a query reaches one or two of the 15
-``large`` kernel points, and its other per-kernel-point inputs are exact
-zeros. Either way every BLAS call of a layer has one shape, and a row's
-result depends only on that row's own values, summed in a fixed order, so a
-cluster gets the same row in any frame as alone.
+(in, out) block only by the rows that kernel point reaches, in one BLAS call
+over those rows zero-padded to a multiple of ``_KERNEL_ROW_BLOCK``: a query
+reaches one or two of the 15 ``large`` kernel points, and its other
+per-kernel-point inputs are exact zeros. A row's result depends only on that
+row's own values, summed in a fixed order, so a cluster gets the same row in
+any frame as alone. On narrow layers that holds because every call has one
+shape; on wide layers it rests on BLAS computing a row of any multiple of
+``_KERNEL_ROW_BLOCK`` rows as it does in a block of exactly that many, which
+``test_wide_product_rows_independent_of_padded_row_count`` pins.
 
 Kernel weights are drawn once from a seeded generator and frozen; the module
 provides forward evaluation and the analytic weight gradient (for
@@ -64,9 +67,10 @@ _ROW_BLOCK = 32
 # up, and 3-8 times as long on every lite layer and on large 5×64; on large
 # 64×128, which stays dense, it saved about 0.06 of 0.28 ms a frame.
 _SPARSE_MIN_WEIGHTS = 2**14
-# Rows per kernel-point product of a wide layer. A kernel point reaches few
-# rows (about two on the last large layer), so the blocks are small; 8 and 16
-# timed within noise of each other.
+# A wide layer's kernel-point product pads its rows to a multiple of this.
+# Each call re-reads the whole W_k (4 MiB on the last large layer), so a
+# kernel point makes one call over all its rows; the padding keeps a single
+# row off gemv, whose bits differ from a block's.
 _KERNEL_ROW_BLOCK = 8
 
 _CHECKPOINT_MAGIC = b"RCKP"
@@ -506,13 +510,15 @@ def _contract(weighted: np.ndarray, layer: KPConvLayerConfig) -> np.ndarray:
     works one kernel point at a time: a query reaches only a few of the K
     kernel points, and the other (row, k) blocks of ``weighted`` are exact
     zeros. Kernel point k multiplies only its active rows, those whose
-    (row, k) block has a nonzero entry, by W_k in blocks of
-    ``_KERNEL_ROW_BLOCK`` rows, and each row sums its products over its
-    active kernel points in ascending k, starting from zero.
+    (row, k) block has a nonzero entry, by W_k in one call, the rows
+    zero-padded to a multiple of ``_KERNEL_ROW_BLOCK``, and each row sums its
+    products over its active kernel points in ascending k, starting from zero.
 
-    Every BLAS call of a layer has the same shape and kernel, and a row's
-    sum runs over its own blocks only, so a row's bits do not depend on how
-    many rows share the product or where the row sits in it.
+    A row's sum runs over its own blocks only, and a wide layer's BLAS call
+    gives a row the bits it has in a call of exactly ``_KERNEL_ROW_BLOCK``
+    rows (pinned by ``test_wide_product_rows_independent_of_padded_row_count``),
+    so a row's bits do not depend on how many rows share the product or
+    where the row sits in it.
     """
     k, c_in, c_out = layer.weights.shape
     if c_in * c_out < _SPARSE_MIN_WEIGHTS:
@@ -523,7 +529,8 @@ def _contract(weighted: np.ndarray, layer: KPConvLayerConfig) -> np.ndarray:
     for point, kernel in enumerate(layer.weights):
         rows = np.flatnonzero(active[:, point])
         if rows.size:
-            out[rows] += _row_blocks(blocks[rows, point], kernel, _KERNEL_ROW_BLOCK)
+            padded = -(-rows.size // _KERNEL_ROW_BLOCK) * _KERNEL_ROW_BLOCK
+            out[rows] += _row_blocks(blocks[rows, point], kernel, padded)
     return out
 
 
@@ -550,8 +557,8 @@ def kpconv_forward(
 
     out(q) = sum over neighbors i and kernel points k of
     max(0, 1 - |p_i - q - y_k| / sigma) * (f_i @ W_k); empty neighborhoods
-    produce zero rows. The weight product runs in fixed-shape row blocks
-    (``_contract``), so each query's row is bit-identical to the same
+    produce zero rows. The weight product (``_contract``) computes each
+    query's row from that row alone, so it is bit-identical to the same
     query's row in any other product, such as a frame pass.
     """
     weighted = _listed_neighborhood(layer, query_positions, support, neighbors)
@@ -608,9 +615,9 @@ def learned_rows(clusters: Sequence[Cluster], net: KPNetworkConfig) -> np.ndarra
     The clusters' point sets are stacked (``_point_sets``), each point
     tagged with its cluster's segment id; subsampling and neighbor search
     never cross segments. The influence gather and the weight product each
-    run once per layer over the whole frame; the product's fixed-shape row
-    blocks (``_contract``) give every row the bits it has when its cluster
-    runs alone. Empty clusters yield zero rows.
+    run once per layer over the whole frame; the product (``_contract``)
+    gives every row the bits it has when its cluster runs alone. Empty
+    clusters yield zero rows.
     """
     return _learned_rows(*canonical_members(clusters), net)
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 import platform
 
 import numpy as np
@@ -13,17 +16,38 @@ from rcdet.errors import BehindCamera
 from rcdet.radar import PreliminaryDetection, RadarPoint
 
 
+def _openblas_core() -> str:
+    """The core that numpy's bundled OpenBLAS picked at run time, or
+    ``unknown`` when there is no such library or it does not say."""
+    here = os.path.dirname(np.__file__)
+    for pattern in ("../numpy.libs/libscipy_openblas64_*", ".dylibs/libscipy_openblas64_*"):
+        for path in glob.glob(os.path.join(here, pattern)):
+            try:
+                corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+            except (OSError, AttributeError):
+                continue
+            corename.restype = ctypes.c_char_p
+            return (corename() or b"unknown").decode("ascii", "replace")
+    return "unknown"
+
+
 def pytest_report_header(config) -> str:
     """The versions that the sha256 pins depend on: numpy's reduction order
     and memory layout, and the BLAS kernels of the KPConv weight products
-    (fixed (32, K·in) blocks on narrow layers, (8, in) blocks per kernel
-    point on wide ones), decide the bits of the pinned feature rows."""
+    (fixed (32, K·in) blocks on narrow layers, one call per kernel point of
+    a multiple of 8 rows on wide ones), decide the bits of the pinned
+    feature rows. A ``DYNAMIC_ARCH`` OpenBLAS picks those kernels by the
+    CPU it runs on, so the pins and the wide layers' row-count property
+    depend on that core, not only on the build version."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip()
     except (TypeError, KeyError):
         blas = "unknown"
-    return f"numpy {np.__version__}, BLAS {blas}, Python {platform.python_version()}"
+    return (
+        f"numpy {np.__version__}, BLAS {blas} (core {_openblas_core()}), "
+        f"Python {platform.python_version()}"
+    )
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

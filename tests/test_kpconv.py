@@ -866,10 +866,10 @@ def test_learned_rows_within_tolerance_of_dense_product(networks, monkeypatch):
 
 
 def test_wide_layers_multiply_only_active_rows(networks, monkeypatch):
-    """Kernel point k of a wide layer multiplies exactly ceil(a_k / B) blocks
-    of B rows, a_k being the rows whose k block has a nonzero entry, and no
-    block at all when a_k is 0; a narrow layer multiplies ceil(N_q / 32)
-    blocks of 32 rows. No other product runs."""
+    """Kernel point k of a wide layer makes exactly one product, of its a_k
+    active rows (those whose k block has a nonzero entry) zero-padded to
+    ceil(a_k / B) * B rows, and none when a_k is 0; a narrow layer multiplies
+    ceil(N_q / 32) blocks of 32 rows. No other product runs."""
     net = networks["large"]
     products = _counting(monkeypatch, "_contract")
     calls = []
@@ -898,13 +898,32 @@ def test_wide_layers_multiply_only_active_rows(networks, monkeypatch):
         active = np.count_nonzero(weighted.reshape(-1, k, c_in).any(axis=2), axis=0)
         reached += active.tolist()
         for kernel, a_k in zip(layer.weights, active):
-            blocks = [(_KERNEL_BLOCK, c_in)] * -(-a_k // _KERNEL_BLOCK)
-            assert against(kernel) == blocks
-            expected += len(blocks)
+            product = [(-(-a_k // _KERNEL_BLOCK) * _KERNEL_BLOCK, c_in)] if a_k else []
+            assert against(kernel) == product
+            expected += len(product)
     assert len(calls) == expected
-    # The frame has kernel points that reach no row and ones that fill more
-    # than one block.
+    # The frame has kernel points that reach no row and ones that reach more
+    # than B rows, so a product of more than B rows runs.
     assert min(reached) == 0 and max(reached) > _KERNEL_BLOCK
+
+
+@pytest.mark.parametrize("layer_index", [2, 3, 4])
+def test_wide_product_rows_independent_of_padded_row_count(networks, layer_index):
+    """A wide layer's kernel-point product multiplies all of a kernel point's
+    rows in one call of ceil(a_k / B) * B rows. Its rows keep their bits only
+    because this BLAS computes a row of a product of any multiple of B rows
+    as it does in a product of exactly B rows; a single row would go to gemv
+    and differ. Pinned here for every wide (in, out) shape of ``large``."""
+    layer = networks["large"].layers[layer_index]
+    assert _is_wide(layer)
+    kernel = layer.weights[1]
+    rng = np.random.default_rng(layer_index)
+    rows = rng.normal(size=(128 * _KERNEL_BLOCK, kernel.shape[0]))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    blocks = kpconv._row_blocks(rows, kernel, _KERNEL_BLOCK)
+    for j in [*range(1, 41), 64, 128]:
+        n = j * _KERNEL_BLOCK
+        assert kpconv._row_blocks(rows[:n], kernel, n).tobytes() == blocks[:n].tobytes(), n
 
 
 def test_learned_rows_empty_frame_and_empty_clusters(rng):
