@@ -218,18 +218,23 @@ def _kernel_point_layouts(
         directions = rng.normal(size=(count, 3))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         starts.append(directions * rng.uniform(size=(count, 1)) ** (1.0 / 3.0))
-    points = np.stack(starts)
-    points[:, 0] = 0.0
+    # Coordinate planes (3, layouts, count). Each norm sums (x² + y²) + z²
+    # and the force sums over j along a non-inner axis, in j order, as a
+    # per-point loop would: other orders change the layouts' bits.
+    points = np.stack(starts).transpose(2, 0, 1).copy()
+    points[:, :, 0] = 0.0
+    eye = np.eye(count)
     for _ in range(150):
-        diff = points[:, :, None, :] - points[:, None, :, :]
-        dist = np.linalg.norm(diff, axis=3) + np.eye(count)
-        force = (diff / dist[..., None] ** 3).sum(axis=2)
-        step = np.clip(0.01 * force, -0.05, 0.05)
-        step[:, 0] = 0.0
-        points = points + step
-        norms = np.linalg.norm(points, axis=2, keepdims=True)
-        points = points / np.maximum(norms, 1.0)
-    return points * np.asarray(radii, dtype=np.float64)[:, None, None]
+        diff = points[:, :, None, :] - points[:, :, :, None]  # [c, l, j, i] = p_i - p_j
+        x, y, z = diff
+        diff /= (np.sqrt((x * x + y * y) + z * z) + eye) ** 3
+        step = np.clip(0.01 * np.add.reduce(diff, axis=2), -0.05, 0.05)
+        step[:, :, 0] = 0.0
+        points += step
+        x, y, z = points
+        points /= np.maximum(np.sqrt((x * x + y * y) + z * z), 1.0)
+    layouts = np.ascontiguousarray(points.transpose(1, 2, 0))
+    return layouts * np.asarray(radii, dtype=np.float64)[:, None, None]
 
 
 def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:

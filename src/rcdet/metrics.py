@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,13 +55,17 @@ class EvalConfig:
             raise ValueError("distance_thresholds must hold at least one threshold, got ()")
         for i, t in enumerate(thresholds):
             check_number(f"distance_thresholds[{i}]", t, above=0)
-        if list(thresholds) != sorted(thresholds):
-            raise ValueError("distance thresholds must be ascending")
+        # AP is keyed by (class, threshold): a repeat would count once in
+        # mAP but once per repeat in the TP errors.
+        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError(f"distance_thresholds must be strictly ascending, got {thresholds!r}")
         self.distance_thresholds = thresholds
         check_number("tp_threshold", self.tp_threshold, above=0)
         _check_ap_floors(self.min_recall, self.min_precision)
         for i, c in enumerate(self.class_ids or ()):
             check_number(f"class_ids[{i}]", c, integer=True, low=0)
+        if self.class_ids is not None and len(set(self.class_ids)) != len(self.class_ids):
+            raise ValueError(f"class_ids must not repeat a class, got {self.class_ids!r}")
 
 
 def _check_ap_floors(min_recall: float, min_precision: float) -> None:
@@ -182,21 +187,35 @@ def average_precision(
     tp_flags = np.asarray(tp_flags, dtype=bool)
     if scores.shape != tp_flags.shape:
         raise ValueError("scores and tp_flags must have the same length")
+    return _average_precisions(scores, tp_flags[None], num_gt, min_recall, min_precision)[0]
+
+
+# Exact-hundredth grid points (linspace would put 0.7000...01 above a recall
+# of exactly 7/10 and spuriously zero that sample).
+_RECALL_GRID = np.arange(101) / 100.0
+
+
+def _average_precisions(
+    scores: np.ndarray, flags: np.ndarray, num_gt: int, min_recall: float, min_precision: float
+) -> list[float]:
+    """:func:`average_precision` of each row of the (rows, n) bool ``flags``
+    against the same n float64 ``scores``, unchecked: the scores are ranked
+    once and every row's curve is accumulated in one pass."""
     if scores.size == 0:
-        return 0.0
-    order = np.argsort(-scores, kind="stable")
-    tp_cum = np.cumsum(tp_flags[order])
-    fp_cum = np.cumsum(~tp_flags[order])
-    recall = tp_cum / num_gt
-    precision = tp_cum / (tp_cum + fp_cum)
-    # Exact-hundredth grid points (linspace would put 0.7000...01 above a
-    # recall of exactly 7/10 and spuriously zero that sample).
-    grid = np.arange(101) / 100.0
-    sampled = np.interp(grid, recall, precision, right=0.0)
+        return [0.0] * len(flags)
+    ranked = flags[:, np.argsort(-scores, kind="stable")]
+    tp_cum = np.cumsum(ranked, axis=1)
+    fp_cum = np.cumsum(~ranked, axis=1)
+    recalls = tp_cum / num_gt
+    precisions = tp_cum / (tp_cum + fp_cum)
     start = round(100 * min_recall) + 1
-    clipped = np.maximum(sampled[start:] - min_precision, 0.0)
-    # fsum keeps the mean exact for a perfect detector (all samples equal).
-    return math.fsum(clipped) / clipped.size / (1.0 - min_precision)
+    values = []
+    for recall, precision in zip(recalls, precisions):
+        sampled = np.interp(_RECALL_GRID, recall, precision, right=0.0)
+        clipped = np.maximum(sampled[start:] - min_precision, 0.0)
+        # fsum keeps the mean exact for a perfect detector (all samples equal).
+        values.append(math.fsum(clipped) / clipped.size / (1.0 - min_precision))
+    return values
 
 
 def tp_errors(pairs: list[tuple[DetectionBox3D, GroundTruth]]) -> TPErrors:
@@ -242,12 +261,13 @@ def evaluate(
     """Full evaluation over a frame set.
 
     Per class and distance threshold, detections are matched frame by frame
-    (greedily, in confidence order) and pooled into one PR curve; mAP
-    averages AP over classes and thresholds. TP errors are averaged per
-    class over the matches at ``tp_threshold`` (classes with no matches
-    count each error as 1.0) and then across classes. Classes that never
-    appear in the ground truth are skipped; an entirely empty ground truth
-    raises EmptyGroundTruth.
+    (greedily, in confidence order) and pooled into one PR curve; a class's
+    curves share one ranking of its scores. mAP averages AP over classes and
+    thresholds. TP errors are averaged per class over the matches at
+    ``tp_threshold`` (those of the equal distance threshold, if any; classes
+    with no matches count each error as 1.0) and then across classes.
+    Classes that never appear in the ground truth are skipped; an entirely
+    empty ground truth raises EmptyGroundTruth.
     """
     cfg = cfg or EvalConfig()
     if len(dets_per_frame) != len(gts_per_frame):
@@ -282,24 +302,30 @@ def evaluate(
         frame_candidates = [
             _candidates(dets, gts, limit) for dets, gts in zip(frame_dets, frame_gts)
         ]
-        for threshold in cfg.distance_thresholds:
-            scores: list[float] = []
-            flags: list[bool] = []
-            for dets, candidates in zip(frame_dets, frame_candidates):
-                matched = {di for di, _, _ in _greedy_matches(candidates, threshold)}
-                scores.extend(det.score for det in dets)
-                flags.extend(di in matched for di in range(len(dets)))
-            ap[(class_id, threshold)] = average_precision(
-                np.array(scores),
-                np.array(flags, dtype=bool),
-                gt_counts[class_id],
-                cfg.min_recall,
-                cfg.min_precision,
-            )
-        pairs = []
-        for dets, gts, candidates in zip(frame_dets, frame_gts, frame_candidates):
-            matches = _greedy_matches(candidates, cfg.tp_threshold)
-            pairs.extend((dets[di], gts[gi]) for di, gi, _ in matches)
+        scores = np.array([det.score for dets in frame_dets for det in dets], dtype=np.float64)
+        starts = list(accumulate(map(len, frame_dets), initial=0))
+        flags = np.zeros((len(cfg.distance_thresholds), scores.size), dtype=bool)
+        matches_at = {}
+        for row, threshold in enumerate(cfg.distance_thresholds):
+            matches_at[threshold] = [_greedy_matches(c, threshold) for c in frame_candidates]
+            hits = [
+                start + di
+                for start, matches in zip(starts, matches_at[threshold])
+                for di, _, _ in matches
+            ]
+            flags[row, hits] = True
+        values = _average_precisions(
+            scores, flags, gt_counts[class_id], cfg.min_recall, cfg.min_precision
+        )
+        ap.update(((class_id, t), v) for t, v in zip(cfg.distance_thresholds, values))
+        tp_matches = matches_at.get(cfg.tp_threshold)
+        if tp_matches is None:
+            tp_matches = [_greedy_matches(c, cfg.tp_threshold) for c in frame_candidates]
+        pairs = [
+            (dets[di], gts[gi])
+            for dets, gts, matches in zip(frame_dets, frame_gts, tp_matches)
+            for di, gi, _ in matches
+        ]
         per_class_errors.append((tp_errors(pairs), bool(pairs)))
 
     mean_ap = float(np.mean([ap[key] for key in ap]))

@@ -280,6 +280,24 @@ def _camera_from_json(obj: dict, line: int) -> CameraModel:
     return camera
 
 
+class _CameraReader:
+    """Reads a file's camera records, parsing one only when its ``repr``
+    differs from the last record parsed, so frames with equal records share
+    one :class:`CameraModel`. ``repr`` compares JSON values type-exactly
+    (``==`` would let a ``false`` stand in for a ``0``)."""
+
+    def __init__(self) -> None:
+        self._record: str | None = None
+        self._camera: CameraModel | None = None
+
+    def __call__(self, obj: dict, line: int) -> CameraModel:
+        record = repr(obj)
+        if record != self._record:
+            self._camera = _camera_from_json(obj, line)
+            self._record = record
+        return self._camera
+
+
 def _box3d_to_json(box: Box3D) -> dict:
     return {
         "center": box.center.tolist(),
@@ -442,7 +460,7 @@ def _ground_truth_from_json(records: list[dict], line: int) -> list[GroundTruth]
     return list(map(GroundTruth, boxes, class_ids, attributes))
 
 
-def _frame_from_json(record: dict, line: int) -> SceneFrame:
+def _frame_from_json(record: dict, line: int, read_camera: _CameraReader) -> SceneFrame:
     """One scene line's frame, read in this order: ground truth, frame_id,
     camera, radar sweeps, detections. Within the sweeps' points, the ground
     truth and the detections, each field is checked across all of the
@@ -453,7 +471,7 @@ def _frame_from_json(record: dict, line: int) -> SceneFrame:
         records = _objects(record, "ground_truth", line, "frame")
         ground_truth = _ground_truth_from_json(records, line)
     frame_id = _column([record], "frame_id", line, "frame", integral=True)[0]
-    camera = _camera_from_json(_object(record, "camera", line, "frame"), line)
+    camera = read_camera(_object(record, "camera", line, "frame"), line)
     radar_sweeps = _sweeps_from_json(record, line)
     records = _objects(record, "detections", line, "frame")
     detections = _detections_from_json(records, camera, line)
@@ -507,9 +525,9 @@ def _claim_frame_id(seen: set[int], frame_id: int, line: int) -> None:
 
 
 def load_scenes(path: str) -> list[SceneFrame]:
-    frames, seen = [], set()
+    frames, seen, read_camera = [], set(), _CameraReader()
     for line, record in _read_lines(path, SCENE_SCHEMA):
-        frames.append(_frame_from_json(record, line))
+        frames.append(_frame_from_json(record, line, read_camera))
         _claim_frame_id(seen, frames[-1].frame_id, line)
     return frames
 

@@ -611,6 +611,41 @@ def test_batched_kernel_layouts_match_one_seed_layouts():
             assert layout.tobytes() == kernel_point_layout(count, radius, seed).tobytes()
 
 
+def _kernel_point_layouts_oracle(count, radii, seeds):
+    """The point-major repulsion loop the coordinate-plane one replaced."""
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        directions = rng.normal(size=(count, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        starts.append(directions * rng.uniform(size=(count, 1)) ** (1.0 / 3.0))
+    points = np.stack(starts)
+    points[:, 0] = 0.0
+    for _ in range(150):
+        diff = points[:, :, None, :] - points[:, None, :, :]
+        dist = np.linalg.norm(diff, axis=3) + np.eye(count)
+        force = (diff / dist[..., None] ** 3).sum(axis=2)
+        step = np.clip(0.01 * force, -0.05, 0.05)
+        step[:, 0] = 0.0
+        points = points + step
+        norms = np.linalg.norm(points, axis=2, keepdims=True)
+        points = points / np.maximum(norms, 1.0)
+    return points * np.asarray(radii, dtype=np.float64)[:, None, None]
+
+
+@pytest.mark.parametrize("variant", sorted(kpconv.VARIANT_SPECS))
+def test_kernel_layouts_on_planes_match_point_major_loop(variant):
+    """The layouts of every variant's network seeds keep the point-major
+    loop's bits, C-contiguous."""
+    count, n_layers, _, _ = kpconv.VARIANT_SPECS[variant]
+    radii = [kpconv.RADIUS_PER_CELL * kpconv.DEFAULT_BASE_CELL * 2.0**i for i in range(n_layers)]
+    for seed in range(40):
+        seeds = [seed * 1000 + i for i in range(n_layers)]
+        layouts = kpconv._kernel_point_layouts(count, radii, seeds)
+        assert layouts.flags.c_contiguous
+        assert layouts.tobytes() == _kernel_point_layouts_oracle(count, radii, seeds).tobytes()
+
+
 # sha256 over each layer's kernel-point bytes then weight bytes, in layer order.
 _NETWORK_DIGESTS = {
     "lite": "f8097d5885da6114a862485be9e64154a584571dd8e268197092291e6734fd1b",

@@ -6,20 +6,27 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcdet.decoder import DetectionBox3D
 from rcdet.errors import EmptyGroundTruth
 from rcdet.geometry import Box3D
 from rcdet.metrics import (
     EvalConfig,
+    EvalResult,
     GroundTruth,
+    TPErrors,
+    _average_precisions,
     average_precision,
     evaluate,
     match_detections,
     nds,
+    report_key_values,
     tp_errors,
 )
 
@@ -201,6 +208,37 @@ def test_ap_low_score_false_positive_never_helps(rng):
         assert extended <= base + 1e-12
 
 
+@st.composite
+def _ap_tables(draw):
+    """(scores, flags): n scores, ties likely, and a (rows, n) TP-flag table."""
+    n = draw(st.integers(0, 24))
+    scores = draw(st.lists(st.sampled_from([0.25, 0.5]) | st.floats(0, 1), min_size=n, max_size=n))
+    flags = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=5))
+    return np.array(scores, dtype=np.float64), np.array(flags, dtype=bool).reshape(len(flags), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=_ap_tables(),
+    num_gt=st.integers(1, 12),
+    min_recall=st.sampled_from([0.0, 0.1, 0.37, 0.99]),
+    min_precision=st.sampled_from([0.0, 0.1, 0.5, 0.99]),
+)
+@example(table=(np.zeros(0), np.zeros((3, 0), dtype=bool)), num_gt=2, min_recall=0.1, min_precision=0.1)
+@example(
+    table=(np.full(3, 0.5), np.array([[False] * 3, [False, True, True]])),
+    num_gt=2, min_recall=0.0, min_precision=0.0,
+)
+def test_one_pass_aps_equal_one_row_aps_bit_for_bit(table, num_gt, min_recall, min_precision):
+    """Ranking once and accumulating every row of a TP-flag table gives
+    each row the bits ``average_precision`` gives it alone, with tied
+    scores, empty input, all-false rows and floors of 0 among the cases."""
+    scores, flags = table
+    got = _average_precisions(scores, flags, num_gt, min_recall, min_precision)
+    want = [average_precision(scores, row, num_gt, min_recall, min_precision) for row in flags]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 # -- TP errors ----------------------------------------------------------------------
 
 
@@ -364,9 +402,79 @@ def test_evaluate_class_filter():
     assert set(result.ap) == {(0, t) for t in (0.5, 1.0, 2.0, 4.0)}
 
 
+def _evaluate_oracle(dets_per_frame, gts_per_frame, cfg):
+    """evaluate() as one ``average_precision`` per (class, threshold) over
+    ``match_detections``, and the TP errors from matches made at
+    ``tp_threshold`` on their own."""
+    gt_counts = Counter(g.class_id for gts in gts_per_frame for g in gts)
+    ap, per_class = {}, []
+    for class_id in sorted(gt_counts):
+        frame_dets = [
+            sorted((d for d in dets if d.class_id == class_id), key=lambda d: -d.score)
+            for dets in dets_per_frame
+        ]
+        frame_gts = [[g for g in gts if g.class_id == class_id] for gts in gts_per_frame]
+        for threshold in cfg.distance_thresholds:
+            scores, flags = [], []
+            for dets, gts in zip(frame_dets, frame_gts):
+                matched = {di for di, _, _ in match_detections(dets, gts, threshold)[0]}
+                scores += [d.score for d in dets]
+                flags += [di in matched for di in range(len(dets))]
+            ap[(class_id, threshold)] = average_precision(
+                np.array(scores), np.array(flags, dtype=bool), gt_counts[class_id],
+                cfg.min_recall, cfg.min_precision,
+            )
+        pairs = [
+            (dets[di], gts[gi])
+            for dets, gts in zip(frame_dets, frame_gts)
+            for di, gi, _ in match_detections(dets, gts, cfg.tp_threshold)[0]
+        ]
+        per_class.append((tp_errors(pairs), bool(pairs)))
+    mean_ap = float(np.mean(list(ap.values())))
+    errors = TPErrors(*(
+        float(np.mean([getattr(e, name) for e, _ in per_class]))
+        for name in ("ate", "ase", "aoe", "ave", "aae")
+    ))
+    aoe = float(np.mean([e.aoe / math.pi if matched else e.aoe for e, matched in per_class]))
+    score = nds(mean_ap, errors.ate, errors.ase, aoe, errors.ave, errors.aae)
+    return EvalResult(ap=ap, mean_ap=mean_ap, errors=errors, nds=score)
+
+
+@pytest.mark.parametrize("tp_threshold", [2.0, 0.7, 3.0, 5.0])
+def test_evaluate_report_equals_per_threshold_oracle(rng, tp_threshold):
+    """The one-pass evaluation reports what per-threshold AP calls and
+    separate TP matching report, byte for byte, whether ``tp_threshold`` is
+    one of the distance thresholds (its matches are reused) or not (it
+    matches on its own)."""
+    def center():
+        return rng.choice([0.0, 0.5, 1.5, 3.0]), rng.choice([10.0, 11.0, 13.0])
+
+    cfg = EvalConfig(distance_thresholds=(0.5, 1.0, 2.0, 4.0), tp_threshold=tp_threshold)
+    for _ in range(30):
+        frames = int(rng.integers(1, 4))
+        gts = [
+            [_gt(*center(), class_id=int(rng.integers(3)), yaw=rng.uniform(-3, 3))
+             for _ in range(int(rng.integers(0, 4)))]
+            for _ in range(frames)
+        ]
+        if not any(gts):
+            gts[0].append(_gt(0.0, 10.0))
+        dets = [
+            [_det(*center(), float(rng.choice([0.5, rng.uniform()])), class_id=int(rng.integers(3)),
+                  attribute=int(rng.integers(2)))
+             for _ in range(int(rng.integers(0, 5)))]
+            for _ in range(frames)
+        ]
+        want = report_key_values(_evaluate_oracle(dets, gts, cfg))
+        assert report_key_values(evaluate(dets, gts, cfg)) == want
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
+        ("distance_thresholds", (2.0, 1.0), "distance_thresholds must be strictly ascending, got (2.0, 1.0)"),
+        ("distance_thresholds", (1.0, 1.0), "distance_thresholds must be strictly ascending, got (1.0, 1.0)"),
+        ("class_ids", (0, 1, 1, 2), "class_ids must not repeat a class, got (0, 1, 1, 2)"),
         ("distance_thresholds", (0.5, math.nan), "distance_thresholds[1] must be a finite number > 0, got nan"),
         ("distance_thresholds", (0.5, math.inf), "distance_thresholds[1] must be a finite number > 0, got inf"),
         ("distance_thresholds", (True, 2.0), "distance_thresholds[0] must be a finite number > 0, got True"),

@@ -349,7 +349,49 @@ def test_parsed_sweeps_share_one_read_only_frame_table(tmp_path):
         assert [t.tobytes() for t in tables] == [s.table.tobytes() for s in generated.radar_sweeps]
 
 
-_HEADER = json.dumps({"schema": "rcdet.scene", "version": SCHEMA_VERSION})
+def _edit_lines(path: str, edits: dict) -> None:
+    """Apply ``edits[i]`` to record i (line i + 2) of a one-header file."""
+    header, *lines = Path(path).read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for i, edit in edits.items():
+        edit(records[i])
+    Path(path).write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+
+
+def test_equal_camera_records_share_one_camera(tmp_path, monkeypatch):
+    """A camera record equal to the previous frame's is not parsed again,
+    so those frames share one CameraModel, as synthesized frames do; a
+    record that differs only by ``1`` against ``1.0`` is parsed on its own."""
+    path = str(tmp_path / "scenes.jsonl")
+    save_scenes(path, synth_scene(SynthConfig(seed=2, n_frames=4, objects_max=2)))
+    _edit_lines(path, {2: _set("camera", "intrinsic", 2, 2, 1)})  # 1.0 in the others
+    parsed = []
+    parse = scene_io._camera_from_json
+    monkeypatch.setattr(
+        scene_io, "_camera_from_json", lambda obj, line: parsed.append(line) or parse(obj, line)
+    )
+    cameras = [frame.camera for frame in load_scenes(path)]
+    assert parsed == [2, 4, 5]
+    assert cameras[0] is cameras[1] and cameras[2] is not cameras[1]
+    assert cameras[3] is not cameras[2]
+    assert all(c.intrinsic.tobytes() == cameras[0].intrinsic.tobytes() for c in cameras)
+
+
+def test_camera_false_in_place_of_zero_fails_on_its_own_line(tmp_path):
+    """``false == 0``, but a frame whose camera holds a ``false`` where the
+    previous frame's holds a ``0`` is still parsed, and rejected with its
+    own line number."""
+    path = str(tmp_path / "scenes.jsonl")
+    save_scenes(path, synth_scene(SynthConfig(seed=2, n_frames=3, objects_max=2)))
+    _edit_lines(path, {
+        1: _set("camera", "intrinsic", 0, 1, 0), 2: _set("camera", "intrinsic", 0, 1, False),
+    })
+    with pytest.raises(ParseError) as raised:
+        load_scenes(path)
+    assert str(raised.value) == "line 4: camera intrinsic must be a matrix of numbers"
+
+
+_HEADER =json.dumps({"schema": "rcdet.scene", "version": SCHEMA_VERSION})
 
 
 def test_lines_are_decoded_one_at_a_time(tmp_path):
