@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,6 +47,7 @@ def _bounded(convert, **rule):
     return parse
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcdet",

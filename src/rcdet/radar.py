@@ -71,19 +71,20 @@ class RadarPoint:
         self.velocity = _point_vector("velocity", self.velocity, 2)
         self.rcs = _point_number("rcs", self.rcs)
         self.sweep_age = _point_number("sweep_age", self.sweep_age)
-        # Every point built one at a time pays these checks (synthetic
-        # scenes, bench inputs); rows of checked sweep columns skip this
-        # constructor through _row_points.
+        # Every point built one at a time pays these checks (bench inputs);
+        # rows of checked sweep columns skip this constructor through
+        # _row_points, and the synthetic generator runs the finite check on
+        # its rows without building a point.
         values = (*self.position.tolist(), *self.velocity.tolist(), self.rcs, self.sweep_age)
         check_finite("radar point", _POINT_FIELDS, values)
         if self.sweep_age < 0:
             raise ValueError(f"sweep_age must be >= 0, got {self.sweep_age}")
 
 
-def _point_vector(name: str, value, size: int) -> np.ndarray:
-    """A point's ``name`` field as a float64 vector of ``size`` numbers;
-    bools, strings, None, complex and ragged or oversized entries raise
-    ``ValueError`` with :class:`RadarSweep`'s wording."""
+def _number_array(what: str, value) -> np.ndarray:
+    """``value`` as an array of real numbers; bools, strings, None, complex,
+    integers beyond float64 and ragged lists raise ``ValueError`` naming
+    ``what``, such as ``radar sweep rcs must be an array of numbers``."""
     try:
         array = np.asarray(value)
         # numpy reads a list mixing bools into numbers as numbers.
@@ -94,7 +95,14 @@ def _point_vector(name: str, value, size: int) -> np.ndarray:
     except ValueError:  # a ragged list
         numeric = False
     if not numeric:
-        raise ValueError(f"radar point {name} must be an array of numbers")
+        raise ValueError(f"{what} must be an array of numbers")
+    return array
+
+
+def _point_vector(name: str, value, size: int) -> np.ndarray:
+    """A point's ``name`` field as a float64 vector of ``size`` numbers, by
+    :func:`_number_array`'s rule; a wrong size raises ``ValueError``."""
+    array = _number_array(f"radar point {name}", value)
     if array.size != size:
         raise ValueError(f"radar point {name} must hold {size} numbers, got shape {array.shape}")
     return np.asarray(array, dtype=np.float64).reshape(size)
@@ -134,11 +142,13 @@ class RadarSweep:
     arrays, cannot change the sweep.
 
     The timestamp must be a real number (not a bool) and each column an
-    array of real numbers of its shape; then one pass checks that the whole
-    table is finite and names the first column, in the order above, that is
-    not. A sweep pickles as its timestamp and ``table``. The scene reader
-    builds its sweeps without this constructor (``_table_sweeps``): each
-    holds a read-only row range of its frame's one table.
+    array of real numbers of its shape, with no bool in it, as in
+    :class:`RadarPoint`; then one pass checks that the whole table is finite
+    and names the first column, in the order above, that is not. A sweep
+    pickles as its timestamp and ``table``. The scene reader and the
+    synthetic generator build their sweeps without this constructor
+    (``_table_sweeps``): each holds a read-only row range of its frame's one
+    table.
     """
 
     timestamp: float
@@ -163,13 +173,7 @@ class RadarSweep:
             raise ValueError("radar sweep positions must be an array of numbers") from None
         table = np.empty((n, 7))
         for name, shape, into in _SWEEP_COLUMNS:
-            try:
-                column = np.asarray(getattr(self, name))
-                numeric = column.dtype.kind in "iuf"  # not bools, strings or objects
-            except ValueError:  # a ragged list
-                numeric = False
-            if not numeric:
-                raise ValueError(f"radar sweep {name} must be an array of numbers")
+            column = _number_array(f"radar sweep {name}", getattr(self, name))
             if column.shape != (n, *shape):
                 raise ValueError(
                     f"radar sweep {name} must have shape {(n, *shape)}, got {column.shape}"
@@ -576,16 +580,22 @@ def frustum_contains(frustum: FrustumROI, pillar: Pillar) -> bool:
     the frustum's 2D box (corner must be in front of the camera) and the
     *point's* camera-frame depth lies inside the depth gate, bounds inclusive.
     """
+    return _pillar_in_frustum(frustum, pillar.center, pillar.half_extents)
+
+
+def _pillar_in_frustum(frustum: FrustumROI, center, half_extents) -> bool:
+    """:func:`frustum_contains` of the pillar with ``center`` (x, y, z) and
+    ``half_extents``, without building a :class:`Pillar`."""
     camera = frustum.camera
     ext = camera.extrinsic
     k = camera.intrinsic
-    px, py, pz = (float(v) for v in pillar.center)
+    px, py, pz = (float(v) for v in center)
     center_depth = ext[2, 0] * px + ext[2, 1] * py + ext[2, 2] * pz + ext[2, 3]
     d_min, d_max = frustum.depth_range
     if not d_min <= center_depth <= d_max:
         return False
     box = frustum.bbox2d
-    hx, hy, hz = (float(v) for v in pillar.half_extents)
+    hx, hy, hz = (float(v) for v in half_extents)
     for sx, sy, sz in _SAMPLE_SIGNS:
         x = px + sx * hx
         y = py + sy * hy

@@ -13,7 +13,10 @@ velocity projected onto the sensor ray and re-expanded to a BEV vector),
 uniform clutter is added, and preliminary detections are derived from the
 boxes with a configurable noise model. With noise disabled the generated
 scenes are exactly recoverable end to end, which is what the oracle tests
-rely on.
+rely on. Each sampled return is written straight into a row of the frame's
+radar row table, with no object per return, and a synthesized frame's
+sweeps are row ranges of that one read-only table: the layout that
+``load_scenes`` gives a parsed frame.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .decoder import DetectionBox3D
-from .errors import BehindCamera, ParseError, SchemaVersionMismatch, check_number
+from .errors import BehindCamera, ParseError, SchemaVersionMismatch, check_finite, check_number
 from .geometry import (
     MIN_FOCAL,
     Box2D,
@@ -41,17 +44,15 @@ from .geometry import (
 )
 from .metrics import GroundTruth
 from .radar import (
+    _POINT_FIELDS,
     DEFAULT_PILLAR_DIMS,
     DEPTH_GATE_FLOOR,
-    Pillar,
     PreliminaryDetection,
-    RadarPoint,
     RadarSweep,
     _column_detections,
+    _pillar_in_frustum,
     _table_sweeps,
     build_frustum,
-    frustum_contains,
-    pillar_expand,
 )
 
 SCENE_SCHEMA = "rcdet.scene"
@@ -630,68 +631,64 @@ def _radial_velocity(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     return float(velocity @ ray) * ray
 
 
-def _noiseless_detection(
-    camera: CameraModel, gt: GroundTruth, log_sigma: float
+def _detection(
+    camera: CameraModel, gt: GroundTruth, cfg: SynthConfig, rng: np.random.Generator | None = None
 ) -> PreliminaryDetection:
-    """Exact detection record for a planted box (used for frustum checks)."""
-    center_px, depth = project_point(camera, gt.box.center)
-    return PreliminaryDetection(
-        class_id=gt.class_id,
-        score=1.0,
-        bbox2d=project_box_to_bbox2d(camera, gt.box),
-        projected_center=center_px,
-        depth=depth,
-        log_sigma=log_sigma,
-        box3d=gt.box,
-        attribute=gt.attribute,
-    )
-
-
-def _detection_from_box(
-    rng: np.random.Generator, cfg: SynthConfig, camera: CameraModel, gt: GroundTruth
-) -> PreliminaryDetection:
+    """The detection of the planted box ``gt``: exact, with score 1, when
+    there is no ``rng`` (for the box's own frustum); else it draws, in this
+    order, the box jitter, the depth noise and the score. Jitter moves each
+    min corner either way and each max corner only outward, and a min corner
+    that would pass its max corner stops at it."""
     bbox = project_box_to_bbox2d(camera, gt.box)
-    if cfg.bbox_jitter > 0:
-        width, height = cfg.image_size
-        jitter = rng.normal(0.0, cfg.bbox_jitter, size=4)
-        bbox = Box2D(
-            min(max(bbox.x_min + jitter[0], 0.0), width),
-            min(max(bbox.y_min + jitter[1], 0.0), height),
-            min(max(bbox.x_max + abs(jitter[2]), 0.0), width),
-            min(max(bbox.y_max + abs(jitter[3]), 0.0), height),
-        )
     center_px, depth = project_point(camera, gt.box.center)
-    if cfg.depth_noise > 0:
-        depth = max(depth + rng.normal(0.0, cfg.depth_noise), 1.0)
+    score = 1.0
+    if rng is not None:
+        if cfg.bbox_jitter > 0:
+            width, height = cfg.image_size
+            jitter = rng.normal(0.0, cfg.bbox_jitter, size=4)
+            x_max = min(max(bbox.x_max + abs(jitter[2]), 0.0), width)
+            y_max = min(max(bbox.y_max + abs(jitter[3]), 0.0), height)
+            bbox = Box2D(
+                min(max(bbox.x_min + jitter[0], 0.0), width, x_max),
+                min(max(bbox.y_min + jitter[1], 0.0), height, y_max),
+                x_max,
+                y_max,
+            )
+        if cfg.depth_noise > 0:
+            depth = max(depth + rng.normal(0.0, cfg.depth_noise), 1.0)
+        score = float(rng.uniform(0.5, 1.0))
+    box = gt.box
     return PreliminaryDetection(
         class_id=gt.class_id,
-        score=float(rng.uniform(0.5, 1.0)),
+        score=score,
         bbox2d=bbox,
         projected_center=center_px,
         depth=depth,
         log_sigma=cfg.log_sigma,
-        box3d=Box3D(
-            center=gt.box.center.copy(),
-            dims=gt.box.dims.copy(),
-            yaw=gt.box.yaw,
-            velocity=gt.box.velocity.copy(),
-        ),
+        box3d=Box3D(box.center.copy(), box.dims.copy(), box.yaw, box.velocity.copy()),
         attribute=gt.attribute,
     )
 
 
-def _sample_object_points(
-    rng: np.random.Generator,
-    cfg: SynthConfig,
-    camera: CameraModel,
-    gt: GroundTruth,
-    noiseless_det: PreliminaryDetection,
-) -> list[RadarPoint]:
-    """Radar returns on the box faces visible from the sensor.
+def _point_row(
+    rng: np.random.Generator, bev: np.ndarray, velocity: np.ndarray
+) -> tuple[float, ...]:
+    """The row of a return at BEV position ``bev`` (z 0) with ``velocity``,
+    a drawn RCS and sweep age 0, under :class:`RadarPoint`'s finite check."""
+    row = (*bev.tolist(), 0.0, *velocity.tolist(), float(rng.uniform(-5.0, 15.0)), 0.0)
+    check_finite("radar point", _POINT_FIELDS, row)
+    return row
 
-    Every emitted point is checked against the object's own (noiseless)
-    frustum so that noise-free scenes are exactly recoverable; points that
-    keep falling outside fall back to the box's BEV center.
+
+def _sample_object_rows(
+    rng: np.random.Generator, cfg: SynthConfig, camera: CameraModel, gt: GroundTruth
+) -> list[tuple[float, ...]]:
+    """Radar returns on the box faces visible from the sensor, one row each.
+
+    A candidate is kept only when its pillar lies in the object's own
+    (noiseless) frustum, so that noise-free scenes are exactly recoverable;
+    a return whose 50 candidates all fall outside falls back to the box's
+    BEV center.
     """
     box = gt.box
     cos_y, sin_y = math.cos(box.yaw), math.sin(box.yaw)
@@ -709,54 +706,41 @@ def _sample_object_points(
     visible = [f for f in faces if f[0] @ (-f[1]) > 0]  # sensor sits at the origin
     if not visible:
         visible = faces
-    frustum = build_frustum(noiseless_det, camera)
+    frustum = build_frustum(_detection(camera, gt, cfg), camera)
     pillar_half = 0.5 * np.asarray(DEFAULT_PILLAR_DIMS)
 
     count = int(rng.integers(cfg.points_per_object_min, cfg.points_per_object_max + 1))
-    points = []
+    rows = []
     for _ in range(count):
-        point = None
         for _ in range(50):
-            normal, face_center, axis, half_len = visible[int(rng.integers(len(visible)))]
-            offset = rng.uniform(-half_len, half_len)
-            bev = face_center + offset * axis
-            position = np.array([bev[0], bev[1], 0.0])
+            _, face_center, axis, half_len = visible[int(rng.integers(len(visible)))]
+            bev = face_center + rng.uniform(-half_len, half_len) * axis
             if cfg.position_noise > 0:
-                position[:2] += rng.normal(0.0, cfg.position_noise, size=2)
-            candidate = RadarPoint(
-                position=position,
-                velocity=_radial_velocity(position, box.velocity)
-                + (rng.normal(0.0, cfg.velocity_noise, size=2) if cfg.velocity_noise > 0 else 0.0),
-                rcs=float(rng.uniform(-5.0, 15.0)),
+                bev = bev + rng.normal(0.0, cfg.position_noise, size=2)
+            velocity = _radial_velocity(bev, box.velocity) + (
+                rng.normal(0.0, cfg.velocity_noise, size=2) if cfg.velocity_noise > 0 else 0.0
             )
-            if frustum_contains(frustum, Pillar(candidate, pillar_half)):
-                point = candidate
+            row = _point_row(rng, bev, velocity)
+            if _pillar_in_frustum(frustum, row[:3], pillar_half):
                 break
-        if point is None:
-            position = np.array([center_bev[0], center_bev[1], 0.0])
-            point = RadarPoint(
-                position=position,
-                velocity=_radial_velocity(position, box.velocity),
-                rcs=float(rng.uniform(-5.0, 15.0)),
-            )
-        points.append(point)
-    return points
+        else:
+            row = _point_row(rng, center_bev, _radial_velocity(center_bev, box.velocity))
+        rows.append(row)
+    return rows
 
 
-def _sample_clutter(rng: np.random.Generator, cfg: SynthConfig) -> list[RadarPoint]:
-    area = (35.0 - -35.0) * (58.0 - 2.0)
-    count = int(round(cfg.clutter_density * area))
-    points = []
-    for _ in range(count):
-        position = np.array([rng.uniform(-35.0, 35.0), rng.uniform(2.0, 58.0), 0.0])
-        points.append(
-            RadarPoint(
-                position=position,
-                velocity=rng.uniform(-2.0, 2.0, size=2),
-                rcs=float(rng.uniform(-5.0, 15.0)),
-            )
-        )
-    return points
+# Clutter rows draw x, y, v_x, v_y and rcs, in that order, each uniform
+# between its low (first row) and high (second row) bound.
+_CLUTTER_BOUNDS = np.array([[-35.0, 2.0, -2.0, -2.0, -5.0], [35.0, 58.0, 2.0, 2.0, 15.0]])
+_CLUTTER_AREA = (35.0 - -35.0) * (58.0 - 2.0)  # square meters spanned by x and y
+
+
+def _sample_clutter(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
+    """Uniform clutter rows over the BEV area of ``_CLUTTER_BOUNDS``."""
+    count = int(round(cfg.clutter_density * _CLUTTER_AREA))
+    rows = np.zeros((count, 7))
+    rows[:, [0, 1, 3, 4, 5]] = rng.uniform(*_CLUTTER_BOUNDS, size=(count, 5))
+    return rows
 
 
 def synth_scene(cfg: SynthConfig) -> list[SceneFrame]:
@@ -776,28 +760,19 @@ def synth_scene(cfg: SynthConfig) -> list[SceneFrame]:
             used_cells.add(cell)
             ground_truth.append(gt)
 
-        detections = []
-        all_points = []
+        detections, rows = [], []
         for gt in ground_truth:
-            noiseless = _noiseless_detection(camera, gt, cfg.log_sigma)
-            all_points.extend(_sample_object_points(rng, cfg, camera, gt, noiseless))
-            detections.append(_detection_from_box(rng, cfg, camera, gt))
-        all_points.extend(_sample_clutter(rng, cfg))
+            rows += _sample_object_rows(rng, cfg, camera, gt)
+            detections.append(_detection(camera, gt, cfg, rng))
+        table = np.vstack([np.reshape(rows, (-1, 7)), _sample_clutter(rng, cfg)])
 
-        # Points are dealt round-robin: point i goes to sweep i % n_sweeps.
+        # Rows are dealt round-robin: row i goes to sweep i % n_sweeps.
+        dealt = [table[i :: cfg.n_sweeps] for i in range(cfg.n_sweeps)]
         base_time = frame_id * 0.5
-        sweeps = [
-            RadarSweep.from_points(base_time - 0.1 * i, all_points[i :: cfg.n_sweeps])
-            for i in range(cfg.n_sweeps)
-        ]
-
-        frames.append(
-            SceneFrame(
-                frame_id=frame_id,
-                camera=camera,
-                radar_sweeps=sweeps,
-                detections=detections,
-                ground_truth=ground_truth,
-            )
+        sweeps = _table_sweeps(
+            np.concatenate(dealt),
+            [base_time - 0.1 * i for i in range(cfg.n_sweeps)],
+            list(accumulate(map(len, dealt))),
         )
+        frames.append(SceneFrame(frame_id, camera, sweeps, detections, ground_truth))
     return frames

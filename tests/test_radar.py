@@ -104,6 +104,11 @@ def _columns(n: int = 4) -> dict:
         ("rcs", [0.0, "1.5", 0.0, 0.0], "rcs must be an array of numbers"),
         ("rcs", [0.0, None, 0.0, 0.0], "rcs must be an array of numbers"),
         ("sweep_ages", [True, False, False, False], "sweep_ages must be an array of numbers"),
+        (
+            "positions", [[True, 0.0, 0.0]] + [[0.0] * 3] * 3,
+            "positions must be an array of numbers",
+        ),
+        ("rcs", [0.0, True, 0.0, 0.0], "rcs must be an array of numbers"),
         ("positions", [[0.0] * 3] * 3 + [[0.0] * 2], "positions must be an array of numbers"),
         ("positions", None, "positions must be an array of numbers"),
         ("velocities", 0.0, "velocities must have shape (4, 2), got ()"),

@@ -3,6 +3,7 @@ scene generator's contracts (determinism, visibility, cluster recovery)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -18,7 +19,9 @@ from rcdet.decoder import DetectionBox3D
 from rcdet.errors import ParseError, SchemaVersionMismatch
 from rcdet.geometry import Box2D, Box3D, project_point
 from rcdet.radar import (
+    Pillar,
     PreliminaryDetection,
+    RadarPoint,
     RadarSweep,
     accumulate_sweeps,
     associate,
@@ -546,3 +549,57 @@ def test_synth_points_survive_range_gate():
     for frame in frames:
         points = accumulate_sweeps(frame.radar_sweeps)
         assert len(range_filter(points)) == len(points)
+
+
+def test_synth_frame_sweeps_are_row_ranges_of_one_read_only_table(monkeypatch):
+    """A synthesized frame holds the layout ``load_scenes`` gives: its sweeps
+    are row ranges of one read-only table, in sweep order. No
+    :class:`RadarPoint` or :class:`Pillar` is built on the way."""
+    built = []
+    for cls in (RadarPoint, Pillar, RadarSweep):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: built.append(self) or check(self)
+        )
+    cfg = SynthConfig(seed=4, n_frames=3, n_sweeps=4, clutter_density=0.01, position_noise=0.5)
+    for frame in synth_scene(cfg):
+        tables = [s.table for s in frame.radar_sweeps]
+        base = tables[0].base
+        assert all(t.base is base and not t.flags.writeable for t in tables)
+        assert not base.flags.writeable and len(base) > cfg.n_sweeps
+        assert np.concatenate(tables).tobytes() == base.tobytes()
+    assert built == []
+
+
+def test_synth_noisy_scene_bytes_pinned(tmp_path):
+    """Noise large enough that 13 returns of this config take the fallback
+    to their box's BEV center, which no benchmark scene reaches."""
+    cfg = SynthConfig(
+        seed=3, n_frames=4, position_noise=3.0, velocity_noise=0.3, depth_noise=0.5,
+        bbox_jitter=3.0, max_speed=12.0, n_sweeps=4, points_per_object_max=40,
+    )
+    path = tmp_path / "scenes.jsonl"
+    save_scenes(str(path), synth_scene(cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "245d00161175a32bebe80aca399d570100665da27bba5f578e19db7f34da7c43"
+    )
+
+
+@pytest.mark.parametrize("field", ["position", "velocity"])
+def test_synth_non_finite_return_is_named(field):
+    """A sampled return is checked as a radar point is."""
+    with pytest.raises(ValueError, match=f"^radar point {field} must be finite$"):
+        synth_scene(SynthConfig(**{f"{field}_noise": 1e308}))
+
+
+@pytest.mark.parametrize("jitter", [20.0, 50.0, 200.0])
+def test_synth_bbox_jitter_keeps_boxes_in_order_and_in_the_image(jitter):
+    """A jittered min corner stops at its max corner: otherwise 9 of these
+    seeds at 20 px, and 15 at 50 px, would jitter some box inside out."""
+    for seed in range(20):
+        for frame in synth_scene(SynthConfig(seed=seed, n_frames=3, bbox_jitter=jitter)):
+            width, height = frame.camera.image_size
+            for det in frame.detections:
+                box = det.bbox2d
+                assert 0 <= box.x_min <= box.x_max <= width
+                assert 0 <= box.y_min <= box.y_max <= height
