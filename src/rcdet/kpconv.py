@@ -12,7 +12,7 @@ go through the stack in one pass (``learned_rows``).
 Each layer's weight product (``_contract``) runs over the whole frame as one
 of two products, picked by the layer's weight shape alone. A narrow layer
 (in × out below ``_SPARSE_MIN_WEIGHTS``: every ``lite`` layer, ``large``
-layers 0-1) multiplies all rows by the stacked (K·in, out) kernel in blocks
+layer 0) multiplies all rows by the stacked (K·in, out) kernel in blocks
 of exactly ``_ROW_BLOCK`` rows. A wide layer multiplies each kernel point's
 (in, out) block only by the rows that kernel point reaches, in one BLAS call
 over those rows zero-padded to a multiple of ``_KERNEL_ROW_BLOCK``: a query
@@ -24,12 +24,15 @@ shape; on wide layers it rests on BLAS computing a row of any multiple of
 ``_KERNEL_ROW_BLOCK`` rows as it does in a block of exactly that many, which
 ``test_wide_product_rows_independent_of_padded_row_count`` pins.
 
-Kernel weights are drawn once from a seeded generator and frozen; the module
-provides forward evaluation and the analytic weight gradient (for
-finite-difference verification), not training. Kernel point dispositions are
-fixed (non-deformable), produced by a seeded repulsion layout inside each
-layer's radius; the influence of a kernel point decays linearly, reaching
-zero at ``influence_sigma`` (radius / 2 by default).
+Kernel weights are drawn once from one seeded generator and frozen. They are
+He-uniform (He et al., ICCV 2015; KPConv's reference code initialises its
+kernels so): a layer with K kernel points and ``in`` input channels draws
+U(-a, a) with a = sqrt(6 / (K * in)), so its weights have the He variance
+2 / (K * in). The module provides forward evaluation and the analytic weight
+gradient (for finite-difference verification), not training. Kernel point
+dispositions are fixed (non-deformable), produced by a seeded repulsion
+layout inside each layer's radius; the influence of a kernel point decays
+linearly, reaching zero at ``influence_sigma`` (radius / 2 by default).
 """
 
 from __future__ import annotations
@@ -64,9 +67,10 @@ _ROW_BLOCK = 32
 # A layer is wide when its per-kernel-point block (in × out) has at least
 # this many entries. Timed per layer on frames of the benchmark workloads,
 # the kernel-point product took half the time or less on large 128×256 and
-# up, and 3-8 times as long on every lite layer and on large 5×64; on large
-# 64×128, which stays dense, it saved about 0.06 of 0.28 ms a frame.
-_SPARSE_MIN_WEIGHTS = 2**14
+# up, about 0.2-0.35 less on large 64×128 (0.39 → 0.29 and 0.31 → 0.20 ms a
+# hybrid-large frame), and 3-8 times as long on every lite layer and on
+# large 5×64.
+_SPARSE_MIN_WEIGHTS = 2**13
 # A wide layer's kernel-point product pads its rows to a multiple of this.
 # Each call re-reads the whole W_k (4 MiB on the last large layer), so a
 # kernel point makes one call over all its rows; the padding keeps a single
@@ -242,6 +246,8 @@ def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:
 
     Channel counts double per layer from ``first_dim`` to ``output_dim``;
     layer i's grid cell is base_cell_size * 2**i with radius 2.5x the cell.
+    The layers draw their He-uniform weights in layer order from one
+    ``default_rng(seed)`` stream, each scaled in place to [-a, a].
     """
     if variant not in VARIANT_SPECS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(VARIANT_SPECS)}")
@@ -255,8 +261,10 @@ def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:
     in_channels = POINT_FEATURE_DIM
     out_channels = first_dim
     for i, (radius, kernel_points) in enumerate(zip(radii, layouts)):
-        std = np.sqrt(2.0 / (kernel_size * in_channels))
-        weights = rng.normal(0.0, std, size=(kernel_size, in_channels, out_channels))
+        bound = np.sqrt(6.0 / (kernel_size * in_channels))
+        weights = rng.random((kernel_size, in_channels, out_channels))
+        weights *= 2.0 * bound
+        weights -= bound
         layers.append(
             KPConvLayerConfig(
                 kernel_points=kernel_points,

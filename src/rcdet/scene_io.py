@@ -69,6 +69,14 @@ DEFAULT_FOCAL = 500.0
 # covers 4K UHD (3840 x 2160).
 MAX_LABEL = 255
 MAX_IMAGE_SIDE = 4096
+# A detection's depth gate is its depth plus or minus at least
+# DEPTH_GATE_FLOOR; past about 2**52 m that sum rounds to the depth and the
+# gate is empty. 1000 km is far beyond any sensor and far below that.
+MAX_DETECTION_DEPTH = 1e6
+# Highs of the synthetic noise scales (meters, m/s): with them every sampled
+# return is finite, and a synthesized depth would need a draw of about 1000
+# standard deviations to pass MAX_DETECTION_DEPTH.
+MAX_SYNTH_NOISE = 1e3
 
 # Base (width, length, height) per synthetic class, jittered per object.
 _CLASS_DIMS = np.array([[1.9, 4.6, 1.7], [0.7, 0.8, 1.8], [2.6, 7.5, 3.0]])
@@ -92,6 +100,9 @@ _SYNTH_BOUNDS = {
     "log_sigma": {},
     "focal": {"low": MIN_FOCAL},
     "downsample": {"low": 1},
+    "position_noise": {"low": 0, "high": MAX_SYNTH_NOISE},
+    "velocity_noise": {"low": 0, "high": MAX_SYNTH_NOISE},
+    "depth_noise": {"low": 0, "high": MAX_SYNTH_NOISE},
 }
 
 
@@ -341,7 +352,8 @@ def _detections_from_json(
     """A line's detections, each field checked across all of them before the
     next, in the order :func:`_detection_to_json` writes them. Each must fit
     its camera: its box and center lie in the image (edges included), and
-    its depth is beyond the radar depth gate's floor."""
+    its depth is beyond the radar depth gate's floor and at most
+    ``MAX_DETECTION_DEPTH``."""
     what = "detection"
     width, height = camera.image_size
     class_ids = _labels(records, "class_id", line, what)
@@ -363,6 +375,8 @@ def _detections_from_json(
         raise ParseError(
             f"line {line}: detection depth must be greater than the {DEPTH_GATE_FLOOR} m gate floor"
         )
+    if not all(depth <= MAX_DETECTION_DEPTH for depth in depths):
+        raise ParseError(f"line {line}: detection depth must be at most {MAX_DETECTION_DEPTH:.0f} m")
     log_sigmas = _column(records, "log_sigma", line, what)
     boxes = _boxes_from_json(records, line, what)
     attributes = _labels(records, "attribute", line, what, default=0)

@@ -553,8 +553,12 @@ def test_cli_rejects_unordered_radar_sweeps(tmp_path, capsys, command, edit, mes
         ("center2d", [10.0, -0.5], "center2d must lie inside the 800x448 image"),
         ("depth", 0.3, "depth must be greater than the 0.5 m gate floor"),
         ("depth", 0.5, "depth must be greater than the 0.5 m gate floor"),
+        ("depth", 1e300, "depth must be at most 1000000 m"),
     ],
-    ids=["bbox-left", "bbox-bottom", "center-right", "center-top", "depth-0.3", "depth-0.5"],
+    ids=[
+        "bbox-left", "bbox-bottom", "center-right", "center-top", "depth-0.3", "depth-0.5",
+        "depth-1e300",
+    ],
 )
 def test_cli_rejects_detection_outside_camera(tmp_path, capsys, command, field, value, message):
     """A detection whose box or center leaves its camera's image, or whose
@@ -571,6 +575,22 @@ def test_cli_rejects_detection_outside_camera(tmp_path, capsys, command, field, 
     }[command]
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: line 2: detection {message}\n"
+
+
+@pytest.mark.parametrize("depth,code", [(1e6, 0), (1e6 + 0.5, 1), (2.0**53, 1), (1e300, 1)])
+def test_cli_run_bounds_detection_depth_on_its_line(tmp_path, capsys, depth, code):
+    """A depth past ``MAX_DETECTION_DEPTH`` in the last frame fails on that
+    frame's line, before its depth gate could collapse to a bare
+    ``ValueError``; a depth at the bound runs."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=3, objects_min=1, objects_max=2)
+    lines = Path(scenes).read_text().splitlines()
+    record = json.loads(lines[3])
+    record["detections"][0]["depth"] = depth
+    lines[3] = json.dumps(record)
+    Path(scenes).write_text("\n".join(lines) + "\n")
+    assert main(["run", "--scenes", scenes, "--out", str(tmp_path / "dets.jsonl")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "error: line 4: detection depth must be at most 1000000 m\n")
 
 
 def _set_at(path, value):
@@ -1020,6 +1040,9 @@ _BAD_SYNTH_CONFIGS = [
     ({"position_noise": -0.1}, "position_noise"),
     ({"velocity_noise": -0.1}, "velocity_noise"),
     ({"depth_noise": -1}, "depth_noise"),
+    ({"position_noise": 1e308}, "position_noise"),
+    ({"velocity_noise": 1000.5}, "velocity_noise"),
+    ({"depth_noise": 1e308}, "depth_noise"),
     ({"bbox_jitter": -2}, "bbox_jitter"),
     ({"max_speed": -3}, "max_speed"),
     ({"focal": -5.0}, "focal"),

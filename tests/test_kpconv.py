@@ -648,8 +648,8 @@ def test_kernel_layouts_on_planes_match_point_major_loop(variant):
 
 # sha256 over each layer's kernel-point bytes then weight bytes, in layer order.
 _NETWORK_DIGESTS = {
-    "lite": "f8097d5885da6114a862485be9e64154a584571dd8e268197092291e6734fd1b",
-    "large": "f47906c42bad3b6d1c5fab59fe510fda6a359687eb2aeb1bfb4c471ee9bc396b",
+    "lite": "489f8c2de4f028ecb54c1628ab375a3ad75241a4937e1c3018c586997a6a4205",
+    "large": "debc3e8f3cf7c00b2b2b6a59acf9c5b976c69b17ee4bf82b7abca91768a300c9",
 }
 
 
@@ -662,6 +662,31 @@ def test_build_network_bits_pinned(variant):
         digest.update(layer.kernel_points.tobytes())
         digest.update(layer.weights.tobytes())
     assert digest.hexdigest() == _NETWORK_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(kpconv.VARIANT_SPECS))
+def test_build_network_weights_are_he_uniform(variant):
+    """Each layer's weights lie in [-a, a] with a = sqrt(6 / (K * in)), and
+    their sample variance is within 5 standard errors of the He variance
+    2 / (K * in): for a uniform draw the relative standard error of the
+    variance is sqrt(0.8 / n) over n weights."""
+    for layer in build_network(variant, seed=0).layers:
+        k, c_in, _ = layer.weights.shape
+        n = layer.weights.size
+        bound = math.sqrt(6.0 / (k * c_in))
+        assert np.abs(layer.weights).max() <= bound
+        he = 2.0 / (k * c_in)
+        assert abs(layer.weights.var() / he - 1.0) <= 5.0 * math.sqrt(0.8 / n)
+
+
+@pytest.mark.parametrize("variant", sorted(kpconv.VARIANT_SPECS))
+def test_build_network_one_seed_one_set_of_bits(variant):
+    """The same seed draws the same weight bits twice; another seed draws
+    other bits in every layer."""
+    first, again, other = (build_network(variant, seed=s).layers for s in (0, 0, 1))
+    for a, b, c in zip(first, again, other):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert not np.array_equal(a.weights, c.weights)
 
 
 @pytest.mark.parametrize("cap", [0, -1, True, 2.5, "4"])
@@ -786,8 +811,8 @@ def test_frame_pass_rows_match_per_cluster_oracle(networks, variant, kinds, with
 # seed order: every cluster kind (empty, one point, one point repeated, 0.1 m,
 # 6 m with duplicates, 300 points) in each frame.
 _LEARNED_ROWS_DIGESTS = {
-    "lite": "50bba73ad53323a7f157a26ddfd679df1178df8d180478d1d2c0023847596ddf",
-    "large": "fa50037ff23ca48abb573b1f1d70857b3f861222f0e866f3b7646dc9284b01c9",
+    "lite": "7ca3b541641dbda7efbc9c6b88cf9341b02ac3192eb72130909dfeb524907b98",
+    "large": "c17b56d3acce10ded2fdb9d399cbcf2e8b5bc5419de24b8fcbaf77d85d04ec01",
 }
 
 
@@ -844,10 +869,10 @@ def _is_wide(layer: KPConvLayerConfig) -> bool:
 
 
 def test_contract_threshold_splits_the_named_networks(networks):
-    """Every lite layer and large layers 0-1 keep the dense product; large
-    layers 2-4 take the kernel-point product, so ``_LAYERS`` covers both."""
+    """Every lite layer and large layer 0 keep the dense product; large
+    layers 1-4 take the kernel-point product, so ``_LAYERS`` covers both."""
     assert [i for i, layer in enumerate(networks["lite"].layers) if _is_wide(layer)] == []
-    assert [i for i, layer in enumerate(networks["large"].layers) if _is_wide(layer)] == [2, 3, 4]
+    assert [i for i, layer in enumerate(networks["large"].layers) if _is_wide(layer)] == [1, 2, 3, 4]
 
 
 @settings(max_examples=30, deadline=None)
@@ -942,7 +967,7 @@ def test_wide_layers_multiply_only_active_rows(networks, monkeypatch):
     assert min(reached) == 0 and max(reached) > _KERNEL_BLOCK
 
 
-@pytest.mark.parametrize("layer_index", [2, 3, 4])
+@pytest.mark.parametrize("layer_index", [1, 2, 3, 4])
 def test_wide_product_rows_independent_of_padded_row_count(networks, layer_index):
     """A wide layer's kernel-point product multiplies all of a kernel point's
     rows in one call of ceil(a_k / B) * B rows. Its rows keep their bits only
@@ -1061,6 +1086,35 @@ def test_checkpoint_round_trip(tmp_path, rng):
         assert (a.radius, a.influence_sigma, a.strided) == (b.radius, b.influence_sigma, b.strided)
     cluster = _cluster(rng, 9)
     assert np.array_equal(extract_learned(cluster, net).values, extract_learned(cluster, loaded).values)
+
+
+@pytest.mark.parametrize("variant", ["lite", "large"])
+def test_checkpoint_keeps_weights_drawn_another_way(tmp_path, variant):
+    """A checkpoint holds its own weights: a network whose weights were drawn
+    Gaussian (``rng.normal`` with the He std, as ``build_network`` once drew
+    them) loads bit for bit and gives the same rows, not ``build_network``'s
+    weights."""
+    drawn = build_network(variant, seed=0)
+    rng = np.random.default_rng(0)
+    layers = []
+    for layer in drawn.layers:
+        k, c_in, c_out = layer.weights.shape
+        weights = rng.normal(0.0, math.sqrt(2.0 / (k * c_in)), size=(k, c_in, c_out))
+        layers.append(
+            KPConvLayerConfig(
+                kernel_points=layer.kernel_points, weights=weights, radius=layer.radius,
+                influence_sigma=layer.influence_sigma, strided=layer.strided,
+            )
+        )
+    net = KPNetworkConfig(layers=layers, variant=variant)
+    path = str(tmp_path / "net.rckp")
+    save_network(net, path)
+    loaded = load_network(path)
+    for saved, read, fresh in zip(net.layers, loaded.layers, drawn.layers):
+        assert read.weights.tobytes() == saved.weights.tobytes()
+        assert not np.array_equal(read.weights, fresh.weights)
+    clusters = _mixed_frame(0, _KINDS)
+    assert learned_rows(clusters, loaded).tobytes() == learned_rows(clusters, net).tobytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -22,8 +22,8 @@ from rcdet.pipeline import process_frame  # noqa: E402
 from rcdet.scene_io import synth_scene  # noqa: E402
 
 _FRAME_DIGESTS = {
-    "lite-2w": "20322e9170ac2b95c6b048c8a7dab75302ce7de12fc73a3e1d5488f10d72f622",
-    "hybrid-large": "27f9ccb9a4d9b0490ca0bd9993e298e948675ea9ac19a9cafa84a35a45af91eb",
+    "lite-2w": "2635cfc5ff836ce650f02a7fae729706c83bfb10d3d0e66d7c3e984f0dce84a1",
+    "hybrid-large": "d25a44d83ccf516625e33f21dcdd4a405c6fbe3fba379bdec32fdb42b751c95e",
 }
 
 

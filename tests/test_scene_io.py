@@ -3,7 +3,9 @@ scene generator's contracts (determinism, visibility, cluster recovery)."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcdet import scene_io
+from rcdet.cli import main
 from rcdet.decoder import DetectionBox3D
 from rcdet.errors import ParseError, SchemaVersionMismatch
 from rcdet.geometry import Box2D, Box3D, project_point
@@ -28,6 +31,8 @@ from rcdet.radar import (
     range_filter,
 )
 from rcdet.scene_io import (
+    MAX_DETECTION_DEPTH,
+    MAX_SYNTH_NOISE,
     SCHEMA_VERSION,
     SceneFrame,
     SynthConfig,
@@ -585,11 +590,28 @@ def test_synth_noisy_scene_bytes_pinned(tmp_path):
     )
 
 
-@pytest.mark.parametrize("field", ["position", "velocity"])
-def test_synth_non_finite_return_is_named(field):
-    """A sampled return is checked as a radar point is."""
-    with pytest.raises(ValueError, match=f"^radar point {field} must be finite$"):
-        synth_scene(SynthConfig(**{f"{field}_noise": 1e308}))
+@pytest.mark.parametrize("field", ["position_noise", "velocity_noise", "depth_noise"])
+def test_synth_noise_past_its_high_names_the_config_field(field):
+    """A noise scale past ``MAX_SYNTH_NOISE`` fails as a config error naming
+    the field, before any return is sampled, instead of mid-generation."""
+    for value in (1e308, 1000.5):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number in \[0, 1000.0\], got "):
+            SynthConfig(**{field: value})
+
+
+def test_synth_noise_at_its_high_generates_files_that_run(tmp_path):
+    """Every noise scale at its high: each return is finite, each depth
+    passes the reader's bound, and ``run`` processes the file."""
+    path = str(tmp_path / "scenes.jsonl")
+    for seed in range(4):
+        cfg = SynthConfig(seed=seed, n_frames=3, **dict.fromkeys(
+            ("position_noise", "velocity_noise", "depth_noise"), MAX_SYNTH_NOISE
+        ))
+        save_scenes(path, synth_scene(cfg))
+        frames = load_scenes(path)
+        assert all(det.depth <= MAX_DETECTION_DEPTH for f in frames for det in f.detections)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--scenes", path, "--out", str(tmp_path / "out.jsonl")]) == 0
 
 
 @pytest.mark.parametrize("jitter", [20.0, 50.0, 200.0])
