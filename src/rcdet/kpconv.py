@@ -27,9 +27,10 @@ shape; on wide layers it rests on BLAS computing a row of any multiple of
 Kernel weights are drawn once from one seeded generator and frozen. They are
 He-uniform (He et al., ICCV 2015; KPConv's reference code initialises its
 kernels so): a layer with K kernel points and ``in`` input channels draws
-U(-a, a) with a = sqrt(6 / (K * in)), so its weights have the He variance
-2 / (K * in). The module provides forward evaluation and the analytic weight
-gradient (for finite-difference verification), not training. Kernel point
+all its weights in one ``uniform(-a, a)`` call, a = sqrt(6 / (K * in)), so
+they have the He variance 2 / (K * in). The module provides forward
+evaluation and the analytic weight gradient (for finite-difference
+verification), not training. Kernel point
 dispositions are fixed (non-deformable), produced by a seeded repulsion
 layout inside each layer's radius; the influence of a kernel point decays
 linearly, reaching zero at ``influence_sigma`` (radius / 2 by default).
@@ -247,7 +248,7 @@ def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:
     Channel counts double per layer from ``first_dim`` to ``output_dim``;
     layer i's grid cell is base_cell_size * 2**i with radius 2.5x the cell.
     The layers draw their He-uniform weights in layer order from one
-    ``default_rng(seed)`` stream, each scaled in place to [-a, a].
+    ``default_rng(seed)`` stream, one ``uniform(-a, a)`` call per layer.
     """
     if variant not in VARIANT_SPECS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(VARIANT_SPECS)}")
@@ -262,9 +263,7 @@ def build_network(variant: str = "large", seed: int = 0) -> KPNetworkConfig:
     out_channels = first_dim
     for i, (radius, kernel_points) in enumerate(zip(radii, layouts)):
         bound = np.sqrt(6.0 / (kernel_size * in_channels))
-        weights = rng.random((kernel_size, in_channels, out_channels))
-        weights *= 2.0 * bound
-        weights -= bound
+        weights = rng.uniform(-bound, bound, (kernel_size, in_channels, out_channels))
         layers.append(
             KPConvLayerConfig(
                 kernel_points=kernel_points,

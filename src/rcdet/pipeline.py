@@ -6,12 +6,26 @@ contract for downstream regression heads); the decoded boxes come from the
 preliminary-detection records planted at the decoder's grid cells. Frames are
 independent; a scene set runs them in order on the calling thread, and its
 results are ordered by frame id whatever the input order.
+
+Features run over windows of consecutive frames (``process_frames``): a frame
+joins the window while the window's cluster member rows stay at most
+``WINDOW_MEMBER_ROWS`` (4096), and a window holds at least one frame, so the
+windows depend on the input alone. A window's frames share one KPConv pass
+and so each wide-layer kernel point's weight read (4 MiB on ``large``). A
+row's bits do not depend on the other rows of its pass, so every output is
+byte-identical to a pass per frame; ``process_frame`` is the one-frame window.
+The pass's memory is bounded by one window: its largest arrays, the last
+``large`` layer's neighbour gather and weighted neighbourhood, hold at most
+R x (26 + 15) x 512 floats for R member rows (the neighbour cap is 26, K is
+15), about 0.65 GiB at R = 4096. A window of 72 benchmark hybrid-large frames
+(4082 rows) peaked at 200 MiB under tracemalloc, one such frame at 2.5 MiB.
+Only a frame whose own clusters hold more rows makes a larger window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +56,9 @@ from .radar import (
 from .scene_io import SceneFrame
 
 FEATURE_STRATEGIES = ("handcrafted", "learned", "hybrid")
+# Cluster member rows a window of frames may hold (see the module docstring).
+# On the benchmark frames, larger windows saved no more time per frame.
+WINDOW_MEMBER_ROWS = 4096
 
 
 @dataclass
@@ -103,7 +120,8 @@ def feature_length(cfg: PipelineConfig, net: KPNetworkConfig | None) -> int:
 def feature_rows(
     clusters: Sequence[Cluster], cfg: PipelineConfig, net: KPNetworkConfig | None
 ) -> np.ndarray:
-    """The frame's cluster features, shape (n_clusters, ``feature_length``).
+    """The clusters' features, those of a frame or a window of frames,
+    shape (n_clusters, ``feature_length``).
 
     The strategy picks the columns: handcrafted first, then learned (one
     ``handcrafted_rows``/``learned_rows`` pass each, both over one
@@ -118,16 +136,59 @@ def feature_rows(
     return rows
 
 
-def process_frame(
-    frame: SceneFrame, cfg: PipelineConfig, net: KPNetworkConfig | None = None
+def process_frames(
+    frames: Sequence[SceneFrame], cfg: PipelineConfig, net: KPNetworkConfig | None = None
+) -> list[FrameResult]:
+    """Run frames through the full chain, one result per frame in input order.
+
+    Each frame's radar is clustered on its own (``cluster_sweeps``). The
+    features then run over windows of consecutive frames: a frame joins the
+    current window while the window's cluster member rows stay at most
+    ``WINDOW_MEMBER_ROWS``, and a window always holds at least one frame, so
+    the windows depend on the input alone. One ``feature_rows`` call covers
+    a window's clusters, and its rows are split back to their frames, which
+    are rasterized, planted and decoded one by one. A row's bits do not
+    depend on the other rows of its pass, so every output is byte-identical
+    to a pass per frame.
+    """
+    results = []
+    for window in _windows(frames, cfg):
+        rows = feature_rows([c for _, clusters in window for c in clusters], cfg, net)
+        start = 0
+        for frame, clusters in window:
+            stop = start + len(clusters)
+            results.append(_decode_frame(frame, clusters, rows[start:stop], cfg))
+            start = stop
+    return results
+
+
+def _windows(
+    frames: Sequence[SceneFrame], cfg: PipelineConfig
+) -> Iterator[list[tuple[SceneFrame, list[Cluster]]]]:
+    """Consecutive frames with their clusters, packed by member rows as
+    :func:`process_frames` states."""
+    window, rows = [], 0
+    for frame in frames:
+        clusters = cluster_sweeps(
+            frame.radar_sweeps, frame.detections, frame.camera, cfg.max_sweeps,
+            cfg.min_range, cfg.max_range, cfg.pillar_dims, cfg.expansion,
+        )
+        count = sum(cluster.member_count for cluster in clusters)
+        if window and rows + count > WINDOW_MEMBER_ROWS:
+            yield window
+            window, rows = [], 0
+        window.append((frame, clusters))
+        rows += count
+    if window:
+        yield window
+
+
+def _decode_frame(
+    frame: SceneFrame, clusters: list[Cluster], rows: np.ndarray, cfg: PipelineConfig
 ) -> FrameResult:
-    """Run one frame through the full chain: accumulate, filter, associate,
-    extract, rasterize, decode."""
-    clusters = cluster_sweeps(
-        frame.radar_sweeps, frame.detections, frame.camera, cfg.max_sweeps,
-        cfg.min_range, cfg.max_range, cfg.pillar_dims, cfg.expansion,
-    )
-    features = [FeatureVector(row) for row in feature_rows(clusters, cfg, net)]
+    """A frame's result from its clusters and their feature rows:
+    rasterize, plant, take the top K and decode."""
+    features = [FeatureVector(row) for row in rows]
     radar_heatmap = rasterize_heatmap(
         list(zip(clusters, features)), frame.camera.image_size, cfg.downsample
     )
@@ -147,17 +208,32 @@ def process_frame(
     )
 
 
+def process_frame(
+    frame: SceneFrame, cfg: PipelineConfig, net: KPNetworkConfig | None = None
+) -> FrameResult:
+    """Run one frame through the full chain: accumulate, filter, associate,
+    extract, rasterize, decode. This is :func:`process_frames` of one frame,
+    a window of one frame whatever its member rows; the frame gets the same
+    bytes in any window of ``WINDOW_MEMBER_ROWS`` rows, so its feature pass
+    holds that frame's rows alone."""
+    return process_frames([frame], cfg, net)[0]
+
+
 def run_scenes(
     frames: Sequence[SceneFrame],
     cfg: PipelineConfig,
     net: KPNetworkConfig | None = None,
 ) -> list[FrameResult]:
-    """Process frames in input order on the calling thread and order the
-    results by frame id.
+    """Process frames in input order on the calling thread, in windows of
+    frames (:func:`process_frames`), and order the results by frame id.
 
     Every frame's image sides are checked against the feature stride before
-    any frame is processed. The numpy calls of a frame are many and short, so
-    threads would only contend for the GIL, and BLAS already uses every core."""
+    any frame is processed. A window's clusters share one feature pass of at
+    most ``WINDOW_MEMBER_ROWS`` member rows (more only for a frame that has
+    more alone), so the feature pass's memory is bounded by one window, not
+    by the file, and the results are byte-identical to a pass per frame. The
+    numpy calls of a frame are many and short, so threads would only contend
+    for the GIL, and BLAS already uses every core."""
     for frame in frames:
         width, height = frame.camera.image_size
         if width % cfg.downsample or height % cfg.downsample:
@@ -165,5 +241,4 @@ def run_scenes(
                 f"frame {frame.frame_id}: camera image_size {width}x{height} must be a "
                 f"multiple of the feature stride {cfg.downsample}"
             )
-    results = [process_frame(frame, cfg, net) for frame in frames]
-    return sorted(results, key=lambda r: r.frame_id)
+    return sorted(process_frames(frames, cfg, net), key=lambda r: r.frame_id)

@@ -69,6 +69,9 @@ DEFAULT_FOCAL = 500.0
 # covers 4K UHD (3840 x 2160).
 MAX_LABEL = 255
 MAX_IMAGE_SIDE = 4096
+# Frame ids are the integers a float64 holds exactly, so an id reads back as
+# written wherever JSON numbers are doubles, and an error echoing it stays short.
+MAX_FRAME_ID = 2**53 - 1
 # A detection's depth gate is its depth plus or minus at least
 # DEPTH_GATE_FLOOR; past about 2**52 m that sum rounds to the depth and the
 # gate is empty. 1000 km is far beyond any sensor and far below that.
@@ -239,11 +242,15 @@ def _column(
     return _numbers(values, line, f"{what} {name}", integral)
 
 
-def _labels(records: list[dict], name: str, line: int, what: str, default: Any = None) -> list:
-    """A class or attribute id per record: an integer in [0, MAX_LABEL]."""
+def _labels(
+    records: list[dict], name: str, line: int, what: str, default: Any = None,
+    high: int = MAX_LABEL,
+) -> list:
+    """A class or attribute id per record (or another id, with its ``high``):
+    an integer in [0, ``high``]."""
     labels = _column(records, name, line, what, default, integral=True)
-    if not all(0 <= label <= MAX_LABEL for label in labels):
-        raise ParseError(f"line {line}: {what} {name} must be in [0, {MAX_LABEL}]")
+    if not all(0 <= label <= high for label in labels):
+        raise ParseError(f"line {line}: {what} {name} must be in [0, {high}]")
     return labels
 
 
@@ -485,7 +492,7 @@ def _frame_from_json(record: dict, line: int, read_camera: _CameraReader) -> Sce
     if record.get("ground_truth") is not None:
         records = _objects(record, "ground_truth", line, "frame")
         ground_truth = _ground_truth_from_json(records, line)
-    frame_id = _column([record], "frame_id", line, "frame", integral=True)[0]
+    frame_id = _labels([record], "frame_id", line, "frame", high=MAX_FRAME_ID)[0]
     camera = read_camera(_object(record, "camera", line, "frame"), line)
     radar_sweeps = _sweeps_from_json(record, line)
     records = _objects(record, "detections", line, "frame")
@@ -571,7 +578,7 @@ def load_detections(path: str) -> list[tuple[int, list[DetectionBox3D]]]:
     all of its boxes, one field at a time, in the order they are written."""
     results, seen = [], set()
     for line, record in _read_lines(path, DETECTIONS_SCHEMA):
-        frame_id = _column([record], "frame_id", line, "frame", integral=True)[0]
+        frame_id = _labels([record], "frame_id", line, "frame", high=MAX_FRAME_ID)[0]
         _claim_frame_id(seen, frame_id, line)
         records = _objects(record, "boxes", line, "frame")
         class_ids = _labels(records, "class_id", line, "box")

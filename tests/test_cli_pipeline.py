@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import unittest.mock
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcdet import pipeline, radar
+from rcdet import kpconv, pipeline, radar
 from rcdet.bench import bench_association, format_bench, random_association_inputs
 from rcdet.cli import main
 from rcdet.errors import ResultMismatch
@@ -254,6 +255,133 @@ def test_run_scenes_orders_results_by_frame_id():
             assert np.array_equal(da.box.center, db.box.center)
         assert np.array_equal(a.radar_heatmap.owner, b.radar_heatmap.owner)
         assert np.array_equal(a.radar_heatmap.rows, b.radar_heatmap.rows)
+
+
+def _heatmap_bytes(result) -> tuple[bytes, bytes]:
+    # tobytes, not np.array_equal: a padded slot could turn -0.0 into +0.0.
+    return result.radar_heatmap.rows.tobytes(), result.radar_heatmap.owner.tobytes()
+
+
+# Frames of mixed cluster sizes, empty clusters included, for the window tests.
+_WINDOW_FRAMES = synth_scene(
+    SynthConfig(
+        seed=3, n_frames=6, objects_min=1, objects_max=6, points_per_object_min=0,
+        points_per_object_max=40, clutter_density=0.05, image_size=(200, 112), focal=125.0,
+    )
+)
+for _frame in _WINDOW_FRAMES[1::3]:
+    # Beyond the 60 m range gate, this detection's frustum holds no point.
+    _frame.detections.append(dataclasses.replace(_frame.detections[0], depth=80.0))
+_WINDOW_CASES = {
+    "handcrafted": (PipelineConfig(), None),
+    "learned-lite": (PipelineConfig(feature_strategy="learned"), build_network("lite", seed=0)),
+    "hybrid-large": (PipelineConfig(feature_strategy="hybrid"), build_network("large", seed=0)),
+}
+_ALONE = {
+    name: [_heatmap_bytes(process_frame(frame, cfg, net)) for frame in _WINDOW_FRAMES]
+    for name, (cfg, net) in _WINDOW_CASES.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_CASES))
+@settings(max_examples=25, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(_WINDOW_FRAMES) - 1), min_size=1, max_size=8),
+    limit=st.integers(0, 600),
+)
+def test_windows_give_each_frame_its_own_bits(name, picks, limit):
+    """Whatever frames share a window, in any order and of any size, each
+    frame's heatmap ``rows`` and ``owner`` are the bytes its own
+    ``process_frame`` gives."""
+    cfg, net = _WINDOW_CASES[name]
+    with unittest.mock.patch.object(pipeline, "WINDOW_MEMBER_ROWS", limit):
+        results = pipeline.process_frames([_WINDOW_FRAMES[i] for i in picks], cfg, net)
+    assert [_heatmap_bytes(r) for r in results] == [_ALONE[name][i] for i in picks]
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records each call's
+    arguments."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_run_scenes_makes_one_feature_pass_per_window(monkeypatch):
+    """Four small frames share one window: one neighbour search per layer."""
+    cfg, net = _WINDOW_CASES["learned-lite"]
+    calls = _counting(monkeypatch, kpconv, "_segment_neighbors")
+    frames = _WINDOW_FRAMES[:4]
+    results = run_scenes(frames, cfg, net)
+    assert sum(c.member_count for r in results for c in r.clusters) > 0
+    assert len(calls) == len(net.layers)
+
+
+def _dense_file(n_frames: int) -> list:
+    return synth_scene(
+        SynthConfig(
+            seed=11, n_frames=n_frames, objects_min=6, objects_max=12,
+            points_per_object_min=10, points_per_object_max=40, clutter_density=0.05,
+        )
+    )
+
+
+def _member_rows(clusters) -> int:
+    return sum(c.member_count for c in clusters)
+
+
+def test_file_spanning_two_windows(monkeypatch):
+    """A file of more member rows than one window holds makes two feature
+    passes, each of at most ``WINDOW_MEMBER_ROWS`` rows, and every frame
+    keeps the bytes of its own pass."""
+    cfg, net = _WINDOW_CASES["learned-lite"]
+    frames = _dense_file(16)
+    passes = _counting(monkeypatch, pipeline, "feature_rows")
+    results = run_scenes(list(reversed(frames)), cfg, net)
+    sizes = [_member_rows(clusters) for clusters, *_ in passes]
+    assert len(sizes) == 2 and max(sizes) <= pipeline.WINDOW_MEMBER_ROWS
+    assert sum(sizes) > pipeline.WINDOW_MEMBER_ROWS
+    monkeypatch.undo()
+    assert [_heatmap_bytes(r) for r in results] == [
+        _heatmap_bytes(process_frame(frame, cfg, net)) for frame in frames
+    ]
+
+
+def _feature_pass_peaks(monkeypatch, frames, cfg, net) -> list[int]:
+    """The ``tracemalloc`` peak of each feature pass of ``run_scenes``,
+    above what was allocated when the pass began."""
+    peaks, fn = [], pipeline.feature_rows
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rows = fn(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return rows
+
+    monkeypatch.setattr(pipeline, "feature_rows", traced)
+    tracemalloc.start()
+    try:
+        run_scenes(frames, cfg, net)
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    return peaks
+
+
+def test_feature_pass_memory_is_set_by_one_window(monkeypatch):
+    """The feature pass's memory does not grow with the file: a file of
+    three windows peaks as high as its first window alone does, while one
+    pass over the whole file would hold three windows' rows."""
+    cfg, net = _WINDOW_CASES["learned-lite"]
+    frames = _dense_file(40)
+    first = next(pipeline._windows(frames, cfg))
+    rows = sum(_member_rows(c) for window in pipeline._windows(frames, cfg) for _, c in window)
+    assert rows > 2.5 * pipeline.WINDOW_MEMBER_ROWS
+    one = _feature_pass_peaks(monkeypatch, [frame for frame, _ in first], cfg, net)
+    many = _feature_pass_peaks(monkeypatch, frames, cfg, net)
+    assert len(one) == 1 and len(many) >= 3
+    assert max(many) <= 1.25 * one[0]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -627,6 +755,9 @@ _WRONG_TYPES = [
     ("scenes", ("frame_id",), [1], "frame frame_id must be a number"),
     ("scenes", ("frame_id",), 1.5, "frame frame_id must be an integer"),
     ("scenes", ("frame_id",), True, "frame frame_id must be an integer"),
+    ("scenes", ("frame_id",), -1, "frame frame_id must be in [0, 9007199254740991]"),
+    ("scenes", ("frame_id",), 1e300, "frame frame_id must be in [0, 9007199254740991]"),
+    ("scenes", ("frame_id",), 2**53, "frame frame_id must be in [0, 9007199254740991]"),
     ("scenes", ("camera",), 5, "frame camera must be an object"),
     ("scenes", ("camera", "image_size"), 200, "camera image_size must be a list of numbers"),
     ("scenes", ("camera", "image_size"), [200.7, 112], "camera image_size must be a list of integers"),
@@ -667,6 +798,8 @@ _WRONG_TYPES = [
     ("dets", ("boxes",), [5], "frame boxes must be an array of objects"),
     ("dets", ("frame_id",), [0], "frame frame_id must be a number"),
     ("dets", ("frame_id",), 0.5, "frame frame_id must be an integer"),
+    ("dets", ("frame_id",), -1, "frame frame_id must be in [0, 9007199254740991]"),
+    ("dets", ("frame_id",), 1e300, "frame frame_id must be in [0, 9007199254740991]"),
     ("dets", ("boxes", 0, "class_id"), [0], "box class_id must be a number"),
     ("dets", ("boxes", 0, "class_id"), 0.5, "box class_id must be an integer"),
     ("dets", ("boxes", 0, "score"), True, "box score must be a number"),
@@ -731,7 +864,7 @@ def test_cli_run_rejects_image_side_off_the_feature_stride(
     last["camera"]["image_size"] = image_size
     Path(scenes).write_text("\n".join([header, *records[:-1], json.dumps(last)]) + "\n")
     processed = []
-    monkeypatch.setattr(pipeline, "process_frame", lambda frame, *args: processed.append(frame))
+    monkeypatch.setattr(pipeline, "process_frames", lambda frames, *args: processed.extend(frames))
     assert main(["run", "--scenes", scenes, "--out", str(tmp_path / "out.jsonl")]) == 1
     width, height = image_size
     assert capsys.readouterr().err == (

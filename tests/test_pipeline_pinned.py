@@ -18,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
 from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
-from rcdet.pipeline import process_frame  # noqa: E402
+from rcdet.pipeline import process_frame, run_scenes  # noqa: E402
 from rcdet.scene_io import synth_scene  # noqa: E402
 
 _FRAME_DIGESTS = {
@@ -27,15 +27,24 @@ _FRAME_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_FRAME_DIGESTS))
-def test_process_frame_bits_pinned(name):
-    """Every frame of the workload's first scene file at its default seed."""
+def _each_frame(frames, cfg, net):
+    return [process_frame(frame, cfg, net) for frame in frames]
+
+
+@pytest.mark.parametrize(
+    "name,run",
+    [pytest.param(name, _each_frame, id=name) for name in sorted(_FRAME_DIGESTS)]
+    + [pytest.param(name, run_scenes, id=f"{name}-run_scenes") for name in sorted(_FRAME_DIGESTS)],
+)
+def test_process_frame_bits_pinned(name, run):
+    """Every frame of the workload's first scene file at its default seed,
+    one ``process_frame`` per frame, or all of them in ``run_scenes``'s
+    windows."""
     workload = WORKLOADS[name]
     frames = synth_scene(workload.synth_config(DEFAULT_SEED, workload.n_frames))
     cfg, net = workload.pipeline_config(), workload.network()
     digest = hashlib.sha256()
-    for frame in frames[: workload.n_frames]:
-        result = process_frame(frame, cfg, net)
+    for result in run(frames[: workload.n_frames], cfg, net):
         heatmap = result.radar_heatmap
         for grid in (heatmap.owner, heatmap.rows):
             digest.update(np.array(grid.shape, dtype=np.int64).tobytes())
