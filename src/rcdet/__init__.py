@@ -4,12 +4,10 @@ Subpackages cover camera/box geometry, radar preprocessing and frustum
 association, cluster feature extraction (handcrafted, kernel-point
 convolution, hybrid), heatmap rasterization, box decoding with
 uncertainty-weighted confidence, the training loss suite, detection-score
-evaluation, scene file IO, synthetic scene generation, and an association
-benchmark.
+evaluation, scene file IO, and synthetic scene generation.
 
-The loss suite and the association benchmark are imported on first use of
-one of their names, so a process that runs or evaluates scenes never
-compiles them.
+The loss suite is imported on first use of one of its names, so a process
+that runs or evaluates scenes never compiles it.
 """
 
 from importlib import import_module
@@ -40,7 +38,6 @@ from .errors import (
     NoCoveredBin,
     ParseError,
     RcdetError,
-    ResultMismatch,
     SchemaVersionMismatch,
 )
 from .features import (
@@ -123,7 +120,7 @@ from .scene_io import (
 
 __version__ = "0.1.0"
 
-_LAZY_MODULE = dict.fromkeys(("BenchReport", "bench_association"), "bench") | dict.fromkeys(
+_LAZY_MODULE = dict.fromkeys(
     (
         "DEFAULT_BIN_CENTERS",
         "HeatmapPair",

@@ -4,7 +4,6 @@ Subcommands:
   run     process a scene file through the pipeline and write detections
   eval    evaluate a detections file against scene ground truth
   synth   generate a synthetic scene file from a JSON config
-  bench   time the vectorized association against the naive double loop
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -31,6 +30,10 @@ from .scene_io import (
 )
 
 
+# The feature strategies that run a network, and so read the network options.
+_NET_FEATURES = ("learned", "hybrid")
+
+
 def _bounded(convert, **rule):
     """An argparse type: ``convert(text)``, then :func:`check_number` with
     ``rule``. Named after ``convert``, so argparse reports text ``convert``
@@ -52,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcdet",
         description="Radar + monocular-camera 3D detection core: pipeline, "
-        "evaluation, synthetic data, and benchmarks.",
+        "evaluation, and synthetic data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -98,12 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument("--config", help="JSON file of generator settings")
     synth_p.add_argument("--out", required=True, help="output scene file")
 
-    bench_p = sub.add_parser("bench", help="benchmark the association paths")
-    bench_p.add_argument("--points", type=_bounded(int, low=1), default=1000)
-    bench_p.add_argument("--dets", type=_bounded(int, low=1), default=100)
-    bench_p.add_argument("--iters", type=_bounded(int, low=1), default=5)
-    bench_p.add_argument("--seed", type=_bounded(int, low=0), default=0)
-
     return parser
 
 
@@ -140,7 +137,7 @@ def _dump_bev(path: str, results: list[FrameResult]) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     frames = load_scenes(args.scenes)
     net = None
-    if args.features in ("learned", "hybrid"):
+    if args.features in _NET_FEATURES:
         if args.net_weights:
             net = load_network(args.net_weights)
         else:
@@ -194,20 +191,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import bench_association, format_bench
-
-    report = bench_association(args.points, args.dets, args.iters, args.seed)
-    print(format_bench(report))
-    return 0
-
-
-_COMMANDS = {"run": _cmd_run, "eval": _cmd_eval, "synth": _cmd_synth, "bench": _cmd_bench}
+_COMMANDS = {"run": _cmd_run, "eval": _cmd_eval, "synth": _cmd_synth}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.features not in _NET_FEATURES:
+        for option, value in (
+            ("--net-weights", args.net_weights),
+            ("--save-net-weights", args.save_net_weights),
+        ):
+            if value is not None:
+                parser.error(f"argument {option}: needs --features {' or '.join(_NET_FEATURES)}")
     try:
         return _COMMANDS[args.command](args)
     except (RcdetError, OSError, ValueError, json.JSONDecodeError) as exc:

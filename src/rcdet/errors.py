@@ -53,10 +53,6 @@ class SchemaVersionMismatch(RcdetError):
     """File schema header does not match the version this library writes."""
 
 
-class ResultMismatch(RcdetError):
-    """The batched and naive association paths disagreed during a benchmark."""
-
-
 class EmptyGroundTruth(RcdetError):
     """Evaluation was requested against a ground truth set with no boxes."""
 

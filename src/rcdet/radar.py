@@ -71,7 +71,7 @@ class RadarPoint:
         self.velocity = _point_vector("velocity", self.velocity, 2)
         self.rcs = _point_number("rcs", self.rcs)
         self.sweep_age = _point_number("sweep_age", self.sweep_age)
-        # Every point built one at a time pays these checks (bench inputs);
+        # Every point a caller builds one at a time pays these checks;
         # rows of checked sweep columns skip this constructor through
         # _row_points, and the synthetic generator runs the finite check on
         # its rows without building a point.

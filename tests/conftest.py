@@ -14,6 +14,7 @@ import pytest
 from rcdet.geometry import Box3D, CameraModel, project_box_to_bbox2d, project_point, unproject_point
 from rcdet.errors import BehindCamera
 from rcdet.radar import PreliminaryDetection, RadarPoint
+from rcdet.scene_io import _CLASS_DIMS, default_camera
 
 
 def _openblas_core() -> str:
@@ -129,6 +130,53 @@ def random_radar_points(rng: np.random.Generator, count: int) -> list[RadarPoint
         )
         for _ in range(count)
     ]
+
+
+def random_association_inputs(
+    n_points: int, n_dets: int, seed: int = 0
+) -> tuple[list[RadarPoint], list[PreliminaryDetection], CameraModel]:
+    """Seeded points and detections representative of a dense frame, seen by
+    the default camera: the 1000 x 100 inputs of acceptance criteria 2 and 9."""
+    rng = np.random.default_rng(seed)
+    camera = default_camera()
+    points = [
+        RadarPoint(
+            position=np.array([rng.uniform(-35.0, 35.0), rng.uniform(2.0, 58.0), 0.0]),
+            velocity=rng.uniform(-5.0, 5.0, size=2),
+            rcs=float(rng.uniform(-5.0, 15.0)),
+        )
+        for _ in range(n_points)
+    ]
+    dets = []
+    while len(dets) < n_dets:
+        dims = _CLASS_DIMS[int(rng.integers(len(_CLASS_DIMS)))] * rng.uniform(0.9, 1.1, 3)
+        bearing = rng.uniform(-0.4, 0.4)
+        distance = rng.uniform(6.0, 50.0)
+        center = np.array(
+            [distance * math.sin(bearing), distance * math.cos(bearing), dims[2] / 2.0]
+        )
+        box = Box3D(
+            center=center,
+            dims=dims,
+            yaw=rng.uniform(-math.pi, math.pi),
+            velocity=rng.uniform(-5.0, 5.0, size=2),
+        )
+        bbox = project_box_to_bbox2d(camera, box)
+        if bbox.area <= 0:
+            continue
+        center_px, depth = project_point(camera, center)
+        dets.append(
+            PreliminaryDetection(
+                class_id=int(rng.integers(3)),
+                score=float(rng.uniform(0.3, 1.0)),
+                bbox2d=bbox,
+                projected_center=center_px,
+                depth=depth,
+                log_sigma=-2.0,
+                box3d=box,
+            )
+        )
+    return points, dets, camera
 
 
 @pytest.fixture

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import time
+import timeit
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rcdet.bench import bench_association, format_bench, random_association_inputs
 from rcdet.cli import main as cli_main
 from rcdet.decoder import (
     build_maps_from_detections,
@@ -61,7 +61,7 @@ from rcdet.metrics import nds
 from rcdet.radar import associate, associate_naive
 from rcdet.scene_io import default_camera
 
-from conftest import detection_for_box, random_visible_box
+from conftest import detection_for_box, random_association_inputs, random_visible_box
 from test_features import _random_cluster, _stats_oracle
 from test_kpconv import _cluster as random_kpconv_cluster
 from test_radar import _member_matrix, _random_scene, oracle_membership
@@ -121,6 +121,10 @@ def test_acceptance_1_handcrafted_features():
 
 # -- 2. frustum association -------------------------------------------------------
 
+# Seeds whose input is a dense 1000 x 100 frame from random_association_inputs;
+# 909 is criterion 9's input.
+_DENSE_SEEDS = (0, 1, 2, 909)
+
 
 def test_acceptance_2_association_fuzz():
     with _criterion(2, "associate == associate_naive == membership oracle, 1000 seeds"):
@@ -128,7 +132,7 @@ def test_acceptance_2_association_fuzz():
         pillar_dims = (0.2, 0.2, 1.5)
         for seed in range(1000):
             rng = np.random.default_rng(seed)
-            if seed < 3:
+            if seed in _DENSE_SEEDS:
                 n_points, n_dets = 1000, 100
                 points, dets, camera = random_association_inputs(n_points, n_dets, seed)
             else:
@@ -560,9 +564,20 @@ def test_acceptance_8_end_to_end(tmp_path, capsys):
 
 def test_acceptance_9_association_benchmark():
     with _criterion(9, "1000x100 association: identical outputs; speedup reported"):
-        # bench_association raises ResultMismatch when the two paths disagree;
-        # that is the only hard gate here. The ratio is informational.
-        report = bench_association(1000, 100, iters=3, seed=909)
-        print("\n" + format_bench(report))
-        if report.speedup < 2.0:
-            print(f"NOTE: speedup {report.speedup:.2f}x below the 2x expectation")
+        # Identical membership is the only hard gate here: timings depend on
+        # the hardware, so the ratio is printed, never asserted.
+        points, dets, camera = random_association_inputs(1000, 100, seed=909)
+        batched = associate(points, dets, camera)
+        naive = associate_naive(points, dets, camera)
+        assert _member_matrix(batched, points) == _member_matrix(naive, points)
+        batched_s, naive_s = (
+            min(timeit.repeat(lambda: assoc(points, dets, camera), number=1, repeat=3))
+            for assoc in (associate, associate_naive)
+        )
+        speedup = naive_s / batched_s
+        print(
+            f"\nbatched {batched_s * 1e3:.3f} ms, naive {naive_s * 1e3:.3f} ms "
+            f"(best of 3), speedup {speedup:.1f}x"
+        )
+        if speedup < 2.0:
+            print(f"NOTE: speedup {speedup:.2f}x below the 2x expectation")

@@ -1,4 +1,4 @@
-"""CLI subcommands, the pipeline wrapper, and the association benchmark."""
+"""CLI subcommands and the pipeline wrapper."""
 
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcdet import kpconv, pipeline, radar
-from rcdet.bench import bench_association, format_bench, random_association_inputs
 from rcdet.cli import main
-from rcdet.errors import ResultMismatch
 from rcdet.features import extract_handcrafted
 from rcdet.kpconv import build_network, extract_hybrid, extract_learned, save_network
 from rcdet.metrics import evaluate
@@ -984,8 +982,9 @@ def _leaf(record, path):
 def test_cli_survives_each_numeric_leaf_at_each_extreme(mutation_inputs, target, value):
     """Every numeric leaf of the mutation test's scene or detections record,
     set to ``value``: `run` and `eval` exit 0 with nothing on stderr, or 1
-    with one error line, raise nothing (warnings included), and write no
-    NaN into the report. The deterministic twin of the Hypothesis test."""
+    with one error line that names the edited record's line 2, raise
+    nothing (warnings included), and write no NaN into the report. The
+    deterministic twin of the Hypothesis test."""
     root, scenes, dets, files = mutation_inputs
     target = {"dets": dets, "scenes": scenes}[target]
     header, record, paths = files[target]
@@ -1014,8 +1013,12 @@ def test_cli_survives_each_numeric_leaf_at_each_extreme(mutation_inputs, target,
             except Exception as exc:  # noqa: BLE001 - every escape is a failing case
                 failures.append((args[0], path, repr(exc)))
                 continue
-            if (code, err.getvalue().count("\n")) not in ((0, 0), (1, 1)):
-                failures.append((args[0], path, code, err.getvalue()))
+            text = err.getvalue()
+            if not (
+                (code == 0 and text == "")
+                or (code == 1 and re.fullmatch(r"error: line 2: [^\n]*\n", text))
+            ):
+                failures.append((args[0], path, code, text))
             elif args[0] == "eval" and code == 0 and "nan" in report.read_text().lower():
                 failures.append((args[0], path, "NaN in the report"))
     assert failures == []
@@ -1060,13 +1063,13 @@ def test_cli_run_rejects_meaningless_option(tmp_path, capsys, option, value):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["bench", "--points", "0"], "argument --points: must be an integer >= 1, got 0"),
-        (["bench", "--dets", "-3"], "argument --dets: must be an integer >= 1, got -3"),
-        (["bench", "--iters", "0"], "argument --iters: must be an integer >= 1, got 0"),
-        (["bench", "--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
         (["run", "--scenes", "s", "--out", "d", "--net-seed", "-1"], "argument --net-seed: must be an integer >= 0, got -1"),
+        (["run", "--scenes", "s", "--out", "d", "--top-k", "0"], "argument --top-k: must be an integer >= 1, got 0"),
+        (["run", "--scenes", "s", "--out", "d", "--workers", "-3"], "argument --workers: must be an integer >= 1, got -3"),
+        (["run", "--scenes", "s", "--out", "d", "--net-seed", "2.5"], "argument --net-seed: invalid int value: '2.5'"),
+        (["run", "--scenes", "s", "--out", "d", "--top-k", "1e3"], "argument --top-k: invalid int value: '1e3'"),
     ],
-    ids=["points", "dets", "iters", "seed", "net-seed"],
+    ids=["net-seed", "top-k", "workers", "net-seed-fraction", "top-k-exponent"],
 )
 def test_cli_rejects_meaningless_integer_option(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -1112,32 +1115,46 @@ def test_cli_rejects_duplicate_frame_ids(tmp_path, capsys):
     assert "line 3: duplicate frame_id 1" in capsys.readouterr().err
 
 
-def test_cli_import_compiles_no_loss_or_bench_module():
-    """``import rcdet.cli`` leaves the loss suite and the association
-    benchmark unimported; the package still exports their names."""
+def test_cli_import_compiles_no_loss_module():
+    """``import rcdet.cli`` leaves the loss suite unimported; the package
+    still exports its names, and none of the deleted association
+    benchmark's."""
     src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
-    script = (
-        "import rcdet.cli, sys; "
-        "print(sorted({'rcdet.losses', 'rcdet.bench'} & set(sys.modules)))"
-    )
+    script = "import rcdet.cli, sys; print('rcdet.losses' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src_dir)
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "[]\n"
+    assert out == "False\n"
     import rcdet
 
-    assert {"focal_loss", "bench_association"} <= set(dir(rcdet))
+    assert "focal_loss" in dir(rcdet)
     assert rcdet.total_loss.__module__ == "rcdet.losses"
-    assert rcdet.BenchReport.__module__ == "rcdet.bench"
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        rcdet.no_such_name
+    for name in ("no_such_name", "bench_association", "BenchReport", "ResultMismatch"):
+        with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+            getattr(rcdet, name)
 
 
-def test_cli_bench_smoke(capsys):
-    assert main(["bench", "--points", "50", "--dets", "5", "--iters", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
+def test_cli_has_no_bench_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--net-weights", "--save-net-weights"])
+def test_cli_run_rejects_network_option_for_handcrafted_features(tmp_path, capsys, option):
+    """A handcrafted run builds no network, so a checkpoint path has no
+    meaning: a usage error naming the option, with nothing read or written."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_max=2)
+    out = tmp_path / "dets.jsonl"
+    checkpoint = tmp_path / "net.rckp"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenes", scenes, "--out", str(out), option, str(checkpoint)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: needs --features learned or hybrid" in err
+    assert not out.exists() and not checkpoint.exists()
 
 
 def test_cli_synth_rejects_unknown_config_key(tmp_path, capsys):
@@ -1195,29 +1212,3 @@ def test_cli_synth_rejects_wrongly_typed_config(tmp_path, capsys, settings, fiel
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad synth config: {field} ") and err.count("\n") == 1
     assert not out.exists()
-
-
-# -- benchmark -----------------------------------------------------------------
-
-
-def test_bench_tiny_input_reports():
-    report = bench_association(2, 2, iters=1, seed=0)
-    assert report.n_points == 2 and report.n_dets == 2
-    assert report.batched_mean_s > 0 and report.naive_mean_s > 0
-    assert "speedup" in format_bench(report)
-
-
-def test_bench_inputs_reproducible():
-    points_a, dets_a, _ = random_association_inputs(20, 3, seed=5)
-    points_b, dets_b, _ = random_association_inputs(20, 3, seed=5)
-    assert all(
-        np.array_equal(a.position, b.position) for a, b in zip(points_a, points_b)
-    )
-    assert all(a.depth == b.depth for a, b in zip(dets_a, dets_b))
-
-
-def test_bench_paths_agree_on_moderate_input():
-    # bench_association raises ResultMismatch internally if the two
-    # implementations disagree; completing without it is the assertion.
-    report = bench_association(200, 20, iters=1, seed=3)
-    assert report.speedup > 0

@@ -48,6 +48,7 @@ from rcdet.scene_io import SceneFrame, default_camera
 
 from conftest import (
     detection_for_box,
+    random_association_inputs,
     random_camera,
     random_radar_points,
     random_visible_box,
@@ -556,6 +557,33 @@ def test_associate_equals_naive_and_oracle(rng):
             for det in dets
         ]
         assert _member_matrix(batched, points) == expected
+
+
+def test_associate_equals_naive_on_dense_frame_input():
+    """A 200 x 20 input from the dense-frame generator of acceptance
+    criteria 2 and 9: a quick twin of their 1000 x 100 comparisons."""
+    points, dets, camera = random_association_inputs(200, 20, seed=3)
+    batched = _member_matrix(associate(points, dets, camera), points)
+    assert batched == _member_matrix(associate_naive(points, dets, camera), points)
+    assert any(batched)
+
+
+def test_random_association_inputs_reproducible():
+    """The dense-frame generator is seeded, so acceptance criterion 9 times
+    the same seed-909 input on every run; another seed gives another input."""
+    points_a, dets_a, _ = random_association_inputs(20, 3, seed=5)
+    points_b, dets_b, _ = random_association_inputs(20, 3, seed=5)
+    assert all(
+        np.array_equal(a.position, b.position) and np.array_equal(a.velocity, b.velocity)
+        and a.rcs == b.rcs
+        for a, b in zip(points_a, points_b)
+    )
+    assert all(
+        a.depth == b.depth and a.bbox2d == b.bbox2d and a.class_id == b.class_id
+        for a, b in zip(dets_a, dets_b)
+    )
+    points_c, _, _ = random_association_inputs(20, 3, seed=6)
+    assert not np.array_equal(points_a[0].position, points_c[0].position)
 
 
 def _crowded_association(rng, n_points: int, n_dets: int):
