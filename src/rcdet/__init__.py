@@ -96,7 +96,6 @@ from .pipeline import FrameResult, PipelineConfig, process_frame, run_scenes
 from .radar import (
     Cluster,
     FrustumROI,
-    Pillar,
     PreliminaryDetection,
     RadarPoint,
     RadarSweep,
@@ -104,7 +103,6 @@ from .radar import (
     associate,
     associate_naive,
     build_frustum,
-    pillar_expand,
     range_filter,
 )
 from .scene_io import (

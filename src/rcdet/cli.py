@@ -32,6 +32,9 @@ from .scene_io import (
 
 # The feature strategies that run a network, and so read the network options.
 _NET_FEATURES = ("learned", "hybrid")
+# The network a learned or hybrid run builds when no checkpoint is given and
+# --net or --net-seed is left out.
+_DEFAULT_NET, _DEFAULT_NET_SEED = "large", 0
 
 
 def _bounded(convert, **rule):
@@ -48,6 +51,13 @@ def _bounded(convert, **rule):
 
     parse.__name__ = convert.__name__
     return parse
+
+
+def _path(text: str) -> str:
+    """An argparse type: a file path, which must not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a file path, got ''")
+    return text
 
 
 @functools.cache  # one parser per process: parsing leaves it unchanged
@@ -67,13 +77,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--out", required=True, help="output detections file")
     run_p.add_argument(
-        "--net", choices=("lite", "medium", "large"), default="large",
-        help="network size for learned/hybrid features",
+        "--net", choices=("lite", "medium", "large"),
+        help=f"network size for learned/hybrid features without --net-weights "
+        f"(default {_DEFAULT_NET})",
     )
-    run_p.add_argument("--net-weights", help="load network weights from a checkpoint")
-    run_p.add_argument("--net-seed", type=_bounded(int, low=0), default=0)
+    run_p.add_argument("--net-weights", type=_path, help="load network weights from a checkpoint")
     run_p.add_argument(
-        "--save-net-weights", help="write the network checkpoint used for this run"
+        "--net-seed", type=_bounded(int, low=0),
+        help=f"weight seed for learned/hybrid features without --net-weights "
+        f"(default {_DEFAULT_NET_SEED})",
+    )
+    run_p.add_argument(
+        "--save-net-weights", type=_path, help="write the network checkpoint used for this run"
     )
     run_p.add_argument(
         "--expansion", type=_bounded(float, low=1), default=1.0, help="frustum expansion, >= 1"
@@ -85,11 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--top-k", type=_bounded(int, low=1), default=100)
     run_p.add_argument(
         "--workers", type=_bounded(int, low=1), default=1,
-        help="checked but unused: frames run in order on one thread, with the same "
-        "output for every value, until ROADMAP item 8's process pool gives it a meaning",
+        help="checked but changes nothing: frames run in order on one thread, with "
+        "the same output for every value",
     )
     run_p.add_argument(
-        "--dump-bev", help="also write clusters and box footprints as BEV coordinates"
+        "--dump-bev", type=_path, help="also write clusters and box footprints as BEV coordinates"
     )
 
     eval_p = sub.add_parser("eval", help="evaluate detections against ground truth")
@@ -98,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--report", required=True, help="output key=value report file")
 
     synth_p = sub.add_parser("synth", help="generate a synthetic scene file")
-    synth_p.add_argument("--config", help="JSON file of generator settings")
+    synth_p.add_argument("--config", type=_path, help="JSON file of generator settings")
     synth_p.add_argument("--out", required=True, help="output scene file")
 
     return parser
@@ -138,11 +153,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     frames = load_scenes(args.scenes)
     net = None
     if args.features in _NET_FEATURES:
-        if args.net_weights:
+        if args.net_weights is not None:
             net = load_network(args.net_weights)
         else:
-            net = build_network(args.net, args.net_seed)
-        if args.save_net_weights:
+            net = build_network(
+                _DEFAULT_NET if args.net is None else args.net,
+                _DEFAULT_NET_SEED if args.net_seed is None else args.net_seed,
+            )
+        if args.save_net_weights is not None:
             save_network(net, args.save_net_weights)
     cfg = PipelineConfig(
         feature_strategy=args.features,
@@ -152,7 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     results = run_scenes(frames, cfg, net)
     save_detections(args.out, [(r.frame_id, r.detections) for r in results])
-    if args.dump_bev:
+    if args.dump_bev is not None:
         _dump_bev(args.dump_bev, results)
     total = sum(len(r.detections) for r in results)
     print(f"processed {len(results)} frames, wrote {total} detections to {args.out}")
@@ -177,7 +195,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     settings = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             settings = json.load(fh)
     try:
@@ -194,16 +212,29 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 _COMMANDS = {"run": _cmd_run, "eval": _cmd_eval, "synth": _cmd_synth}
 
 
+def _check_network_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject a given network option that the run would ignore, as a usage
+    error naming it: every one of them when no network runs, and ``--net``
+    and ``--net-seed`` next to ``--net-weights``, whose checkpoint fixes the
+    network."""
+    if args.features not in _NET_FEATURES:
+        options = ("--net", "--net-seed", "--net-weights", "--save-net-weights")
+        reason = f"needs --features {' or '.join(_NET_FEATURES)}"
+    elif args.net_weights is not None:
+        options = ("--net", "--net-seed")
+        reason = "not allowed with argument --net-weights"
+    else:
+        return
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            parser.error(f"argument {option}: {reason}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.features not in _NET_FEATURES:
-        for option, value in (
-            ("--net-weights", args.net_weights),
-            ("--save-net-weights", args.save_net_weights),
-        ):
-            if value is not None:
-                parser.error(f"argument {option}: needs --features {' or '.join(_NET_FEATURES)}")
+    if args.command == "run":
+        _check_network_options(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except (RcdetError, OSError, ValueError, json.JSONDecodeError) as exc:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateLine, EmptyCluster, MixedChannelCounts, check_number
-from .radar import Cluster, canonical_members
+from .radar import Cluster, PreliminaryDetection, canonical_members
 
 DEFAULT_POSITION_NORM = 60.0
 DEFAULT_VELOCITY_NORM = 20.0
@@ -215,11 +215,6 @@ def rasterize_heatmap(
     result records each pixel's winning cluster index (-1 where no box
     covers it) and each cluster's features once.
     """
-    width, height = image_size
-    if width % downsample or height % downsample:
-        raise ValueError(
-            f"downsample {downsample} must divide image size {image_size} exactly"
-        )
     lengths = {len(fv) for _, fv in clusters_with_features}
     if len(lengths) > 1:
         raise MixedChannelCounts(f"feature lengths differ: {sorted(lengths)}")
@@ -227,6 +222,23 @@ def rasterize_heatmap(
     rows = np.array([fv.values for _, fv in clusters_with_features]).reshape(
         len(clusters_with_features), channels
     )
+    detections = [cluster.detection for cluster, _ in clusters_with_features]
+    owner = _paint_owner(detections, image_size, downsample)
+    return FeatureHeatmap(owner=owner, rows=rows, downsample=downsample)
+
+
+def _paint_owner(
+    detections: Sequence[PreliminaryDetection], image_size: tuple[int, int], downsample: int
+) -> np.ndarray:
+    """The ``owner`` grid of :func:`rasterize_heatmap` for clusters of
+    ``detections``, in order: each feature pixel holds the index of the
+    nearest detection whose box covers the pixel's center, -1 where none
+    does."""
+    width, height = image_size
+    if width % downsample or height % downsample:
+        raise ValueError(
+            f"downsample {downsample} must divide image size {image_size} exactly"
+        )
     grid_w, grid_h = width // downsample, height // downsample
     owner = np.full((grid_h, grid_w), -1, dtype=np.int32)
 
@@ -234,7 +246,7 @@ def rasterize_heatmap(
     # box, edges included, are one slice per axis: from the first centre at
     # or past the min edge ("left") to the last centre at or before the max
     # edge ("right").
-    boxes = [cluster.detection.bbox2d for cluster, _ in clusters_with_features]
+    boxes = [det.bbox2d for det in detections]
     centers_u = (np.arange(grid_w) + 0.5) * downsample
     centers_v = (np.arange(grid_h) + 0.5) * downsample
     c0 = np.searchsorted(centers_u, [box.x_min for box in boxes], "left").tolist()
@@ -244,13 +256,10 @@ def rasterize_heatmap(
 
     # Painter's algorithm: draw farthest detections first so nearer ones
     # overwrite them; the sort is stable, so equal depths keep input order.
-    order = sorted(
-        range(len(clusters_with_features)),
-        key=lambda i: -clusters_with_features[i][0].detection.depth,
-    )
+    order = sorted(range(len(detections)), key=lambda i: -detections[i].depth)
     for idx in order:
         box = boxes[idx]
         if not (0 <= box.x_min and box.x_max <= width and 0 <= box.y_min and box.y_max <= height):
             raise ValueError(f"detection bbox {box} exceeds image bounds {image_size}")
         owner[r0[idx] : r1[idx], c0[idx] : c1[idx]] = idx
-    return FeatureHeatmap(owner=owner, rows=rows, downsample=downsample)
+    return owner

@@ -14,6 +14,8 @@ windows depend on the input alone. A window's frames share one KPConv pass
 and so each wide-layer kernel point's weight read (4 MiB on ``large``). A
 row's bits do not depend on the other rows of its pass, so every output is
 byte-identical to a pass per frame; ``process_frame`` is the one-frame window.
+A frame's heatmap paints ``owner`` from its detections and copies its slice
+of the window's feature matrix as ``rows``.
 The pass's memory is bounded by one window: its largest arrays, the last
 ``large`` layer's neighbour gather and weighted neighbourhood, hold at most
 R x (26 + 15) x 512 floats for R member rows (the neighbour cap is 26, K is
@@ -36,13 +38,7 @@ from .decoder import (
     topk_peaks,
 )
 from .errors import DimensionMismatch, check_number
-from .features import (
-    FeatureHeatmap,
-    FeatureVector,
-    HandcraftedConfig,
-    _handcrafted_rows,
-    rasterize_heatmap,
-)
+from .features import FeatureHeatmap, HandcraftedConfig, _handcrafted_rows, _paint_owner
 from .kpconv import KPNetworkConfig, _learned_rows
 from .radar import (
     DEFAULT_MAX_RANGE,
@@ -186,12 +182,15 @@ def _windows(
 def _decode_frame(
     frame: SceneFrame, clusters: list[Cluster], rows: np.ndarray, cfg: PipelineConfig
 ) -> FrameResult:
-    """A frame's result from its clusters and their feature rows:
-    rasterize, plant, take the top K and decode."""
-    features = [FeatureVector(row) for row in rows]
-    radar_heatmap = rasterize_heatmap(
-        list(zip(clusters, features)), frame.camera.image_size, cfg.downsample
+    """A frame's result from its clusters and their feature rows: paint the
+    heatmap, plant, take the top K and decode. The heatmap owns a copy of
+    ``rows``; with no clusters it has (0, 0) rows, as when painted from no
+    (cluster, features) pairs."""
+    owner = _paint_owner(
+        [cluster.detection for cluster in clusters], frame.camera.image_size, cfg.downsample
     )
+    rows = rows.copy() if clusters else np.zeros((0, 0))
+    radar_heatmap = FeatureHeatmap(owner=owner, rows=rows, downsample=cfg.downsample)
     num_classes = cfg.num_classes
     if num_classes is None:
         num_classes = max((d.class_id + 1 for d in frame.detections), default=1)

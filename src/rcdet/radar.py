@@ -6,8 +6,9 @@ frustum-shaped region of interest (its 2D box extruded over a depth gate
 around the estimated depth), points are expanded into fixed-size pillars to
 compensate for the missing elevation measurement, and a point joins a cluster
 when any of its pillar's corners (or its center) projects into the box while
-the point's camera depth falls inside the gate. Points matching no frustum
-are clutter and are dropped.
+the point's camera depth falls inside the gate. A pillar is only those 9
+samples (``_SAMPLE_SIGNS``); no object is built for it. Points matching no
+frustum are clutter and are dropped.
 
 ``associate`` (vectorized) and ``associate_naive`` (reference double loop)
 implement the identical contract and must produce bit-identical clusters;
@@ -30,10 +31,11 @@ builds no :class:`RadarPoint`. ``accumulate_sweeps``, ``range_filter`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -270,34 +272,6 @@ def _row_points(table: np.ndarray) -> list[RadarPoint]:
 
 
 @dataclass(eq=False)
-class Pillar:
-    """Fixed-size 3D expansion of a radar point, centered on the point."""
-
-    source: RadarPoint
-    half_extents: np.ndarray = field(
-        default_factory=lambda: 0.5 * np.asarray(DEFAULT_PILLAR_DIMS)
-    )
-
-    def __post_init__(self) -> None:
-        self.half_extents = np.asarray(self.half_extents, dtype=np.float64).reshape(3)
-        if not np.all(self.half_extents >= 0):
-            raise ValueError("pillar half extents must be non-negative")
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.source.position
-
-    def corners(self) -> np.ndarray:
-        """The 8 axis-aligned corners, shape (8, 3)."""
-        return self.source.position + _CORNER_SIGNS * self.half_extents
-
-
-_CORNER_SIGNS = np.array(
-    [(sx, sy, sz) for sx in (1.0, -1.0) for sy in (1.0, -1.0) for sz in (1.0, -1.0)]
-)
-
-
-@dataclass(eq=False)
 class PreliminaryDetection:
     """Image-stage detection: the first-stage box plus its regression outputs.
 
@@ -529,13 +503,6 @@ def _pillar_half_extents(pillar_dims: Sequence[float]) -> np.ndarray:
     return 0.5 * dims
 
 
-def pillar_expand(
-    point: RadarPoint, pillar_dims: Sequence[float] = DEFAULT_PILLAR_DIMS
-) -> Pillar:
-    """Expand a radar point into a pillar centered on it."""
-    return Pillar(source=point, half_extents=_pillar_half_extents(pillar_dims))
-
-
 def build_frustum(
     det: PreliminaryDetection, camera: CameraModel, expansion: float = 1.0
 ) -> FrustumROI:
@@ -573,19 +540,14 @@ def _frustum(det: PreliminaryDetection, camera: CameraModel, expansion: float) -
     )
 
 
-def frustum_contains(frustum: FrustumROI, pillar: Pillar) -> bool:
-    """Membership test used by the naive path: scalar math, one pillar at a time.
-
-    A pillar is inside when any of its 8 corners or its center projects into
-    the frustum's 2D box (corner must be in front of the camera) and the
-    *point's* camera-frame depth lies inside the depth gate, bounds inclusive.
-    """
-    return _pillar_in_frustum(frustum, pillar.center, pillar.half_extents)
-
-
 def _pillar_in_frustum(frustum: FrustumROI, center, half_extents) -> bool:
-    """:func:`frustum_contains` of the pillar with ``center`` (x, y, z) and
-    ``half_extents``, without building a :class:`Pillar`."""
+    """Membership test of the naive path: scalar math, one pillar at a time.
+
+    The pillar is the box of ``half_extents`` centered on ``center`` (x, y,
+    z). It is inside when its center or any of its 8 corners projects into
+    the frustum's 2D box (the sample must be in front of the camera) and the
+    center's camera-frame depth lies inside the depth gate, bounds inclusive.
+    """
     camera = frustum.camera
     ext = camera.extrinsic
     k = camera.intrinsic
@@ -613,7 +575,7 @@ def _pillar_in_frustum(frustum: FrustumROI, center, half_extents) -> bool:
 
 
 # Center first, then the 8 pillar corners; shared by both association paths.
-_SAMPLE_SIGNS = np.vstack([np.zeros((1, 3)), _CORNER_SIGNS])
+_SAMPLE_SIGNS = np.array([(0.0, 0.0, 0.0), *itertools.product((1.0, -1.0), repeat=3)])
 
 # Most gated (detection, row) pairs box-tested at once. A pair takes about
 # 190 B of temporaries, so a group peaks near 12 MiB; seeded frames hold at
@@ -742,16 +704,14 @@ def associate_naive(
     pillar_dims: Sequence[float] = DEFAULT_PILLAR_DIMS,
     expansion: float = 1.0,
 ) -> list[Cluster]:
-    """Reference association: unbatched per-point, per-detection double loop."""
+    """Reference association: unbatched per-point, per-detection double loop
+    over :func:`_pillar_in_frustum`; it never calls ``_member_rows``."""
     # Bad settings fail here too when there are no points or no detections.
-    _pillar_half_extents(pillar_dims)
+    half = _pillar_half_extents(pillar_dims)
     check_number("expansion", expansion, low=1.0)
-    pillars = [pillar_expand(point, pillar_dims) for point in points]
     clusters = []
     for det in dets:
         frustum = _frustum(det, camera, expansion)
-        members = [
-            pillar.source for pillar in pillars if frustum_contains(frustum, pillar)
-        ]
+        members = [p for p in points if _pillar_in_frustum(frustum, p.position, half)]
         clusters.append(Cluster(det, members))
     return clusters

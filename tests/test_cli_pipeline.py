@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcdet import kpconv, pipeline, radar
+from rcdet import cli, kpconv, pipeline, radar
 from rcdet.cli import main
 from rcdet.features import extract_handcrafted
 from rcdet.kpconv import build_network, extract_hybrid, extract_learned, save_network
@@ -1142,19 +1142,87 @@ def test_cli_has_no_bench_command(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", ["--net-weights", "--save-net-weights"])
-def test_cli_run_rejects_network_option_for_handcrafted_features(tmp_path, capsys, option):
-    """A handcrafted run builds no network, so a checkpoint path has no
+@pytest.mark.parametrize(
+    "option,value",
+    [("--net-weights", None), ("--save-net-weights", None), ("--net", "medium"), ("--net-seed", "5")],
+    ids=["--net-weights", "--save-net-weights", "--net", "--net-seed"],
+)
+def test_cli_run_rejects_network_option_for_handcrafted_features(tmp_path, capsys, option, value):
+    """A handcrafted run builds no network, so a network option has no
     meaning: a usage error naming the option, with nothing read or written."""
     scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_max=2)
     out = tmp_path / "dets.jsonl"
     checkpoint = tmp_path / "net.rckp"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--scenes", scenes, "--out", str(out), option, str(checkpoint)])
+        main(["run", "--scenes", scenes, "--out", str(out), option, value or str(checkpoint)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: needs --features learned or hybrid" in err
     assert not out.exists() and not checkpoint.exists()
+
+
+@pytest.mark.parametrize("option,value", [("--net", "large"), ("--net-seed", "9")], ids=["--net", "--net-seed"])
+def test_cli_run_rejects_network_build_option_with_checkpoint(tmp_path, capsys, option, value):
+    """A checkpoint fixes the network, so ``--net`` or ``--net-seed`` next to
+    ``--net-weights`` has no meaning: a usage error naming the option, with
+    nothing read or written."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_max=2)
+    out, saved = tmp_path / "dets.jsonl", tmp_path / "saved.rckp"
+    checkpoint = tmp_path / "net.rckp"
+    save_network(build_network("lite", seed=0), str(checkpoint))
+    args = ["run", "--scenes", scenes, "--out", str(out), "--features", "hybrid"]
+    args += ["--net-weights", str(checkpoint), "--save-net-weights", str(saved), option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: not allowed with argument --net-weights" in err
+    assert not out.exists() and not saved.exists()
+
+
+@pytest.mark.parametrize(
+    "given,built",
+    [([], ("large", 0)), (["--net", "lite", "--net-seed", "3"], ("lite", 3))],
+    ids=["defaults", "given"],
+)
+def test_cli_run_builds_large_seed_0_network_by_default(tmp_path, monkeypatch, given, built):
+    """Without a checkpoint, ``--net`` and ``--net-seed`` default to the
+    ``large`` network at seed 0; a lite network stands in for the build."""
+    calls = []
+
+    def build(variant, seed):
+        calls.append((variant, seed))
+        return build_network("lite", seed=0)
+
+    monkeypatch.setattr(cli, "build_network", build)
+    scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_max=2)
+    args = ["run", "--scenes", scenes, "--out", str(tmp_path / "dets.jsonl")]
+    assert main(args + ["--features", "learned"] + given) == 0
+    assert calls == [built]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--features", "learned", "--net", "lite", "--net-weights", ""],
+        ["run", "--features", "learned", "--net", "lite", "--save-net-weights", ""],
+        ["run", "--dump-bev", ""],
+        ["synth", "--config", ""],
+    ],
+    ids=["--net-weights", "--save-net-weights", "--dump-bev", "--config"],
+)
+def test_cli_rejects_empty_file_path(tmp_path, capsys, argv):
+    """An empty path names no file: a usage error naming the option, not a
+    silently absent option, with nothing read or written."""
+    scenes = _write_scene(tmp_path, seed=2, n_frames=1, objects_max=2)
+    out = tmp_path / "out.jsonl"
+    paths = ["--out", str(out)] + (["--scenes", scenes] if argv[0] == "run" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + paths + argv[1:])
+    assert exc.value.code == 2
+    option = argv[-2]
+    assert f"argument {option}: must be a file path, got ''" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_synth_rejects_unknown_config_key(tmp_path, capsys):

@@ -29,7 +29,6 @@ from rcdet.errors import InvalidDetection
 from rcdet.geometry import Box3D, project_point
 from rcdet.radar import (
     Cluster,
-    Pillar,
     RadarPoint,
     RadarSweep,
     accumulate_sweeps,
@@ -38,8 +37,6 @@ from rcdet.radar import (
     build_frustum,
     canonical_members,
     cluster_sweeps,
-    frustum_contains,
-    pillar_expand,
     range_filter,
 )
 from rcdet.kpconv import build_network
@@ -337,34 +334,6 @@ def test_range_filter_idempotent(rng):
 # -- pillars ------------------------------------------------------------------
 
 
-def test_pillar_default_corners():
-    pillar = pillar_expand(_point_at(0.0, 0.0))
-    corners = pillar.corners()
-    expected = {
-        (sx * 0.1, sy * 0.1, sz * 0.75)
-        for sx in (1, -1)
-        for sy in (1, -1)
-        for sz in (1, -1)
-    }
-    assert {tuple(c) for c in corners} == expected
-
-
-def test_pillar_zero_size_degenerates_to_point():
-    point = _point_at(3.0, 4.0)
-    pillar = pillar_expand(point, (0.0, 0.0, 0.0))
-    assert np.array_equal(pillar.corners(), np.tile(point.position, (8, 1)))
-
-
-def test_pillar_translate_template_oracle(rng):
-    for _ in range(50):
-        point = random_radar_points(rng, 1)[0]
-        dims = rng.uniform(0.05, 2.0, 3)
-        pillar = pillar_expand(point, dims)
-        template = pillar_expand(_point_at(0.0, 0.0), dims).corners()
-        # The z channel of the origin template is offset by the origin point's z = 0.
-        assert np.abs(pillar.corners() - (template + point.position)).max() < 1e-12
-
-
 @pytest.mark.parametrize("bad", [math.nan, -0.2, math.inf])
 def test_fast_and_naive_association_reject_bad_pillar_dims_alike(bad):
     det, camera = _detection_at(depth=20.0, yaw=math.pi / 2)
@@ -374,8 +343,6 @@ def test_fast_and_naive_association_reject_bad_pillar_dims_alike(bad):
     for run in (associate, associate_naive):
         with pytest.raises(ValueError, match=message):
             run(points, [det], camera, dims)
-    with pytest.raises(ValueError, match=message):
-        pillar_expand(points[0], dims)
 
 
 # -- frustum construction -----------------------------------------------------
@@ -559,6 +526,26 @@ def test_associate_equals_naive_and_oracle(rng):
         assert _member_matrix(batched, points) == expected
 
 
+def test_associate_naive_never_calls_member_rows(monkeypatch):
+    """The reference path stays independent of the vectorized one: with
+    ``_member_rows`` raising, ``associate_naive`` still returns the member
+    objects ``associate`` returns, at both expansions."""
+    points, dets, camera = random_association_inputs(200, 20, seed=11)
+
+    def member_ids(run, expansion):
+        return [[id(p) for p in c.members] for c in run(points, dets, camera, expansion=expansion)]
+
+    expected = {expansion: member_ids(associate, expansion) for expansion in (1.0, 1.7)}
+    assert all(any(members) for members in expected.values())
+
+    def vectorized(*args, **kwargs):
+        raise AssertionError("associate_naive called _member_rows")
+
+    monkeypatch.setattr(radar, "_member_rows", vectorized)
+    for expansion, members in expected.items():
+        assert member_ids(associate_naive, expansion) == members
+
+
 def test_associate_equals_naive_on_dense_frame_input():
     """A 200 x 20 input from the dense-frame generator of acceptance
     criteria 2 and 9: a quick twin of their 1000 x 100 comparisons."""
@@ -678,9 +665,8 @@ def test_member_rows_pair_stage_peak_is_bounded():
 def test_associate_soundness_members_pass_predicate(rng):
     points, dets, camera = _random_scene(rng, 120, 6)
     for det, cluster in zip(dets, associate(points, dets, camera)):
-        frustum = build_frustum(det, camera)
         for member in cluster.members:
-            assert frustum_contains(frustum, pillar_expand(member))
+            assert oracle_membership(member, det, camera, radar.DEFAULT_PILLAR_DIMS, 1.0)
 
 
 def test_associate_monotone_in_expansion(rng):

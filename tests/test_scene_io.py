@@ -22,7 +22,6 @@ from rcdet.decoder import DetectionBox3D
 from rcdet.errors import ParseError, SchemaVersionMismatch
 from rcdet.geometry import Box2D, Box3D, project_point
 from rcdet.radar import (
-    Pillar,
     PreliminaryDetection,
     RadarPoint,
     RadarSweep,
@@ -559,9 +558,9 @@ def test_synth_points_survive_range_gate():
 def test_synth_frame_sweeps_are_row_ranges_of_one_read_only_table(monkeypatch):
     """A synthesized frame holds the layout ``load_scenes`` gives: its sweeps
     are row ranges of one read-only table, in sweep order. No
-    :class:`RadarPoint` or :class:`Pillar` is built on the way."""
+    :class:`RadarPoint` is built on the way."""
     built = []
-    for cls in (RadarPoint, Pillar, RadarSweep):
+    for cls in (RadarPoint, RadarSweep):
         check = cls.__post_init__
         monkeypatch.setattr(
             cls, "__post_init__", lambda self, check=check: built.append(self) or check(self)
